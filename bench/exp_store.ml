@@ -461,7 +461,7 @@ let run () =
       (fun acc (d, s) -> if d > 1 then Float.min acc s else acc)
       Float.max_float sweep
   in
-  let recovery_domains_mode = if cores >= 4 then "measured" else "single_core" in
+  let recovery_domains_mode = if cores >= 4 then "measured" else "under_4_cores" in
   let recovery_domains_ok =
     if cores >= 4 then best_multi <= d1
     else d1 <= rec_50k.rr_recovery_s *. 1.05

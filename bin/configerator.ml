@@ -62,10 +62,8 @@ let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let pool_of_jobs jobs =
-  let jobs =
-    if jobs = 0 then Cm_parallel.Pool.recommended_domains () else max 1 jobs
-  in
-  if jobs > 1 then Some (Cm_parallel.Pool.create ~domains:jobs ()) else None
+  let domains = if jobs = 0 then Cm_parallel.Pool.recommended_domains () else jobs in
+  Cm_parallel.Pool.create ~domains ()
 
 (* --- check / compile -------------------------------------------------- *)
 
@@ -82,8 +80,8 @@ let run_check tree_dir changed jobs =
       let compiler = Core.Compiler.create tree in
       let compiled, errors =
         match changed with
-        | [] -> Core.Compiler.compile_all ?pool compiler
-        | changed -> Core.Compiler.compile_affected ?pool compiler ~changed
+        | [] -> Core.Compiler.compile_all ~pool compiler
+        | changed -> Core.Compiler.compile_affected ~pool compiler ~changed
       in
       Printf.printf "%d source files, %d configs compiled, %d errors\n"
         (Core.Source_tree.count tree) (List.length compiled) (List.length errors);
@@ -216,8 +214,8 @@ let run_verify tree_dir changed gk_prefixes sitevar_prefixes mobile_prefixes as_
       let compiler = Core.Compiler.create tree in
       let compiled, errors =
         match changed with
-        | [] -> Core.Compiler.compile_all ?pool compiler
-        | changed -> Core.Compiler.compile_affected ?pool compiler ~changed
+        | [] -> Core.Compiler.compile_all ~pool compiler
+        | changed -> Core.Compiler.compile_affected ~pool compiler ~changed
       in
       print_errors errors;
       if errors <> [] then 1
@@ -261,7 +259,7 @@ let run_verify tree_dir changed gk_prefixes sitevar_prefixes mobile_prefixes as_
             verify_depgraph = Core.Compiler.depgraph compiler;
             verify_repo = Cm_vcs.Repo.create ();
             verify_validators = Core.Compiler.validators compiler;
-            verify_pool = pool;
+            verify_pool = Some pool;
           }
         in
         let verdicts = Cm_verify.Verify.run registry input in

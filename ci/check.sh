@@ -114,25 +114,15 @@ echo "gk scaling: ${scaling}/100 (floor 180); storm p99 and visibility lag withi
 
 echo "== ci/check: multicore landing path gates =="
 # The build bench sweeps the commit-to-land path (compile + verify +
-# sandcastle) across 1/2/4 domains.  Parallel output must be
-# bit-identical to sequential, a 1-domain pool must cost <= 10% over
-# the no-pool path, and idle domains on a serial deep chain must stay
-# cheap — on any host.  The 1.8x scaling floor applies only when the
-# host actually has >= 4 cores ("measured" mode): compilation
-# allocates, and on a time-sliced single core every minor GC is a
-# cross-domain barrier, so no honest projection exists (contrast gk,
-# whose read path is allocation-free).
+# sandcastle) across 1/2/4 domains.  The 4-domain output must be
+# bit-identical to the 1-domain output, and idle domains on a serial
+# deep chain must stay cheap — on any host.  The 1.8x scaling floor
+# applies only when the host actually has >= 4 cores ("measured"
+# mode): compilation allocates, and on time-sliced cores every minor
+# GC is a cross-domain barrier, so no honest projection exists
+# (contrast gk, whose read path is allocation-free).
 if ! grep -q '"equivalence_ok": true' BENCH_build.json; then
-  echo "ci/check: build parallel run diverged from sequential" >&2
-  exit 1
-fi
-overhead=$(sed -n 's/^  "overhead_1dom_x100": \([0-9]*\).*/\1/p' BENCH_build.json | head -n 1)
-if [ -z "$overhead" ]; then
-  echo "ci/check: BENCH_build.json missing overhead_1dom_x100" >&2
-  exit 1
-fi
-if [ "$overhead" -gt 110 ]; then
-  echo "ci/check: build 1-domain pool overhead too high: ${overhead}/100 > 1.10" >&2
+  echo "ci/check: build 4-domain run diverged from 1-domain run" >&2
   exit 1
 fi
 if ! grep -q '"chain_ok": true' BENCH_build.json; then
@@ -147,12 +137,12 @@ if grep -q '"scaling_mode": "measured"' BENCH_build.json; then
   fi
   echo "build scaling: ${build_scaling}/100 (floor 180, measured)"
 else
-  echo "build scaling: ${build_scaling}/100 (single-core host, floor not applied)"
+  echo "build scaling: ${build_scaling}/100 (under 4 cores, floor not applied)"
 fi
 if ! grep -q '"bounded_cache_ok": true' BENCH_build.json; then
   echo "ci/check: bounded compile cache failed to evict within its budget" >&2
   exit 1
 fi
-echo "build gates: equivalence, 1-domain overhead ${overhead}/100, chain, bounded cache all ok"
+echo "build gates: equivalence, chain, bounded cache all ok"
 
 echo "== ci/check: OK =="

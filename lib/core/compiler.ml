@@ -52,9 +52,9 @@ let verdict_of_error { at; stage; message } =
    history of every closure hash it ever compiled.
 
    Shared counters ([hits]/[misses]/[compile_seconds]) are plain
-   metrics mutated only on the caller's domain: the sequential path
-   increments directly, the parallel path accumulates into per-domain
-   [local] blocks that [merge] at the pool's join point. *)
+   metrics mutated only on the caller's domain: workers accumulate
+   into per-domain [local] blocks that [merge] at the pool's join
+   point. *)
 module Cache = struct
   module Metrics = Cm_sim.Metrics
   module Smap = Map.Make (String)
@@ -390,10 +390,9 @@ let closure_hash t path =
 (* Memoized compile: unchanged transitive closures are never
    re-evaluated.  Only successful artifacts are cached — errors are
    cheap to reproduce and must stay attributable to current sources.
-   The [stats] block receives the hit/miss/latency accounting; the
-   sequential entry point merges it into the shared counters
-   immediately, the parallel one at the pool's join. *)
-let compile_memo_local t stats path =
+   The [stats] block receives the hit/miss/latency accounting; it
+   merges into the shared counters at the pool's join. *)
+let compile_memo t stats path =
   let key = closure_hash t path in
   match Cache.find t.cache key with
   | Some compiled ->
@@ -409,51 +408,34 @@ let compile_memo_local t stats path =
       | Error _ -> ());
       result
 
-let compile_memo t path =
-  let stats = Cache.local () in
-  let result = compile_memo_local t stats path in
-  Cache.merge t.cache stats;
-  result
-
-(* Fold per-path results into ([oks], [errors]), both in [targets]
-   order — the canonical output ordering every compile entry point
-   (sequential or parallel) produces. *)
-let assemble targets result_of =
-  List.fold_left
-    (fun (oks, errors) path ->
-      match result_of path with
-      | Ok compiled -> compiled :: oks, errors
-      | Error e -> oks, e :: errors)
-    ([], []) targets
-  |> fun (oks, errors) -> List.rev oks, List.rev errors
-
-(* Parallel collect: topologically level-order the targets from the
-   dependency graph, fan each level out to the domain pool (workers
-   claim configs with one fetch-and-add; per-domain counter blocks
-   merge at each level's join), then assemble results in target
-   order.  Because distinct config paths have distinct closure hashes
-   (a config's own path and source are part of its closure), no two
-   in-flight compiles share a memo key — hit/miss totals are
-   identical to the sequential path's, and so is the assembled
-   output, bit for bit. *)
-let collect_par t pool targets =
+(* Collect: topologically level-order the targets from the dependency
+   graph, fan each level out to the domain pool (workers claim configs
+   with one fetch-and-add; per-domain counter blocks merge at each
+   level's join), then fold the results into ([oks], [errors]), both
+   in [targets] order.  Because distinct config paths have distinct
+   closure hashes (a config's own path and source are part of its
+   closure), no two in-flight compiles share a memo key — hit/miss
+   totals and the assembled output are identical at any domain count,
+   bit for bit.  Without [pool], a 1-domain pool runs every level
+   inline on the caller. *)
+let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let results = Hashtbl.create (max 16 (List.length targets)) in
   List.iter
     (fun level ->
       let level = Array.of_list level in
       let out =
         Cm_parallel.Pool.map_local pool ~local:Cache.local
-          ~f:(fun stats path -> compile_memo_local t stats path)
-          ~merge:(Cache.merge t.cache) level
+          ~f:(compile_memo t) ~merge:(Cache.merge t.cache) level
       in
       Array.iteri (fun i result -> Hashtbl.replace results level.(i) result) out)
     (Depgraph.levels t.dep targets);
-  assemble targets (Hashtbl.find results)
-
-let collect ?pool t targets =
-  match pool with
-  | Some pool -> collect_par t pool targets
-  | None -> assemble targets (compile_memo t)
+  List.fold_left
+    (fun (oks, errors) path ->
+      match Hashtbl.find results path with
+      | Ok compiled -> compiled :: oks, errors
+      | Error e -> oks, e :: errors)
+    ([], []) targets
+  |> fun (oks, errors) -> List.rev oks, List.rev errors
 
 let note_changed t changed =
   List.iter (fun path -> Depgraph.update_file t.dep t.tree path) changed

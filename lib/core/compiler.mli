@@ -137,10 +137,11 @@ val compile : t -> string -> (compiled, error) result
 
 val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
-    memo table.  With [pool], configs fan out across its domains in
-    dependency level order ({!Depgraph.levels}); the result — artifact
-    list, error list and ordering, cache counter totals — is identical
-    to the sequential run's. *)
+    memo table.  Configs fan out across [pool]'s domains in dependency
+    level order ({!Depgraph.levels}); [pool] defaults to a 1-domain
+    pool, which runs every level inline on the caller.  The result —
+    artifact list, error list and ordering, cache counter totals — is
+    identical at any domain count. *)
 
 val note_changed : t -> string list -> unit
 (** Re-index the given paths in the compiler's dependency graph after
@@ -152,9 +153,9 @@ val compile_affected :
     affected cone ({!Depgraph.affected_configs}), and compile it
     through the memo table.  Configs outside the cone are untouched;
     configs inside the cone whose transitive closure bytes are
-    unchanged are cache hits.  With [pool], the cone compiles in
-    parallel level order with deterministic, sequential-identical
-    output (see {!compile_all}). *)
+    unchanged are cache hits.  The cone compiles on [pool] in level
+    order, with output identical at any domain count (see
+    {!compile_all}). *)
 
 val closure_hash : t -> string -> string
 (** Content hash of a config's transitive source closure (its own

@@ -18,9 +18,9 @@ type verify_input = {
   verify_repo : Cm_vcs.Repo.t;
   verify_validators : Validator.t;
   verify_pool : Cm_parallel.Pool.t option;
-      (* the pipeline's domain pool, when it runs with [jobs > 1]: the
+      (* the pipeline's domain pool ([None]: a 1-domain pool): the
          verify stage may fan independent checks out on it, as long as
-         its verdict list stays identical to the sequential order *)
+         its verdict list is identical at any domain count *)
 }
 
 type verify_stage = verify_input -> Defense.verdict list
@@ -39,8 +39,7 @@ type t = {
   reviewers : string list;
   review_delay : float;
   canary_spec : Canary.spec;
-  ppool : Cm_parallel.Pool.t option;
-  pjobs : int;
+  ppool : Cm_parallel.Pool.t;
   mutable pverify : verify_stage option;
   mutable nlanded : int;
 }
@@ -50,10 +49,9 @@ let create ?(reviewers = [ "alice"; "bob"; "carol" ]) ?(review_delay = 120.0)
     ?verify ?(jobs = 1) net zeus tree =
   let engine = Cm_sim.Net.engine net in
   let repo = Cm_vcs.Repo.create () in
-  (* [jobs <= 1] keeps the exact sequential landing path — no pool is
-     constructed, so every stage takes its pre-multicore code path. *)
-  let jobs = max 1 jobs in
-  let pool = if jobs > 1 then Some (Cm_parallel.Pool.create ~domains:jobs ()) else None in
+  (* One landing path: [jobs = 1] is a 1-domain pool, which runs every
+     stage inline on the caller. *)
+  let pool = Cm_parallel.Pool.create ~domains:jobs () in
   (* One compiler for the live tree; it owns the dependency index and
      the content-addressed artifact cache.  Proposal clones share the
      cache (keys are closure hashes, so sharing across trees is sound)
@@ -74,7 +72,6 @@ let create ?(reviewers = [ "alice"; "bob"; "carol" ]) ?(review_delay = 120.0)
     review_delay;
     canary_spec;
     ppool = pool;
-    pjobs = jobs;
     pverify = verify;
     nlanded = 0;
   }
@@ -92,11 +89,9 @@ let tailer t = t.ptailer
 let zeus t = t.pzeus
 let engine t = Cm_sim.Net.engine t.net
 let landed_count t = t.nlanded
-let jobs t = t.pjobs
-let pool t = t.ppool
 
 let bootstrap t =
-  let compiled, errors = Compiler.compile_all ?pool:t.ppool t.pcompiler in
+  let compiled, errors = Compiler.compile_all ~pool:t.ppool t.pcompiler in
   (match errors with
   | [] -> ()
   | e :: _ ->
@@ -164,7 +159,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false) ?sampler
       clone
   in
   let compiled, errors =
-    Compiler.compile_affected ?pool:t.ppool clone_compiler ~changed:changed_paths
+    Compiler.compile_affected ~pool:t.ppool clone_compiler ~changed:changed_paths
   in
   (* Per-config canary spec: "a config is associated with a canary
      spec"; a "<path>.canary" file in the tree overrides the default. *)
@@ -221,7 +216,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false) ?sampler
               verify_depgraph = Compiler.depgraph clone_compiler;
               verify_repo = t.prepo;
               verify_validators = Compiler.validators t.pcompiler;
-              verify_pool = t.ppool;
+              verify_pool = Some t.ppool;
             }
     in
     let root_ctx =
@@ -246,7 +241,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false) ?sampler
     let canary_spec = match spec_result with Ok s -> s | Error _ -> t.canary_spec in
     (* 3. Sandcastle CI in a sandbox; results are posted to the diff. *)
     let t_ci = Engine.now eng in
-    let report = Sandcastle.run ?pool:t.ppool t.psandcastle compiled in
+    let report = Sandcastle.run ~pool:t.ppool t.psandcastle compiled in
     let root_ctx =
       stage_span "pipeline.sandcastle"
         ~tags:[ ("passed", string_of_bool (Sandcastle.passed report)) ]

@@ -50,9 +50,9 @@ type verify_input = {
   verify_repo : Cm_vcs.Repo.t;              (** for last-landed repairs *)
   verify_validators : Validator.t;          (** for range-based repairs *)
   verify_pool : Cm_parallel.Pool.t option;
-      (** the pipeline's domain pool when it runs with [jobs > 1]; the
-          stage may fan independent checks out on it, provided the
-          verdict list stays identical to its sequential order *)
+      (** the pipeline's domain pool ([None] means a 1-domain pool);
+          the stage may fan independent checks out on it, provided the
+          verdict list is identical at any domain count *)
 }
 
 type verify_stage = verify_input -> Defense.verdict list
@@ -78,11 +78,11 @@ val create :
     repository, tailer.  Call {!bootstrap} to seed the repository with
     the tree's current contents, then {!start}.
 
-    [jobs] (default 1) sizes the landing path's domain pool: compile
-    levels, sandcastle checks and the verify stage fan out across
-    [jobs] domains.  [jobs <= 1] builds no pool at all — every stage
-    runs its exact sequential code path.  Outcomes are identical
-    either way; only wall-clock changes. *)
+    [jobs] (default 1, clamped to [>= 1]) sizes the landing path's
+    domain pool: compile levels, sandcastle checks and the verify
+    stage fan out across [jobs] domains.  [jobs = 1] is a 1-domain
+    pool, which runs every stage inline on the caller.  Outcomes are
+    identical at any [jobs]; only wall-clock changes. *)
 
 val set_verify : t -> verify_stage -> unit
 (** Attach (or replace) the verify stage after construction. *)
@@ -138,8 +138,3 @@ val propose_sync :
 
 val landed_count : t -> int
 
-val jobs : t -> int
-(** The configured parallelism (1 when no pool was built). *)
-
-val pool : t -> Cm_parallel.Pool.t option
-(** The landing path's domain pool, when [jobs > 1]. *)

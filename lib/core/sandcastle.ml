@@ -96,7 +96,7 @@ let add_check t check = t.checks <- t.checks @ [ check ]
 
 let passed = Defense.all_passed
 
-let run ?pool t artifacts =
+let run ?(pool = Cm_parallel.Pool.create ()) t artifacts =
   (* CI re-validates only artifacts whose bytes it has not already
      passed: a cache-hit compile produces the exact artifact a previous
      run vetted, so re-checking it is pure cost. *)
@@ -105,11 +105,11 @@ let run ?pool t artifacts =
   in
   t.nskipped <- t.nskipped + (List.length artifacts - List.length fresh);
   (* Checks are independent of each other and read-only over [fresh],
-     so they fan out across the pool; [map_ordered] keeps the report in
-     check-registration order, identical to the sequential run.  The
-     [validated] table is only written below, after the join. *)
+     so they fan out across the pool, which keeps the report in
+     check-registration order at any domain count.  The [validated]
+     table is only written below, after the join. *)
   let report =
-    Parallel.map_ordered pool
+    Cm_parallel.Pool.map_list pool
       (fun check ->
         Defense.of_finding ~stage:"sandcastle" ~rule:check.check_name (check.run fresh))
       t.checks

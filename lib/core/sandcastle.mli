@@ -23,10 +23,10 @@ val run : ?pool:Cm_parallel.Pool.t -> t -> Compiler.compiled list -> report
 (** Checks run only over artifacts whose content (digest + typing
     metadata) this instance has not already validated successfully;
     byte-identical artifacts from earlier passing runs are skipped.
-    Failing artifacts are always re-checked.  With [pool], independent
-    checks fan out across its domains; the report order (and the
-    validated-set bookkeeping, done after the join) is identical to
-    the sequential run. *)
+    Failing artifacts are always re-checked.  Independent checks fan
+    out across [pool]'s domains (default: a 1-domain pool, inline on
+    the caller); the report order and the validated-set bookkeeping,
+    done after the join, are identical at any domain count. *)
 
 val passed : report -> bool
 

@@ -7,13 +7,13 @@
    output slot of its item, so the output order is the input order no
    matter which domain finished first or last.  That slot discipline
    is what lets callers (compile levels, verify fan-out, CI checks)
-   promise bit-identical output to their sequential paths.
+   promise output that is bit-identical at any domain count.
 
    A pool of [domains = 1] — and any call whose item count is 1 —
    runs entirely inline on the caller's domain: no spawn, no atomics
-   beyond the ones already in the code path, which is what keeps the
-   1-domain overhead of the parallel landing path within noise of the
-   old sequential code.
+   beyond the ones already in the code path.  That is what lets the
+   landing path have one code path: a 1-domain pool is how it runs
+   sequentially.
 
    Worker-local state ([map_local]) exists for counter blocks: each
    domain accumulates statistics privately and the caller merges them
@@ -55,9 +55,12 @@ let map_local (t : t) ~(local : unit -> 's) ~(f : 's -> 'a -> 'b)
         state
       in
       (* The caller's domain is worker 0; only [workers - 1] domains
-         are spawned. *)
+         are spawned.  Its [worker ()] is bound before any join — the
+         arguments of [::] evaluate right to left, so inlining it in
+         the cons would leave the caller blocked on the joins. *)
       let spawned = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-      let states = worker () :: List.map Domain.join spawned in
+      let own = worker () in
+      let states = own :: List.map Domain.join spawned in
       (match Atomic.get failed with
       | Some exn -> raise exn
       | None -> ());

@@ -3,10 +3,12 @@
 
     Items are claimed with one atomic fetch-and-add and every result
     lands in its item's output slot, so output order equals input
-    order regardless of completion order — the property the parallel
-    landing path relies on to stay bit-identical to its sequential
-    counterpart.  A 1-domain pool (or a 1-item call) runs inline on
-    the caller's domain with no spawns. *)
+    order regardless of completion order — the property that keeps
+    the landing path's output bit-identical at any domain count.  A
+    [d]-domain pool spawns up to [d - 1] domains per call; the caller's
+    domain works as worker 0 alongside them.  A 1-domain pool (or a
+    1-item call) runs inline on the caller's domain with no spawns,
+    which is how the landing path runs sequentially. *)
 
 type t
 

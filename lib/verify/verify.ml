@@ -52,11 +52,12 @@ let note t verdict =
   if verdict.Defense.repair <> None then t.nrepairs <- t.nrepairs + 1;
   verdict
 
-(* The verify stage fans out across the pipeline's domain pool (when
-   one is attached): every static check, applicable invariant and
+(* The verify stage fans out across the pipeline's domain pool (a
+   1-domain pool when none is attached): every static check,
+   applicable invariant and
    (test, artifact) pair is an independent read-only job.  Two things
    stay on the caller's domain, at the join point, to keep the stage's
-   observable behavior identical to the sequential run:
+   observable behavior identical at any domain count:
 
    - the [note] counters — per the per-domain-counters rule, workers
      never touch shared mutable state;
@@ -66,7 +67,7 @@ let note t verdict =
      all-green path.
 
    Each job therefore returns [(verdict, deferred-repair)] pairs; jobs
-   are enumerated in the sequential order (statics, then invariants,
+   are enumerated in a fixed order (statics, then invariants,
    then tests) and the pool preserves that order, so the final verdict
    list is identical with 1 or N domains. *)
 let run t (input : Pipeline.verify_input) =
@@ -142,7 +143,10 @@ let run t (input : Pipeline.verify_input) =
           List.map (test_job name test) (under_prefix ~prefix compiled))
         t.tests
   in
-  Core.Parallel.map_ordered input.Pipeline.verify_pool (fun job -> job ()) jobs
+  let pool =
+    Option.value input.Pipeline.verify_pool ~default:(Cm_parallel.Pool.create ())
+  in
+  Cm_parallel.Pool.map_list pool (fun job -> job ()) jobs
   |> List.concat
   |> List.map (fun (verdict, repair) ->
          let verdict =

@@ -1,19 +1,21 @@
 (* The multicore landing path: domain pool semantics, level-order
    scheduling, the sharded memo cache, and the headline guarantee —
-   parallel compile/verify produces bit-identical output to the
-   sequential path.
+   compile/verify on an N-domain pool produces bit-identical output to
+   a 1-domain pool, which runs everything inline on the caller.
 
    - pool: input order preserved under uneven work; exceptions
      propagate after the join; worker-local state merges exactly once;
+     the caller's domain works as worker 0;
    - Depgraph.levels: wide cones are one level, chains are one level
      per link, members never precede their in-set dependencies;
    - QCheck: compile_all / compile_affected on an N-domain pool equal
-     the sequential run — artifact digests, error list and order, and
+     the 1-domain run — artifact digests, error list and order, and
      merged cache counters;
    - sharded cache: racing publishers and readers across domains keep
      the content-addressed invariant and respect the byte budget;
-   - verify + sandcastle fan-out: verdict lists identical with and
-     without a pool; a jobs>1 pipeline lands the same changes;
+   - verify + sandcastle fan-out: verdict lists identical on 1-domain
+     vs N-domain pools; a jobs>1 pipeline lands the same changes, HEAD
+     tree and cache totals as jobs=1;
    - pack recovery with a multi-domain scan recovers identical state. *)
 
 module Compiler = Core.Compiler
@@ -72,6 +74,18 @@ let pool_tests =
         Alcotest.(check int) "every item counted once" 200 !total;
         Alcotest.(check bool) "one merge per worker" true (!merges >= 1 && !merges <= 4);
         Alcotest.(check int) "results intact" 199 out.(199));
+    Alcotest.test_case "the caller's domain works as worker 0" `Quick (fun () ->
+        let pool = Pool.create ~domains:2 () in
+        let caller = (Domain.self () :> int) in
+        let ran_on =
+          Pool.map_array pool
+            (fun i ->
+              ignore (Sys.opaque_identity (Array.make 64 i));
+              (Domain.self () :> int))
+            (Array.init 2000 (fun i -> i))
+        in
+        Alcotest.(check bool) "some items ran on the caller" true
+          (Array.exists (fun id -> id = caller) ran_on));
   ]
 
 (* --- level scheduling -------------------------------------------------- *)
@@ -142,7 +156,7 @@ let levels_tests =
           (Depgraph.levels dep [ "y.cconf" ]));
   ]
 
-(* --- equivalence: parallel == sequential ------------------------------- *)
+(* --- equivalence: N domains == 1 domain ---------------------------------- *)
 
 (* Adversarial generated cone: [nmods] shared modules (wide fan-out),
    every fourth config also imports its successor (chains across
@@ -192,9 +206,9 @@ let equivalence_property =
   QCheck2.Test.make ~name:"parallel compile (N domains) equals sequential" ~count:30
     QCheck2.Gen.(triple (int_range 2 4) (int_range 4 20) (int_range 0 99))
     (fun (domains, n, seed) ->
-      let seq = compile_view (gen_tree n seed) in
-      let par = compile_view ~pool:(Pool.create ~domains ()) (gen_tree n seed) in
-      seq = par)
+      let one = compile_view (gen_tree n seed) in
+      let many = compile_view ~pool:(Pool.create ~domains ()) (gen_tree n seed) in
+      one = many)
 
 let affected_property =
   QCheck2.Test.make ~name:"parallel compile_affected equals sequential" ~count:30
@@ -283,7 +297,7 @@ let cache_tests =
         Alcotest.(check int) "one entry per config" 12 (Compiler.Cache.size cache));
   ]
 
-(* --- defense stages: pool and no-pool runs agree ----------------------- *)
+(* --- defense stages: 1-domain and N-domain runs agree ------------------- *)
 
 let render_verdicts verdicts =
   List.map (fun v -> Format.asprintf "%a" Defense.pp_verdict v) verdicts
@@ -301,7 +315,7 @@ let verify_input_of ?pool compiler compiled =
 
 let stage_tests =
   [
-    Alcotest.test_case "verify fan-out: verdict list identical with a pool" `Quick
+    Alcotest.test_case "verify fan-out: verdict list identical, 1-domain vs N-domain" `Quick
       (fun () ->
         let compiler = Compiler.create (gen_tree 10 3) in
         let compiled, _ = Compiler.compile_all compiler in
@@ -325,15 +339,15 @@ let stage_tests =
             Cm_verify.Verify.checks_run registry,
             Cm_verify.Verify.failures registry )
         in
-        let seq = run () in
-        let par = run ~pool:(Pool.create ~domains:4 ()) () in
-        let seq_rendered, seq_run, seq_failed = seq in
-        let par_rendered, par_run, par_failed = par in
-        Alcotest.(check (list string)) "same verdicts" seq_rendered par_rendered;
-        Alcotest.(check int) "same checks_run" seq_run par_run;
-        Alcotest.(check int) "same failures" seq_failed par_failed;
-        Alcotest.(check bool) "something failed" true (seq_failed > 0));
-    Alcotest.test_case "sandcastle fan-out: report identical with a pool" `Quick
+        let one = run () in
+        let many = run ~pool:(Pool.create ~domains:4 ()) () in
+        let one_rendered, one_run, one_failed = one in
+        let many_rendered, many_run, many_failed = many in
+        Alcotest.(check (list string)) "same verdicts" one_rendered many_rendered;
+        Alcotest.(check int) "same checks_run" one_run many_run;
+        Alcotest.(check int) "same failures" one_failed many_failed;
+        Alcotest.(check bool) "something failed" true (one_failed > 0));
+    Alcotest.test_case "sandcastle fan-out: report identical, 1-domain vs N-domain" `Quick
       (fun () ->
         let compiler = Compiler.create (gen_tree 10 3) in
         let compiled, _ = Compiler.compile_all compiler in
@@ -363,11 +377,22 @@ let stage_tests =
             Pipeline.propose_sync pipeline ~author:"pat" ~skip_canary:true
               [ gen_module_path 1, "M01 = 4242" ]
           in
-          Pipeline.outcome_stage outcome, Pipeline.landed_count pipeline
+          let repo = Pipeline.repo pipeline in
+          let head_tree =
+            List.map (fun p -> p, Cm_vcs.Repo.read_file repo p) (Cm_vcs.Repo.ls repo)
+          in
+          let cache = Compiler.cache (Pipeline.compiler pipeline) in
+          ( (Pipeline.outcome_stage outcome, Pipeline.landed_count pipeline),
+            head_tree,
+            (Compiler.Cache.hits cache, Compiler.Cache.misses cache) )
         in
-        Alcotest.(check (pair string int))
-          "same outcome" (outcome_with 1) (outcome_with 3);
-        Alcotest.(check (pair string int)) "landed" ("landed", 1) (outcome_with 3));
+        let outcome1, tree1, counters1 = outcome_with 1 in
+        let outcome3, tree3, counters3 = outcome_with 3 in
+        Alcotest.(check (pair string int)) "same outcome" outcome1 outcome3;
+        Alcotest.(check (pair string int)) "landed" ("landed", 1) outcome3;
+        Alcotest.(check (list (pair string (option string))))
+          "same HEAD tree bytes" tree1 tree3;
+        Alcotest.(check (pair int int)) "same cache hit/miss totals" counters1 counters3);
   ]
 
 (* --- pack recovery ----------------------------------------------------- *)
