@@ -20,8 +20,8 @@
    Rules.distribution — monitoring the config-distribution plane with
    the config-driven monitoring stack it distributes.
 
-   Results land in BENCH_distribution.json; CM_DIST_QUICK=1 shrinks the
-   fleet for CI-style smoke runs. *)
+   Results land in BENCH_distribution.json; --quick shrinks the fleet
+   for CI-style smoke runs. *)
 
 module Engine = Cm_sim.Engine
 module Topology = Cm_sim.Topology
@@ -30,7 +30,7 @@ module Zeus = Cm_zeus.Service
 module Monitor = Cm_monitor.Service
 module Rules = Cm_monitor.Rules
 
-let quick = Sys.getenv_opt "CM_DIST_QUICK" <> None
+let quick = Render.quick
 let regions = if quick then 2 else 4
 let clusters = 2
 let nodes_per_cluster = if quick then 10 else 30
@@ -261,6 +261,11 @@ let write_json legacy optimized =
         ])
   in
   Render.write_json ~file:"BENCH_distribution.json" doc
+    ~gates:
+      [
+        Render.gate "noop_callbacks_optimized"
+          (float_of_int optimized.noop.ph_callbacks) Render.Eq 0.0;
+      ]
 
 let run () =
   Render.section "dist"
@@ -294,8 +299,6 @@ let run () =
     (Printf.sprintf "%.1fx" (ratio legacy.steady.ph_bytes optimized.steady.ph_bytes));
   Render.kv "leader egress reduction"
     (Printf.sprintf "%.1fx" (ratio legacy.steady.ph_egress optimized.steady.ph_egress));
-  Render.kv "no-op callbacks (optimized, expect 0)"
-    (string_of_int optimized.noop.ph_callbacks);
   Render.kv "deduped fan-outs / skipped fetches"
     (Printf.sprintf "%d / %d" optimized.stats.Zeus.payloads_deduped
        optimized.stats.Zeus.fetches_skipped);

@@ -16,16 +16,17 @@
      throughput with and without a live exposure ring).
 
    Scaling gate: on a host with >= 4 cores the 1->4-domain ratio is
-   measured directly and must be >= 1.8x.  On smaller hosts (the CI
-   container has 1 core) a wall-clock speedup is physically
-   impossible, so the gated number is the measured parallel
-   *efficiency* projected to 4 cores — agg(4 domains)/agg(1 domain) x
-   4/min(4,cores), labeled "projected" in scaling_mode.  The gate
-   still catches the failure it exists for: a reader path that takes a
-   lock convoys under 4 domains and collapses the efficiency far below
-   0.45, failing the 1.8x floor even in projected mode.
+   measured directly and must be >= 1.8x.  On smaller hosts a
+   wall-clock 4x speedup is physically impossible, so the gated number
+   is the measured parallel *efficiency* projected to 4 cores —
+   agg(4 domains)/agg(1 domain) x 4/min(4,cores), labeled
+   "projected_under_4_cores" in scaling_mode and "projected" in the
+   gate's name.  The gate still catches the failure it exists for: a
+   reader path that takes a lock convoys under 4 domains and collapses
+   the efficiency far below 0.45, failing the 1.8x floor even in
+   projected mode.
 
-   CM_GK_QUICK=1 shrinks the workload. *)
+   --quick shrinks the workload. *)
 
 module Runtime = Cm_gatekeeper.Runtime
 module Project = Cm_gatekeeper.Project
@@ -38,7 +39,7 @@ module Rng = Cm_sim.Rng
 module Histogram = Cm_sim.Metrics.Histogram
 module Json = Cm_json.Value
 
-let quick = Sys.getenv_opt "CM_GK_QUICK" <> None
+let quick = Render.quick
 let nprojects = 40
 let nusers = 4096
 let checks_per_domain = if quick then 120_000 else 500_000
@@ -291,7 +292,7 @@ let run () =
   let scaling =
     agg4 /. base *. (4.0 /. float_of_int (min 4 cores))
   in
-  let scaling_mode = if measured then "measured" else "projected_single_core" in
+  let scaling_mode = if measured then "measured" else "projected_under_4_cores" in
 
   (* Latency: quiescent vs storm, one reader domain. *)
   let quiet_runtime, _, quiet_users = build () in
@@ -314,10 +315,6 @@ let run () =
     Float.max 0.0 (1.0 -. (logged_rate /. storm_free_rate))
   in
 
-  let p99_ok = p99_ratio <= 3.0 in
-  let scaling_ok = scaling >= 1.8 in
-  let visibility_ok = lag_p99_ms <= 250.0 in
-
   Render.table
     ~header:[ "domains"; "checks/s"; "efficiency"; "storm loads" ]
     (List.map
@@ -330,11 +327,11 @@ let run () =
          ])
        rows);
   Render.kv "cores / scaling mode" (Printf.sprintf "%d / %s" cores scaling_mode);
-  Render.kv "1->4 domain scaling" (Printf.sprintf "%.2fx (floor 1.8x)" scaling);
+  Render.kv "1->4 domain scaling" (Printf.sprintf "%.2fx" scaling);
   Render.kv "p99 check latency quiet / storm"
-    (Printf.sprintf "%.2fus / %.2fus (ratio %.2f, ceiling 3.0)" p99_quiet p99_storm p99_ratio);
+    (Printf.sprintf "%.2fus / %.2fus (ratio %.2f)" p99_quiet p99_storm p99_ratio);
   Render.kv "update visibility lag p99 / max"
-    (Printf.sprintf "%.2fms / %.2fms (ceiling 250ms)" lag_p99_ms lag_max_ms);
+    (Printf.sprintf "%.2fms / %.2fms" lag_p99_ms lag_max_ms);
   Render.kv "snapshot swaps / retained / reclaimed"
     (Printf.sprintf "%d / %d / %d"
        (Runtime.snapshot_swaps runtime)
@@ -371,24 +368,23 @@ let run () =
          "rows", Json.List (List.map row_json rows);
          "scaling_mode", Json.String scaling_mode;
          "scaling_4v1_x100", Json.Int (int_of_float (100.0 *. scaling));
-         "scaling_ok", Json.Bool scaling_ok;
          "p99_quiet_us", Json.Float p99_quiet;
          "p99_storm_us", Json.Float p99_storm;
          "p99_ratio_x100", Json.Int (int_of_float (100.0 *. p99_ratio));
-         "p99_storm_ok", Json.Bool p99_ok;
          "visibility_lag_p99_ms", Json.Float lag_p99_ms;
          "visibility_lag_max_ms", Json.Float lag_max_ms;
-         "visibility_ok", Json.Bool visibility_ok;
          "snapshot_swaps", Json.Int (Runtime.snapshot_swaps runtime);
          "snapshots_reclaimed", Json.Int (Runtime.reclaimed_snapshots runtime);
          "laser_generation", Json.Int (Laser.generation laser);
          "exposures_recorded", Json.Int exposures_recorded;
          "exposure_overhead_x100", Json.Int (int_of_float (100.0 *. exposure_overhead));
-       ]);
-  Render.note "wrote BENCH_gatekeeper.json";
-  if not scaling_ok then
-    failwith (Printf.sprintf "gk: scaling %.2f < 1.8 (%s)" scaling scaling_mode);
-  if not p99_ok then
-    failwith (Printf.sprintf "gk: storm p99 %.2fus > 3x quiet %.2fus" p99_storm p99_quiet);
-  if not visibility_ok then
-    failwith (Printf.sprintf "gk: visibility lag p99 %.2fms > 250ms" lag_p99_ms)
+       ])
+    ~gates:
+      [
+        Render.gate
+          (if measured then "scaling_4v1_measured" else "scaling_4v1_projected")
+          scaling Render.Ge 1.8;
+        Render.gate "p99_storm_over_quiet" p99_ratio Render.Le 3.0;
+        Render.gate "visibility_lag_p99_ms" lag_p99_ms Render.Le 250.0;
+      ];
+  Render.note "wrote BENCH_gatekeeper.json"

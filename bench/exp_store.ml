@@ -26,21 +26,19 @@
      byte-identical configs with a crash-free memory-backed reference
      run.
 
-   Results land in BENCH_store.json; CM_STORE_QUICK=1 shrinks the
-   sweep. *)
+   Results land in BENCH_store.json; --quick shrinks the sweep. *)
 
 module Repo = Cm_vcs.Repo
 module Store = Cm_vcs.Store
 module Pack = Cm_pack.Pack
 
-let quick = Sys.getenv_opt "CM_STORE_QUICK" <> None
+let quick = Render.quick
 
 let bench_root = "_pack_bench"
 let demo_dir = "_pack_demo"
 
 let recovery_targets = if quick then [ 10_000; 50_000 ] else [ 10_000; 50_000; 200_000 ]
 let recovery_nfiles = 1_000
-let recovery_ceiling_s = 5.0 (* for the 50k-object cell *)
 let demo_commits = if quick then 2_000 else 5_000
 let demo_files = 300
 let small_commits = 200
@@ -442,10 +440,8 @@ let run () =
   let rec_50k =
     List.find (fun r -> r.rr_target = 50_000) rec_rows
   in
-  let recovery_ok = rec_50k.rr_recovery_s <= recovery_ceiling_s in
   Render.kv "50k-object recovery"
-    (Printf.sprintf "%.1fms (ceiling %.0fs)" (1000.0 *. rec_50k.rr_recovery_s)
-       recovery_ceiling_s);
+    (Printf.sprintf "%.1fms" (1000.0 *. rec_50k.rr_recovery_s));
   (* Multicore recovery gate.  On a host with >= 4 cores the fanned-out
      segment scan must beat (or match) the 1-domain reopen.  On fewer
      cores extra domains cannot help — interleaved workers only add
@@ -462,19 +458,14 @@ let run () =
       Float.max_float sweep
   in
   let recovery_domains_mode = if cores >= 4 then "measured" else "under_4_cores" in
-  let recovery_domains_ok =
-    if cores >= 4 then best_multi <= d1
-    else d1 <= rec_50k.rr_recovery_s *. 1.05
-  in
   List.iter
     (fun (d, s) ->
       Render.kv
         (Printf.sprintf "50k recovery, %d domain%s" d (if d = 1 then "" else "s"))
         (Printf.sprintf "%.1fms" (1000.0 *. s)))
     sweep;
-  Render.kv "recovery domain gate"
-    (Printf.sprintf "%s (%d cores): %s" recovery_domains_mode cores
-       (if recovery_domains_ok then "ok" else "FAIL"));
+  Render.kv "recovery domain mode"
+    (Printf.sprintf "%s (%d cores)" recovery_domains_mode cores);
 
   (* Rollback: small history vs multi-thousand-commit history.  The
      demo repo stays on disk for ci/check.sh's CLI drive-through. *)
@@ -484,9 +475,6 @@ let run () =
   let demo = build_commit_repo demo_dir demo_files demo_commits in
   let pinned, demo_s = measure_rollback demo ~generation:(demo_commits / 2) in
   Store.close (Repo.store demo);
-  let rollback_ok =
-    demo_s <= Float.max 0.05 (25.0 *. small_s) && demo_s <= 0.25
-  in
   Render.kv
     (Printf.sprintf "rollback, %d-commit history" small_commits)
     (Printf.sprintf "%.2fms" (1000.0 *. small_s));
@@ -514,15 +502,6 @@ let run () =
            Printf.sprintf "%.1fms" (1000.0 *. r.gr_gc_s);
          ])
        gc_rows);
-  (* Where dead bytes dominate (low live fraction), >= 90% of them
-     must actually be reclaimed from disk. *)
-  let reclaim_ok =
-    List.for_all
-      (fun r -> r.gr_frac > 0.5 || r.gr_reclaim_ratio >= 0.9)
-      gc_rows
-  in
-  Render.kv "reclaim >= 90% of dead bytes (live frac <= 0.5)"
-    (if reclaim_ok then "yes" else "NO");
 
   (* Crash/restart convergence. *)
   let sim = run_crash_sim () in
@@ -553,18 +532,15 @@ let run () =
                      ])
                  rec_rows) );
           "recovery_50k_s", Float rec_50k.rr_recovery_s;
-          "recovery_under_ceiling", Bool recovery_ok;
           ( "recovery_50k_domains",
             List
               (List.map
                  (fun (d, s) -> Assoc [ "domains", Int d; "recovery_s", Float s ])
                  sweep) );
           "recovery_domains_mode", String recovery_domains_mode;
-          "recovery_domains_ok", Bool recovery_domains_ok;
           "rollback_small_s", Float small_s;
           "rollback_demo_s", Float demo_s;
           "rollback_demo_commits", Int demo_commits;
-          "rollback_o1_ok", Bool rollback_ok;
           ( "gc_rows",
             List
               (List.map
@@ -581,30 +557,32 @@ let run () =
                        "gc_s", Float r.gr_gc_s;
                      ])
                  gc_rows) );
-          "reclaim_ok", Bool reclaim_ok;
-          "torn_tail_detected", Bool (sim.sim_torn_tail_bytes > 0);
+          "sim_torn_tail_bytes", Int sim.sim_torn_tail_bytes;
           "sim_lost_commits", Int sim.sim_lost_commits;
-          "sim_converged", Bool sim.sim_converged;
         ])
   in
-  Render.write_json ~file:"BENCH_store.json" doc;
-  Render.note "wrote BENCH_store.json (and left _pack_demo/ for the CLI demo)";
   rm_rf bench_root;
-  if not recovery_ok then
-    failwith
-      (Printf.sprintf "exp_store: 50k recovery took %.2fs (ceiling %.0fs)"
-         rec_50k.rr_recovery_s recovery_ceiling_s);
-  if not rollback_ok then
-    failwith
-      (Printf.sprintf "exp_store: rollback not O(1): %.1fms on %d commits vs %.1fms on %d"
-         (1000.0 *. demo_s) demo_commits (1000.0 *. small_s) small_commits);
-  if not reclaim_ok then failwith "exp_store: GC reclaimed < 90% of dead bytes";
-  if not recovery_domains_ok then
-    failwith
-      (Printf.sprintf
-         "exp_store: multi-domain recovery %.1fms vs %.1fms at 1 domain (%s, %d cores)"
-         (1000.0 *. best_multi) (1000.0 *. d1) recovery_domains_mode cores);
-  if sim.sim_torn_tail_bytes = 0 then
-    failwith "exp_store: crash sim produced no torn tail record";
-  if not sim.sim_converged then
-    failwith "exp_store: fleet did not converge with the crash-free run"
+  Render.write_json ~file:"BENCH_store.json" doc
+    ~gates:
+      ([
+         Render.gate "recovery_50k_s" rec_50k.rr_recovery_s Render.Le 5.0;
+         Render.gate "recovery_50k_multi_domain_s" ~applies:(cores >= 4) best_multi
+           Render.Le d1;
+         Render.gate "recovery_50k_1_domain_s" ~applies:(cores < 4) d1 Render.Le
+           (rec_50k.rr_recovery_s *. 1.05);
+         Render.gate "rollback_demo_vs_small_s" demo_s Render.Le
+           (Float.max 0.05 (25.0 *. small_s));
+         Render.gate "rollback_demo_s" demo_s Render.Le 0.25;
+         Render.gate "sim_torn_tail_bytes" (float_of_int sim.sim_torn_tail_bytes)
+           Render.Gt 0.0;
+         Render.holds "sim_converged" sim.sim_converged;
+       ]
+      (* Where dead bytes dominate (live fraction <= 0.5), >= 90% of
+         them must actually be reclaimed from disk. *)
+      @ List.map
+          (fun r ->
+            Render.gate
+              (Printf.sprintf "gc_reclaim_ratio_live_%.1f" r.gr_frac)
+              ~applies:(r.gr_frac <= 0.5) r.gr_reclaim_ratio Render.Ge 0.9)
+          gc_rows);
+  Render.note "wrote BENCH_store.json (and left _pack_demo/ for the CLI demo)"

@@ -10,19 +10,20 @@
    - changed_since over the last K commits (the tailer's poll);
    - store growth per commit (bytes newly hashed vs reused).
 
-   The run *asserts* the tentpole claims: over a 100x size sweep the
-   flat backend's per-commit cost must degrade >= 10x while the Merkle
-   backend stays ~flat (<= 3x).  It also measures the paper's §3.6
+   The run gates the tentpole claims: over a 100x size sweep the flat
+   backend's per-commit cost must degrade by an order of magnitude
+   while the Merkle backend stays ~flat (bounds in the gate list at
+   the end of [run]).  It also measures the paper's §3.6
    remedy — an 8-way partitioned flat namespace — against a single
    Merkle repository and reports the estimated crossover size beyond
    which one Merkle repo beats the partitioned flat fleet.
 
-   Results land in BENCH_vcs.json; CM_VCS_QUICK=1 shrinks the sweep. *)
+   Results land in BENCH_vcs.json; --quick shrinks the sweep. *)
 
 module Repo = Cm_vcs.Repo
 module Store = Cm_vcs.Store
 
-let quick = Sys.getenv_opt "CM_VCS_QUICK" <> None
+let quick = Render.quick
 let sizes = if quick then [ 500; 5_000; 50_000 ] else [ 2_000; 20_000; 200_000 ]
 let base_commits = if quick then 10 else 30
 let k_window = 10 (* changed_since window, commits *)
@@ -206,12 +207,10 @@ let run () =
   in
   let flat_slowdown = slowdown "flat" in
   let merkle_slowdown = slowdown "merkle" in
-  let flat_degrades = flat_slowdown >= 10.0 in
-  let merkle_flat = merkle_slowdown <= 4.0 in
   Render.kv "flat commit+scan slowdown over the sweep"
-    (Printf.sprintf "%.1fx (>= 10x required)" flat_slowdown);
+    (Printf.sprintf "%.1fx" flat_slowdown);
   Render.kv "merkle commit+scan slowdown over the sweep"
-    (Printf.sprintf "%.2fx (<= 4x required)" merkle_slowdown);
+    (Printf.sprintf "%.2fx" merkle_slowdown);
 
   (* Crossover vs the paper's partitioning remedy.  Flat per-commit
      cost is ~linear in files: cost(n) ~ slope * n.  P partitions cut
@@ -249,21 +248,16 @@ let run () =
           "rows", List (List.map json_of_row rows);
           "flat_slowdown", Float flat_slowdown;
           "merkle_slowdown", Float merkle_slowdown;
-          "flat_degrades_10x", Bool flat_degrades;
-          "merkle_flat", Bool merkle_flat;
           "partitions", Int partitions;
           "flat_partitioned_commit_s", Float flat_partitioned_s;
           "merkle_commit_s", Float merkle_commit_s;
           "crossover_files", Int crossover;
         ])
   in
-  Render.write_json ~file:"BENCH_vcs.json" doc;
-  Render.note "wrote BENCH_vcs.json";
-  if not flat_degrades then
-    failwith
-      (Printf.sprintf "exp_vcs: flat backend degraded only %.1fx (expected >= 10x)"
-         flat_slowdown);
-  if not merkle_flat then
-    failwith
-      (Printf.sprintf "exp_vcs: merkle backend degraded %.2fx (expected <= 4x)"
-         merkle_slowdown)
+  Render.write_json ~file:"BENCH_vcs.json" doc
+    ~gates:
+      [
+        Render.gate "flat_slowdown" flat_slowdown Render.Ge 10.0;
+        Render.gate "merkle_slowdown" merkle_slowdown Render.Le 4.0;
+      ];
+  Render.note "wrote BENCH_vcs.json"

@@ -11,9 +11,9 @@
    "verify" and attaches a last-landed repair suggestion, surfaced on
    the review diff.
 
-   Results land in BENCH_verify.json; CM_VERIFY_QUICK=1 shrinks the
-   injection count (the CI gate keys stay meaningful because the quick
-   run scales its threshold with n). *)
+   Results land in BENCH_verify.json; --quick shrinks the injection
+   count (the gates stay meaningful because the quick run scales its
+   threshold with n). *)
 
 module Faults = Core.Faults
 module Canary = Core.Canary
@@ -22,7 +22,7 @@ module Pipeline = Core.Pipeline
 module Engine = Cm_sim.Engine
 module Topology = Cm_sim.Topology
 
-let quick = Sys.getenv_opt "CM_VERIFY_QUICK" <> None
+let quick = Render.quick
 
 type stage = Validator | Verify | Review | Canary_small | Canary_cluster | Escaped
 
@@ -186,8 +186,7 @@ let run () =
      claim: strictly fewer escapes than the 154/1500 baseline. *)
   let threshold = 154 * n / 1500 in
   Render.kv "escapes without verify" (Printf.sprintf "%d / %d" baseline_escaped n);
-  Render.kv "escapes with verify"
-    (Printf.sprintf "%d / %d (threshold < %d)" verify_escaped n threshold);
+  Render.kv "escapes with verify" (Printf.sprintf "%d / %d" verify_escaped n);
   let e2e_stage, e2e_repair, e2e_posted = run_e2e () in
   Render.kv "end-to-end rejection stage" e2e_stage;
   Render.kv "end-to-end repair suggestion"
@@ -224,12 +223,18 @@ let run () =
          "baseline_escaped", Int baseline_escaped;
          "verify_escaped", Int verify_escaped;
          "escape_threshold", Int threshold;
-         "escapes_below_threshold", Bool (verify_escaped < threshold);
-         "escapes_below_baseline", Bool (verify_escaped < baseline_escaped);
          "baseline_rows", List (rows `Base);
          "verify_rows", List (rows `Verify);
          "e2e_caught_at", String e2e_stage;
          ( "e2e_repair_origin",
            match e2e_repair with Some r -> String r.Defense.origin | None -> Null );
-         "e2e_verdicts_on_review", Bool e2e_posted;
        ])
+    ~gates:
+      [
+        Render.gate "verify_escaped_vs_threshold" (float_of_int verify_escaped) Render.Lt
+          (float_of_int threshold);
+        Render.gate "verify_escaped_vs_baseline" (float_of_int verify_escaped) Render.Lt
+          (float_of_int baseline_escaped);
+        Render.holds "e2e_caught_at_verify" (e2e_stage = "verify");
+        Render.holds "e2e_verdicts_on_review" e2e_posted;
+      ]

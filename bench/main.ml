@@ -1,9 +1,10 @@
 (* Experiment harness: regenerates every table and figure of the
    paper's evaluation (§6) plus the design-choice ablations.
 
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- --list       # experiment ids
-     dune exec bench/main.exe -- --only fig13 # one experiment  *)
+     dune exec bench/main.exe                         # everything
+     dune exec bench/main.exe -- --list               # experiment ids
+     dune exec bench/main.exe -- --only fig13         # one experiment
+     dune exec bench/main.exe -- --quick --only gk    # reduced scale  *)
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -38,7 +39,7 @@ let experiments : (string * string * (unit -> unit)) list =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.filter (( <> ) "--quick") (Array.to_list Sys.argv) in
   match args with
   | _ :: "--list" :: _ ->
       List.iter (fun (id, title, _) -> Printf.printf "%-16s %s\n" id title) experiments

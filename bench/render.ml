@@ -67,11 +67,77 @@ let spark values =
               glyphs.(max 0 (min (Array.length glyphs - 1) idx)))
             values))
 
+(* Reduced-scale run: [bench/main.exe --quick] shrinks every gated
+   experiment's workload (bench/run.sh --quick, the CI smoke run). *)
+let quick = Array.mem "--quick" Sys.argv
+
+(* Gates.  A gated experiment lists each of its pass/fail conditions
+   once, as data, and hands the list to [write_json], which records it
+   in the artifact and fails the run on it.  A gate that does not
+   apply on this host (e.g. a scaling floor on fewer cores than it
+   needs) is recorded with its verdict but cannot fail the run. *)
+type op = Le | Lt | Ge | Gt | Eq
+
+type check =
+  | Cmp of float * op * float  (** measured, op, bound *)
+  | Holds of bool  (** an invariant *)
+
+type gate = { name : string; check : check; applies : bool }
+
+let gate ?(applies = true) name measured op bound =
+  { name; check = Cmp (measured, op, bound); applies }
+
+let holds name ok = { name; check = Holds ok; applies = true }
+
+let op_symbol = function Le -> "<=" | Lt -> "<" | Ge -> ">=" | Gt -> ">" | Eq -> "=="
+
+(* A non-finite measurement (nan from an empty sample, a zero
+   denominator) fails whatever its bound. *)
+let passed g =
+  match g.check with
+  | Holds ok -> ok
+  | Cmp (m, op, b) ->
+      Float.is_finite m
+      && (match op with Le -> m <= b | Lt -> m < b | Ge -> m >= b | Gt -> m > b | Eq -> m = b)
+
+let json_of_gate g =
+  let measured, op, bound =
+    Cm_json.Value.(
+      match g.check with
+      | Cmp (m, op, b) -> Float m, op_symbol op, Float b
+      | Holds ok -> Bool ok, "holds", Bool true)
+  in
+  Cm_json.Value.(
+    Assoc
+      [
+        "name", String g.name;
+        "measured", measured;
+        "op", String op;
+        "bound", bound;
+        "applies", Bool g.applies;
+        "passed", Bool (passed g);
+      ])
+
+let describe g =
+  match g.check with
+  | Cmp (m, op, b) -> Printf.sprintf "%s = %.6g (bound %s %.6g)" g.name m (op_symbol op) b
+  | Holds ok -> Printf.sprintf "%s = %b" g.name ok
+
 (* Write a BENCH_*.json artifact, first checking that the serialized
-   text re-parses with our own parser — a malformed emitter (e.g. a
-   bare nan leaking into a Float) fails the bench run instead of
-   producing a file downstream tooling chokes on. *)
-let write_json ~file doc =
+   text re-parses with our own parser — a malformed emitter fails the
+   bench run instead of producing a file downstream tooling chokes on.
+   [gates] are appended to [doc] as a "gates" array, printed, and then
+   enforced: the file is written first so a failing number is on disk,
+   and the run fails with one message naming every applicable gate
+   that did not pass. *)
+let write_json ?gates ~file doc =
+  let doc =
+    match gates, doc with
+    | None, _ -> doc
+    | Some gates, Cm_json.Value.Assoc fields ->
+        Cm_json.Value.Assoc (fields @ [ "gates", Cm_json.Value.List (List.map json_of_gate gates) ])
+    | Some _, _ -> invalid_arg "Render.write_json: gates need an object document"
+  in
   let text = Cm_json.Value.to_pretty_string doc ^ "\n" in
   (match Cm_json.Parser.parse text with
   | Ok _ -> ()
@@ -81,7 +147,27 @@ let write_json ~file doc =
            (Format.asprintf "%a" Cm_json.Parser.pp_error e)));
   let oc = open_out file in
   output_string oc text;
-  close_out oc
+  close_out oc;
+  Option.iter
+    (fun gates ->
+      table ~header:[ "gate"; "verdict" ]
+        (List.map
+           (fun g ->
+             [
+               describe g;
+               (match g.applies, passed g with
+               | true, true -> "ok"
+               | true, false -> "FAILED"
+               | false, _ -> "not applied");
+             ])
+           gates);
+      match List.filter (fun g -> g.applies && not (passed g)) gates with
+      | [] -> ()
+      | failed ->
+          failwith
+            (Printf.sprintf "%s: failed gates: %s" file
+               (String.concat "; " (List.map describe failed))))
+    gates
 
 let series ~label ~unit values =
   let lo, hi =
