@@ -86,7 +86,6 @@ let run_e2e () =
   let topo = Topology.create ~regions:1 ~clusters_per_region:2 ~nodes_per_cluster:40 in
   let net = Cm_sim.Net.create engine topo in
   let zeus = Cm_zeus.Service.create net in
-  let pipeline = Pipeline.create net zeus (e2e_tree ()) in
   let registry = Cm_verify.Verify.standard () in
   (* The consumer's real limit, stricter than anything declared as a
      validator: the scheduler refuses jobs above 8 GB. *)
@@ -97,7 +96,9 @@ let run_e2e () =
           Defense.finding ~ok:false ~at:c.Core.Compiler.artifact_path
             (Printf.sprintf "scheduler rejects memory_mb = %d (limit 8192)" n)
       | _ -> Defense.finding ~ok:true ~at:c.Core.Compiler.artifact_path "scheduler accepts");
-  Cm_verify.Verify.attach registry pipeline;
+  let pipeline =
+    Pipeline.create ~verify:(Cm_verify.Verify.run registry) net zeus (e2e_tree ())
+  in
   Pipeline.bootstrap pipeline;
   Pipeline.start pipeline;
   let outcome =

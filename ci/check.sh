@@ -2,8 +2,9 @@
 # The one gate a change must pass before landing: full build, the
 # entire test suite (unit + property + examples + CLI smoke), a
 # reduced-scale benchmark run whose experiments fail on their own
-# gates (recorded in each BENCH_*.json "gates" array), and the CLI
-# rollback demo.  Mirrors what the paper calls the "sandcastle" CI step.
+# gates (recorded in each BENCH_*.json "gates" array), the perfbench
+# determinism check, and the CLI rollback demo.  Mirrors what the
+# paper calls the "sandcastle" CI step.
 #
 #   ci/check.sh
 set -eu
@@ -17,6 +18,15 @@ dune runtest
 
 echo "== ci/check: bench/run.sh --quick =="
 bench/run.sh --quick
+
+echo "== ci/check: perfbench determinism =="
+# perfbench/cfgbench.ml replays Pipeline.propose stage by stage to time
+# each layer; fail if that traced replay stops matching the untraced
+# pipeline's counts or HEAD tree, or one seed stops repeating.  It runs
+# after the quick benches so their wall-clock gates see the host as
+# they did before this step existed.
+python3 perfbench/run.py --determinism --workload leaf_edit
+python3 perfbench/run.py --determinism --workload cone_edit
 
 echo "== ci/check: CLI rollback demo =="
 # Drive the generation log of the bench's multi-thousand-commit pack

@@ -30,17 +30,16 @@ type outcome =
           through the same structured {!Defense.rejection} *)
 
 val outcome_stage : outcome -> string
-(** Shim over the old per-stage variants: ["landed"], or the rejecting
-    stage — ["compile"], ["verify"], ["sandcastle"], ["review"],
-    ["canary"], ["conflict"]. *)
+(** ["landed"], or the stage that bounced the change — ["compile"],
+    ["verify"], ["sandcastle"], ["review"], ["canary"], ["conflict"]. *)
 
 (** {1 The verify stage}
 
     The {!Cm_verify} correctness plane runs between compile and
-    sandcastle.  It is attached as a function so the dependency arrow
-    points from [Cm_verify] into the core ([Cm_verify.Verify.attach]
-    wires a registry in); a pipeline without a hook behaves exactly as
-    before. *)
+    sandcastle.  It is passed to {!create} as a function
+    ([~verify:(Cm_verify.Verify.run registry)]) so the dependency arrow
+    points from [Cm_verify] into the core; a pipeline without one skips
+    the stage. *)
 
 type verify_input = {
   verify_changes : (string * string) list;  (** the proposed edits *)
@@ -62,11 +61,7 @@ type verify_stage = verify_input -> Defense.verdict list
 type t
 
 val create :
-  ?reviewers:string list ->
-  ?review_delay:float ->
-  ?canary_spec:Canary.spec ->
   ?validators:Validator.t ->
-  ?landing_mode:Landing_strip.mode ->
   ?verify:verify_stage ->
   ?jobs:int ->
   Cm_sim.Net.t ->
@@ -78,14 +73,13 @@ val create :
     repository, tailer.  Call {!bootstrap} to seed the repository with
     the tree's current contents, then {!start}.
 
-    [jobs] (default 1, clamped to [>= 1]) sizes the landing path's
-    domain pool: compile levels, sandcastle checks and the verify
-    stage fan out across [jobs] domains.  [jobs = 1] is a 1-domain
-    pool, which runs every stage inline on the caller.  Outcomes are
-    identical at any [jobs]; only wall-clock changes. *)
-
-val set_verify : t -> verify_stage -> unit
-(** Attach (or replace) the verify stage after construction. *)
+    [validators] run inside every compile; [verify] is the verify
+    stage (none by default).  [jobs] (default 1, clamped to [>= 1])
+    sizes the landing path's domain pool: compile levels, sandcastle
+    checks and the verify stage fan out across [jobs] domains.
+    [jobs = 1] is a 1-domain pool, which runs every stage inline on
+    the caller.  Outcomes are identical at any [jobs]; only wall-clock
+    changes. *)
 
 val bootstrap : t -> unit
 (** Compiles the whole tree and commits sources + artifacts as the
@@ -122,9 +116,24 @@ val propose :
   unit
 (** Submit a config change: [(source path, new content)] pairs.  The
     pipeline runs asynchronously in simulated time; [on_done] fires
-    with the final outcome.  On success the source tree, dependency
-    graph and repository are updated, and distribution to the fleet
-    proceeds via the tailer. *)
+    with the final outcome.  The stages run in this order, and any of
+    them can bounce the change:
+
+    {v
+    compile (+ validators, + the .canary spec) -> verify (if set)
+      -> sandcastle -> review (after 120 s) -> canary (unless
+      [skip_canary]) -> landing strip
+    v}
+
+    The review diff is posted by sandcastle, pass or fail (by verify
+    when verify rejects).  With a tracer on the net, the change gets
+    one trace ["change:<title>"]: each stage that ran records a
+    ["pipeline.<stage>"] span, pass or fail, under the previous
+    stage's span; the canary's phases nest under [pipeline.review],
+    and the landing strip's [landing.commit] or [landing.conflict]
+    under the last stage's span.  On success the source tree,
+    dependency graph and repository are updated, and distribution to
+    the fleet proceeds via the tailer. *)
 
 val propose_sync :
   t ->

@@ -154,5 +154,3 @@ let run t (input : Pipeline.verify_input) =
            else { verdict with Defense.repair = repair () }
          in
          note t verdict)
-
-let attach t pipeline = Pipeline.set_verify pipeline (run t)

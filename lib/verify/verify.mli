@@ -50,11 +50,9 @@ val run : t -> Core.Pipeline.verify_input -> Core.Defense.verdict list
     otherwise one verdict per static check (pass or fail), per
     applicable invariant, and per (test, artifact) pair.  Failing
     verdicts carry a repair suggestion when {!Repair.suggest} finds a
-    candidate that passes the failing check. *)
-
-val attach : t -> Core.Pipeline.t -> unit
-(** Wires [run] in as the pipeline's verify stage
-    ({!Core.Pipeline.set_verify}). *)
+    candidate that passes the failing check.  Pass it to
+    {!Core.Pipeline.create} as [~verify] to run it as the pipeline's
+    verify stage. *)
 
 (** {1 Counters} *)
 

@@ -180,6 +180,7 @@ and proxy = {
       (* cohort weight: how many statistically identical servers this
          proxy stands for; 1 for an ordinary per-server proxy *)
   mutable pdeliv_w : int; (* effective deliveries x weight at the time *)
+  mutable phealth : Engine.handle option; (* the health loop's next tick *)
 }
 
 and t = {
@@ -943,15 +944,16 @@ let register_watch t proxy path =
       end)
 
 let rec proxy_health_loop t proxy =
-  ignore
-    (Engine.schedule (engine t) ~delay:(t.prm.catchup_interval *. 2.0) (fun () ->
-         if proxy.pup then begin
-           if not (Topology.is_up (topo t) proxy.pobserver.onode) then begin
-             proxy.pobserver <- pick_observer t proxy.pnode;
-             Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs
-           end;
-           proxy_health_loop t proxy
-         end))
+  proxy.phealth <-
+    Some
+      (Engine.schedule (engine t) ~delay:(t.prm.catchup_interval *. 2.0) (fun () ->
+           if proxy.pup then begin
+             if not (Topology.is_up (topo t) proxy.pobserver.onode) then begin
+               proxy.pobserver <- pick_observer t proxy.pnode;
+               Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs
+             end;
+             proxy_health_loop t proxy
+           end))
 
 let proxy_on ?(weight = 1) t node =
   match Hashtbl.find_opt t.proxies node with
@@ -969,6 +971,7 @@ let proxy_on ?(weight = 1) t node =
           pdelivered = Ring.create t.prm.delivery_log_cap;
           pweight = weight;
           pdeliv_w = 0;
+          phealth = None;
         }
       in
       proxy.pobserver <- pick_observer t node;
@@ -1030,6 +1033,9 @@ let restart_proxy proxy =
   Hashtbl.iter (fun path entry -> Hashtbl.replace proxy.pmem path entry) proxy.pdisk;
   proxy.pobserver <- pick_observer t proxy.pnode;
   Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs;
+  (* One loop per proxy: a restart before the old loop's next tick
+     (which would find the proxy up and carry on) replaces it. *)
+  Option.iter (Engine.cancel (engine t)) proxy.phealth;
   proxy_health_loop t proxy
 
 let proxy_count t = Hashtbl.length t.proxies

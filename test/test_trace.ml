@@ -296,24 +296,38 @@ let swarm_tests =
 (* --- pipeline end to end ---------------------------------------------- *)
 
 let pipeline_tree () =
-  Core.Source_tree.of_alist [ "raw/knob.json", {|{"threshold": 5}|} ]
+  Core.Source_tree.of_alist
+    [
+      ( "schemas/job.thrift",
+        "struct Job {\n  1: required string name;\n  2: optional i32 memory_mb = 1024;\n}\n" );
+      ( "modules/create_job.cinc",
+        "import_thrift \"schemas/job.thrift\"\n\
+         def create_job(name, memory = 1024) = Job { name = name, memory_mb = memory }\n" );
+      "jobs/cache_job.cconf", "import \"modules/create_job.cinc\"\nexport create_job(\"cache\")\n";
+      "raw/knob.json", {|{"threshold": 5}|};
+    ]
+
+(* A traced pipeline over [pipeline_tree], bootstrapped and started. *)
+let traced_pipeline ?verify () =
+  let engine = Engine.create ~seed:21L () in
+  let topo = Topology.create ~regions:2 ~clusters_per_region:2 ~nodes_per_cluster:10 in
+  let net = Net.create engine topo in
+  let tr = Tracer.create ~now:(fun () -> Engine.now engine) () in
+  Net.set_tracer net tr;
+  let pipeline = Pipeline.create ?verify net (Zeus.create net) (pipeline_tree ()) in
+  Pipeline.bootstrap pipeline;
+  Pipeline.start pipeline;
+  engine, tr, pipeline
+
+let trace_named tr name =
+  List.find (fun tid -> Tracer.trace_name tr tid = Some name) (Tracer.trace_ids tr)
 
 let pipeline_tests =
   [
     Alcotest.test_case "a landed change is traced from submit to delivery" `Quick
       (fun () ->
-        let engine = Engine.create ~seed:21L () in
-        let topo =
-          Topology.create ~regions:2 ~clusters_per_region:2 ~nodes_per_cluster:10
-        in
-        let net = Net.create engine topo in
-        let tr = Tracer.create ~now:(fun () -> Engine.now engine) () in
-        Net.set_tracer net tr;
-        let zeus = Zeus.create net in
-        let pipeline = Pipeline.create net zeus (pipeline_tree ()) in
-        Pipeline.bootstrap pipeline;
-        Pipeline.start pipeline;
-        let client = Client.create zeus ~node:11 in
+        let engine, tr, pipeline = traced_pipeline () in
+        let client = Client.create (Pipeline.zeus pipeline) ~node:11 in
         Client.want client "raw/knob.json";
         Engine.run_for engine 5.0;
         let outcome =
@@ -323,12 +337,7 @@ let pipeline_tests =
         Alcotest.(check string) "landed" "landed" (Pipeline.outcome_stage outcome);
         Engine.run_for engine 60.0;
         (* One trace per proposed change, named after the title. *)
-        let tid =
-          List.find
-            (fun tid -> Tracer.trace_name tr tid = Some "change:bump knob")
-            (Tracer.trace_ids tr)
-        in
-        let names = hop_names tr tid in
+        let names = hop_names tr (trace_named tr "change:bump knob") in
         List.iter
           (fun h -> Alcotest.(check bool) (h ^ " recorded") true (List.mem h names))
           [
@@ -342,6 +351,175 @@ let pipeline_tests =
              (fun n -> String.length n > 7 && String.sub n 0 7 = "canary.")
              names));
   ]
+
+(* --- the landing path, pinned per outcome ------------------------------ *)
+
+(* Each way a proposal can end, recorded three ways: the outcome stage;
+   the chain of pipeline and landing spans in the change's trace, each
+   as "name <- parent [tags]"; and the rules posted to the change's
+   review diff.  Every stage leaves its span whether it passes or
+   bounces the change. *)
+
+let cache_job memory =
+  ( "jobs/cache_job.cconf",
+    Printf.sprintf "import \"modules/create_job.cinc\"\nexport create_job(\"cache\", %d)\n"
+      memory )
+
+let pin_path ?verify ?(before = fun _ -> ()) ?skip_canary ?sampler changes =
+  let _, tr, pipeline = traced_pipeline ?verify () in
+  before pipeline;
+  let review = Pipeline.review pipeline in
+  let diff_id = Core.Review.count review + 1 in
+  let outcome =
+    Pipeline.propose_sync pipeline ~author:"dana" ~title:"pinned" ?skip_canary ?sampler
+      changes
+  in
+  let spans = Tracer.spans_of tr (trace_named tr "change:pinned") in
+  let name_of sid =
+    if sid = 0 then "root"
+    else (List.find (fun s -> s.Tracer.sid = sid) spans).Tracer.sname
+  in
+  let chain =
+    List.filter_map
+      (fun s ->
+        let n = s.Tracer.sname in
+        if String.starts_with ~prefix:"pipeline." n || String.starts_with ~prefix:"landing." n
+        then
+          Some
+            (Printf.sprintf "%s <- %s [%s]" n (name_of s.Tracer.sparent)
+               (String.concat " "
+                  (List.map (fun (k, v) -> k ^ "=" ^ v) s.Tracer.stags)))
+        else None)
+      spans
+  in
+  let rules =
+    match Core.Review.get review diff_id with
+    | Some diff ->
+        List.map
+          (fun v ->
+            Printf.sprintf "%s/%s:%b" v.Core.Defense.stage v.Core.Defense.rule
+              v.Core.Defense.passed)
+          diff.Core.Review.test_results
+    | None -> []
+  in
+  Pipeline.outcome_stage outcome, chain, rules
+
+let landing_path_cases =
+  let failing_verify _ =
+    [ Core.Defense.fail ~stage:"verify" ~rule:"pinned-invariant" "memory too high" ]
+  in
+  let passing_verify _ = [ Core.Defense.pass ~stage:"verify" ~rule:"pinned-invariant" "ok" ] in
+  let sandcastle_ok =
+    [ "sandcastle/json-roundtrip:true"; "sandcastle/size-limit:true";
+      "sandcastle/no-empty-export:true"; "sandcastle/schema-hash-present:true" ]
+  in
+  [
+    ( "landed with canary",
+      (fun () -> pin_path ~verify:passing_verify [ cache_job 4096 ]),
+      ( "landed",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.verify <- pipeline.compile [passed=true]";
+          "pipeline.sandcastle <- pipeline.verify [passed=true]";
+          "pipeline.review <- pipeline.sandcastle [reviewer=alice]";
+          "pipeline.canary <- pipeline.review []";
+          "landing.commit <- pipeline.canary [files=2]";
+        ],
+        sandcastle_ok @ [ "verify/pinned-invariant:true" ] ) );
+    ( "landed with skip_canary",
+      (fun () -> pin_path ~skip_canary:true [ "raw/knob.json", {|{"threshold": 9}|} ]),
+      ( "landed",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.sandcastle <- pipeline.compile [passed=true]";
+          "pipeline.review <- pipeline.sandcastle [reviewer=alice]";
+          "landing.commit <- pipeline.review [files=1]";
+        ],
+        sandcastle_ok ) );
+    ( "compile error",
+      (fun () -> pin_path [ "jobs/cache_job.cconf", "export nosuchthing" ]),
+      ("compile", [ "pipeline.compile <- root [configs=0 errors=1]" ], []) );
+    ( "bad .canary spec",
+      (fun () -> pin_path [ "jobs/cache_job.cconf.canary", "{\"phases\": 3}"; cache_job 4096 ]),
+      ("compile", [ "pipeline.compile <- root [configs=2 errors=1]" ], []) );
+    ( "verify rejection",
+      (fun () -> pin_path ~verify:failing_verify [ cache_job 99999 ]),
+      ( "verify",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.verify <- pipeline.compile [passed=false]";
+        ],
+        [ "verify/pinned-invariant:false" ] ) );
+    ( "sandcastle rejection",
+      (fun () -> pin_path [ "raw/knob.json", "{}" ]),
+      ( "sandcastle",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.sandcastle <- pipeline.compile [passed=false]";
+        ],
+        [ "sandcastle/json-roundtrip:true"; "sandcastle/size-limit:true";
+          "sandcastle/no-empty-export:false"; "sandcastle/schema-hash-present:true";
+          "review/risk-flag:raw/knob.json:true" ] ) );
+    ( "review rejection during the delay",
+      (fun () ->
+        let before pipeline =
+          ignore
+            (Engine.schedule (Pipeline.engine pipeline) ~delay:60.0 (fun () ->
+                 ignore
+                   (Core.Review.reject (Pipeline.review pipeline) 1 ~reviewer:"erin"
+                      ~reason:"not during the freeze")))
+        in
+        pin_path ~before [ cache_job 4096 ]),
+      ( "review",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.sandcastle <- pipeline.compile [passed=true]";
+          "pipeline.review <- pipeline.sandcastle [reviewer=alice]";
+        ],
+        sandcastle_ok ) );
+    ( "canary failure",
+      (fun () ->
+        let sampler = Core.Faults.type_i_sampler (Cm_sim.Rng.create 8L) ~detectable:true in
+        pin_path ~sampler [ cache_job 4096 ]),
+      ( "canary",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.sandcastle <- pipeline.compile [passed=true]";
+          "pipeline.review <- pipeline.sandcastle [reviewer=alice]";
+          "pipeline.canary <- pipeline.review []";
+        ],
+        sandcastle_ok ) );
+    ( "read-set conflict",
+      (fun () ->
+        (* A module edit proposed first lands first and moves a path
+           the pinned change's artifact was compiled against. *)
+        let before pipeline =
+          Pipeline.propose pipeline ~author:"erin" ~title:"module" ~skip_canary:true
+            [ "modules/create_job.cinc",
+              "import_thrift \"schemas/job.thrift\"\n\
+               def create_job(name, memory = 2048) = Job { name = name, memory_mb = memory }\n" ]
+            ~on_done:ignore
+        in
+        pin_path ~before ~skip_canary:true [ cache_job 4096 ]),
+      ( "conflict",
+        [
+          "pipeline.compile <- root [configs=1 errors=0]";
+          "pipeline.sandcastle <- pipeline.compile [passed=true]";
+          "pipeline.review <- pipeline.sandcastle [reviewer=alice]";
+          "landing.conflict <- pipeline.review []";
+        ],
+        sandcastle_ok ) );
+  ]
+
+let landing_path_tests =
+  List.map
+    (fun (name, run, (stage, chain, rules)) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let got_stage, got_chain, got_rules = run () in
+          Alcotest.(check string) "outcome stage" stage got_stage;
+          Alcotest.(check (list string)) "span chain" chain got_chain;
+          Alcotest.(check (list string)) "review rules" rules got_rules))
+    landing_path_cases
 
 (* --- zero-cost-when-off property -------------------------------------- *)
 
@@ -404,5 +582,6 @@ let () =
       "zeus", zeus_tests;
       "swarm", swarm_tests;
       "pipeline", pipeline_tests;
+      "landing", landing_path_tests;
       "properties", [ QCheck_alcotest.to_alcotest equivalence_property ];
     ]

@@ -383,13 +383,13 @@ let registry_tests =
 
 (* --- pipeline integration ---------------------------------------------- *)
 
-let pipeline_env ?seed () =
+let pipeline_env ?seed ?verify () =
   let tree = ST.of_alist (job_tree 1024) in
   let engine = Engine.create ~seed:(Option.value ~default:21L seed) () in
   let topo = Cm_sim.Topology.create ~regions:1 ~clusters_per_region:2 ~nodes_per_cluster:30 in
   let net = Cm_sim.Net.create engine topo in
   let zeus = Cm_zeus.Service.create net in
-  let pipeline = Pipeline.create net zeus tree in
+  let pipeline = Pipeline.create ?verify net zeus tree in
   Pipeline.bootstrap pipeline;
   Pipeline.start pipeline;
   pipeline
@@ -406,7 +406,6 @@ let pipeline_tests =
   [
     Alcotest.test_case "config test bounces the change at stage verify" `Quick
       (fun () ->
-        let pipeline = pipeline_env () in
         let registry = Verify.standard () in
         Verify.register_test registry ~name:"scheduler-accepts" ~prefix:"jobs/"
           (fun c ->
@@ -415,7 +414,7 @@ let pipeline_tests =
                 Defense.finding ~ok:false ~at:c.Compiler.artifact_path
                   (Printf.sprintf "scheduler rejects memory_mb = %d" n)
             | _ -> Defense.finding ~ok:true "scheduler accepts");
-        Verify.attach registry pipeline;
+        let pipeline = pipeline_env ~verify:(Verify.run registry) () in
         (match propose_memory pipeline 99999 with
         | Pipeline.Rejected rejection -> (
             Alcotest.(check string) "stage" "verify" rejection.Defense.failed_stage;
@@ -438,9 +437,7 @@ let pipeline_tests =
         | None -> Alcotest.fail "diff not submitted");
     Alcotest.test_case "passing verify stage lands and posts verdicts" `Quick
       (fun () ->
-        let pipeline = pipeline_env () in
-        let registry = Verify.standard () in
-        Verify.attach registry pipeline;
+        let pipeline = pipeline_env ~verify:(Verify.run (Verify.standard ())) () in
         (match propose_memory pipeline 4096 with
         | Pipeline.Landed _ -> ()
         | Pipeline.Rejected r -> Alcotest.failf "rejected: %s" (Defense.summary r));
@@ -538,10 +535,10 @@ let fault_tests =
 
 (* --- the behavior-preservation property --------------------------------- *)
 
-(* Attaching an empty registry must be invisible: over any proposal
-   sequence (good values, consumer-breaking values, syntax errors),
-   a pipeline with `Verify.create ()` attached lands and rejects
-   exactly like one with no verify hook at all. *)
+(* An empty registry must be invisible: over any proposal sequence
+   (good values, consumer-breaking values, syntax errors), a pipeline
+   created with [~verify:(Verify.run (Verify.create ()))] lands and
+   rejects exactly like one with no verify stage at all. *)
 let empty_registry_property =
   let proposal =
     QCheck2.Gen.(
@@ -556,8 +553,7 @@ let empty_registry_property =
     QCheck2.Gen.(list_size (int_range 1 4) proposal)
     (fun proposals ->
       let plain = pipeline_env ~seed:33L () in
-      let hooked = pipeline_env ~seed:33L () in
-      Verify.attach (Verify.create ()) hooked;
+      let hooked = pipeline_env ~seed:33L ~verify:(Verify.run (Verify.create ())) () in
       List.for_all
         (fun p ->
           let run pipeline =

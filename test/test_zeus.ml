@@ -165,6 +165,28 @@ let failure_tests =
         Engine.run_for engine 10.0;
         Alcotest.(check (option string)) "fresh after restart" (Some "v2")
           (Zeus.proxy_get proxy "cfg/r"));
+    Alcotest.test_case "restarts keep one health loop per proxy" `Quick (fun () ->
+        let engine, _, zeus = setup () in
+        let proxy = Zeus.proxy_on zeus 9 in
+        (* The health loop ticks once a second; windows start half a
+           tick off its phase so each holds exactly 100 ticks. *)
+        Engine.run_for engine 10.5;
+        let window () =
+          let before = Engine.events_processed engine in
+          Engine.run_for engine 100.0;
+          Engine.events_processed engine - before
+        in
+        Alcotest.(check int) "one loop at the start" 100 (window ());
+        (* Restarted before the crashed loop's next tick: that tick
+           finds the proxy up again. *)
+        Zeus.crash_proxy proxy;
+        Engine.run_for engine 0.25;
+        Zeus.restart_proxy proxy;
+        Engine.run_for engine 0.5;
+        Alcotest.(check int) "one loop after a quick crash and restart" 100 (window ());
+        Zeus.restart_proxy proxy;
+        Engine.run_for engine 0.5;
+        Alcotest.(check int) "one loop after restarting a live proxy" 100 (window ()));
   ]
 
 let snapshot_tests =
