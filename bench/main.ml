@@ -29,7 +29,6 @@ let experiments : (string * string * (unit -> unit)) list =
     "ablate-gkopt", "Gatekeeper optimizer", Exp_ablate.gk_optimizer;
     "ablate-landing", "landing strip vs direct commits", Exp_ablate.landing;
     "ablate-mobile", "mobile hybrid pull+push", Exp_ablate.mobile;
-    "incr", "incremental compilation vs full rebuild", Exp_incr.run;
     "dist", "distribution plane: dedup + batched fan-out vs legacy", Exp_dist.run;
     "vcs", "storage plane: flat vs merkle backend sweep", Exp_vcs.run;
     "store", "durable store: pack recovery, generations, GC, crash convergence", Exp_store.run;

@@ -126,17 +126,16 @@ let describe g =
 (* Write a BENCH_*.json artifact, first checking that the serialized
    text re-parses with our own parser — a malformed emitter fails the
    bench run instead of producing a file downstream tooling chokes on.
-   [gates] are appended to [doc] as a "gates" array, printed, and then
-   enforced: the file is written first so a failing number is on disk,
-   and the run fails with one message naming every applicable gate
-   that did not pass. *)
-let write_json ?gates ~file doc =
+   Every BENCH file is gated: [gates] are appended to [doc] as a
+   "gates" array, printed, and then enforced: the file is written
+   first so a failing number is on disk, and the run fails with one
+   message naming every applicable gate that did not pass. *)
+let write_json ~gates ~file doc =
   let doc =
-    match gates, doc with
-    | None, _ -> doc
-    | Some gates, Cm_json.Value.Assoc fields ->
+    match doc with
+    | Cm_json.Value.Assoc fields ->
         Cm_json.Value.Assoc (fields @ [ "gates", Cm_json.Value.List (List.map json_of_gate gates) ])
-    | Some _, _ -> invalid_arg "Render.write_json: gates need an object document"
+    | _ -> invalid_arg "Render.write_json: gates need an object document"
   in
   let text = Cm_json.Value.to_pretty_string doc ^ "\n" in
   (match Cm_json.Parser.parse text with
@@ -148,26 +147,23 @@ let write_json ?gates ~file doc =
   let oc = open_out file in
   output_string oc text;
   close_out oc;
-  Option.iter
-    (fun gates ->
-      table ~header:[ "gate"; "verdict" ]
-        (List.map
-           (fun g ->
-             [
-               describe g;
-               (match g.applies, passed g with
-               | true, true -> "ok"
-               | true, false -> "FAILED"
-               | false, _ -> "not applied");
-             ])
-           gates);
-      match List.filter (fun g -> g.applies && not (passed g)) gates with
-      | [] -> ()
-      | failed ->
-          failwith
-            (Printf.sprintf "%s: failed gates: %s" file
-               (String.concat "; " (List.map describe failed))))
-    gates
+  table ~header:[ "gate"; "verdict" ]
+    (List.map
+       (fun g ->
+         [
+           describe g;
+           (match g.applies, passed g with
+           | true, true -> "ok"
+           | true, false -> "FAILED"
+           | false, _ -> "not applied");
+         ])
+       gates);
+  match List.filter (fun g -> g.applies && not (passed g)) gates with
+  | [] -> ()
+  | failed ->
+      failwith
+        (Printf.sprintf "%s: failed gates: %s" file
+           (String.concat "; " (List.map describe failed)))
 
 let series ~label ~unit values =
   let lo, hi =

@@ -12,8 +12,6 @@
                                                   # evaluate a Gatekeeper project
      configerator whereis  --tree DIR PATH        # trace a change through a
                                                   # simulated fleet
-     configerator repo stats --tree DIR           # storage backend accounting
-                                                  # (flat vs merkle, memory vs pack)
      configerator generations --dir PACKDIR       # generation log of a pack repo
      configerator rollback --dir PACKDIR --generation N
                                                   # O(1) whole-tree rollback
@@ -23,13 +21,24 @@ open Cmdliner
 
 (* --- loading a tree from disk ---------------------------------------- *)
 
-let rec walk dir prefix acc =
-  Array.fold_left
-    (fun acc entry ->
-      let full = Filename.concat dir entry in
-      let rel = if prefix = "" then entry else prefix ^ "/" ^ entry in
-      if Sys.is_directory full then walk full rel acc else (rel, full) :: acc)
-    acc (Sys.readdir dir)
+(* Directory links are followed, but each directory (by device and
+   inode) is entered once, so a link cycle cannot recurse forever. *)
+let walk root =
+  let seen = Hashtbl.create 64 in
+  let rec go dir prefix acc =
+    let { Unix.st_dev; st_ino; _ } = Unix.stat dir in
+    if Hashtbl.mem seen (st_dev, st_ino) then acc
+    else begin
+      Hashtbl.add seen (st_dev, st_ino) ();
+      Array.fold_left
+        (fun acc entry ->
+          let full = Filename.concat dir entry in
+          let rel = if prefix = "" then entry else prefix ^ "/" ^ entry in
+          if Sys.is_directory full then go full rel acc else (rel, full) :: acc)
+        acc (Sys.readdir dir)
+    end
+  in
+  go root "" []
 
 let read_file path =
   let ic = open_in_bin path in
@@ -41,13 +50,17 @@ let read_file path =
 let load_tree dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "%s is not a directory" dir)
-  else begin
+  else
     let tree = Core.Source_tree.create () in
-    List.iter
-      (fun (rel, full) -> Core.Source_tree.write tree rel (read_file full))
-      (walk dir "" []);
-    Ok tree
-  end
+    match
+      List.iter
+        (fun (rel, full) -> Core.Source_tree.write tree rel (read_file full))
+        (walk dir)
+    with
+    | () -> Ok tree
+    | exception Sys_error message -> Error message
+    | exception Unix.Unix_error (e, _, path) ->
+        Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
 
 let tree_arg =
   let doc = "Directory holding the config sources (.cconf/.cinc/.thrift/...)." in
@@ -353,129 +366,6 @@ let gk_check_cmd =
     (Cmd.info "gk-check" ~doc)
     Term.(const run_gk_check $ project $ user_id $ employee $ country $ device)
 
-(* --- gk ----------------------------------------------------------------- *)
-
-(* Multicore runtime observability: run a self-contained check
-   workload across N domains (optionally under config churn) and dump
-   the runtime's counters — the same numbers a production host would
-   export to its monitoring agent. *)
-
-let run_gk_stats domains checks nprojects churn =
-  let module Runtime = Cm_gatekeeper.Runtime in
-  let module Project = Cm_gatekeeper.Project in
-  let module User = Cm_gatekeeper.User in
-  let module Exposure = Cm_gatekeeper.Exposure in
-  let module Laser = Cm_laser.Laser in
-  let laser = Laser.create ~shards:16 () in
-  let exposures = Exposure.Log.create () in
-  let ctx = { Cm_gatekeeper.Restraint.laser = Some laser } in
-  let runtime = Runtime.create ~ctx ~exposures ~clock:Unix.gettimeofday () in
-  let name i = Printf.sprintf "proj_%02d" i in
-  for i = 0 to nprojects - 1 do
-    Runtime.load runtime
-      (if i mod 5 = 4 then
-         Project.make ~name:(name i)
-           [
-             Project.rule
-               [
-                 Cm_gatekeeper.Restraint.make
-                   (Cm_gatekeeper.Restraint.Laser_above ("trend", 0.5));
-               ];
-           ]
-       else
-         Project.staged ~name:(name i) ~employee_prob:1.0
-           ~world_prob:(float_of_int (1 + (i mod 20)) /. 100.0))
-  done;
-  let rng = Cm_sim.Rng.create 9L in
-  let users = Array.init 1024 (fun _ -> User.random rng) in
-  Array.iter
-    (fun u -> Laser.put laser ("trend-" ^ Int64.to_string u.User.id) 0.9)
-    users;
-  let per_domain = max 1 (checks / max 1 domains) in
-  let stop = Atomic.make false in
-  let writer =
-    if not churn then None
-    else
-      Some
-        (Domain.spawn (fun () ->
-             let wrng = Cm_sim.Rng.create 11L in
-             while not (Atomic.get stop) do
-               (* Republish a (non-laser) project with a new rollout
-                  fraction — a live rollout expansion. *)
-               let i = Cm_sim.Rng.int wrng nprojects in
-               let i = if i mod 5 = 4 then i - 1 else i in
-               Runtime.load runtime
-                 (Project.staged ~name:(name i) ~employee_prob:1.0
-                    ~world_prob:(Cm_sim.Rng.float wrng 0.05));
-               Laser.stream_upsert laser [ "trend-churn", Cm_sim.Rng.float wrng 1.0 ];
-               Unix.sleepf 0.001
-             done))
-  in
-  let start = Unix.gettimeofday () in
-  let readers =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            let drng = Cm_sim.Rng.create (Int64.of_int (100 + d)) in
-            for _ = 1 to per_domain do
-              ignore
-                (Runtime.check runtime
-                   (name (Cm_sim.Rng.int drng nprojects))
-                   users.(Cm_sim.Rng.int drng 1024))
-            done))
-  in
-  List.iter Domain.join readers;
-  let wall = Unix.gettimeofday () -. start in
-  Atomic.set stop true;
-  Option.iter Domain.join writer;
-  let performed = Runtime.checks_performed runtime in
-  Printf.printf "domains seen             %d\n" (Runtime.domains_seen runtime);
-  Printf.printf "checks performed         %d (%.2fM checks/s aggregate)\n" performed
-    (float_of_int performed /. wall /. 1e6);
-  Printf.printf "snapshot swaps (epoch)   %d\n" (Runtime.snapshot_swaps runtime);
-  Printf.printf "snapshots retained       %d\n" (Runtime.retained_snapshots runtime);
-  Printf.printf "snapshots reclaimed      %d\n" (Runtime.reclaimed_snapshots runtime);
-  Printf.printf "evaluated restraints     %d\n" (Runtime.evaluated_restraints runtime);
-  Printf.printf "evaluated cost           %.1f (%.4f per check)\n"
-    (Runtime.evaluated_cost runtime)
-    (Runtime.evaluated_cost runtime /. float_of_int (max 1 performed));
-  Printf.printf "laser shards/generation  %d/%d (%d reads)\n" (Laser.shard_count laser)
-    (Laser.generation laser) (Laser.reads laser);
-  Printf.printf "exposures recorded       %d (%d dropped by ring caps)\n"
-    (Exposure.Log.recorded exposures)
-    (Exposure.Log.dropped exposures);
-  0
-
-let gk_cmd =
-  let stats_doc =
-    "Run a self-contained multi-domain check workload and report the \
-     runtime's counters: domains seen, snapshot swaps and reclamation, \
-     evaluated restraint cost, Laser generations, exposure records."
-  in
-  let domains =
-    Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N" ~doc:"Reader domains to spawn.")
-  in
-  let checks =
-    Arg.(
-      value & opt int 200_000
-      & info [ "checks" ] ~docv:"N" ~doc:"Total checks across all domains.")
-  in
-  let projects =
-    Arg.(value & opt int 20 & info [ "projects" ] ~docv:"N" ~doc:"Projects to load.")
-  in
-  let churn =
-    Arg.(
-      value & flag
-      & info [ "churn" ]
-          ~doc:"Publish config updates from a writer domain while checks run.")
-  in
-  let stats_cmd =
-    Cmd.v (Cmd.info "stats" ~doc:stats_doc)
-      Term.(const run_gk_stats $ domains $ checks $ projects $ churn)
-  in
-  Cmd.group
-    (Cmd.info "gk" ~doc:"Multicore Gatekeeper runtime observability.")
-    [ stats_cmd ]
-
 (* --- whereis ------------------------------------------------------------ *)
 
 (* "Where is my config?": compile one config, push it through a
@@ -572,212 +462,21 @@ let run_whereis tree_dir config_path regions clusters nodes =
           print_newline ();
           if final >= 1.0 then 0 else 1)
 
-(* --- repo stats ------------------------------------------------------- *)
-
-(* Imports the tree into a repository and pushes synthetic single-file
-   update commits, reporting how much of the store each backend
-   re-hashes per commit: the flat backend rewrites the whole tree
-   object, the Merkle backend only the dirty directory spine.  With
-   --store pack the same run lands in durable pack segments — the
-   backend-independent counters (objects, bytes, dedup) must come out
-   identical, and a pack-specific block (segments, file/dead bytes,
-   fsync batches, GC) is appended. *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let run_repo_stats tree_dir backend_name commits store_name store_dir cache_mb =
-  match load_tree tree_dir with
-  | Error message ->
-      Printf.eprintf "error: %s\n" message;
-      1
-  | Ok tree -> (
-      let snapshot = Core.Source_tree.snapshot tree in
-      if snapshot = [] then begin
-        Printf.eprintf "error: %s holds no files\n" tree_dir;
-        1
-      end
-      else
-        let backends =
-          match backend_name with
-          | "both" -> [ Cm_vcs.Repo.Flat; Cm_vcs.Repo.Merkle ]
-          | name -> (
-              match Cm_vcs.Repo.backend_of_string name with
-              | Some backend -> [ backend ]
-              | None -> [])
-        in
-        if store_name <> "memory" && store_name <> "pack" then begin
-          Printf.eprintf "error: unknown store %S (memory|pack)\n" store_name;
-          1
-        end
-        else
-        match backends with
-        | [] ->
-            Printf.eprintf "error: unknown backend %S (flat|merkle|both)\n" backend_name;
-            1
-        | backends ->
-            let changes = List.map (fun (path, data) -> path, Some data) snapshot in
-            let paths = Array.of_list (List.map fst snapshot) in
-            Printf.printf
-              "%-8s %8s %8s %10s %12s %14s %12s %6s\n"
-              "backend" "files" "commits" "objects" "repo bytes" "hashed/commit" "reused" "gen";
-            List.iter
-              (fun backend ->
-                let store_backend =
-                  if store_name = "memory" then Cm_vcs.Store.Memory
-                  else begin
-                    (* One pack directory per measured backend; wiped
-                       first so counters are not polluted by a previous
-                       run's recovered objects. *)
-                    let dir =
-                      Filename.concat store_dir (Cm_vcs.Repo.backend_name backend)
-                    in
-                    rm_rf dir;
-                    Cm_vcs.Store.pack_backend dir
-                  end
-                in
-                let repo = Cm_vcs.Repo.create ~backend ~store:store_backend () in
-                let store = Cm_vcs.Repo.store repo in
-                ignore
-                  (Cm_vcs.Repo.commit repo ~author:"import" ~message:"import"
-                     ~timestamp:0.0 changes);
-                let bytes0 = Cm_vcs.Store.total_bytes store in
-                for i = 1 to commits do
-                  let path = paths.(i mod Array.length paths) in
-                  let data =
-                    match Core.Source_tree.read tree path with
-                    | Some data -> Printf.sprintf "%s\n# rev %d" data i
-                    | None -> Printf.sprintf "# rev %d" i
-                  in
-                  ignore
-                    (Cm_vcs.Repo.commit repo ~author:"stats" ~message:"update"
-                       ~timestamp:(float_of_int i) [ path, Some data ])
-                done;
-                let bytes1 = Cm_vcs.Store.total_bytes store in
-                let hashed_per_commit =
-                  (bytes1 - bytes0) / max 1 commits
-                in
-                let reused = 1.0 -. (float_of_int hashed_per_commit /. float_of_int (max 1 bytes1)) in
-                let generation =
-                  match Cm_vcs.Repo.head repo with
-                  | Some oid -> (
-                      match Cm_vcs.Repo.commit_info repo oid with
-                      | Some c -> c.Cm_vcs.Store.generation
-                      | None -> 0)
-                  | None -> 0
-                in
-                Printf.printf "%-8s %8d %8d %10d %12d %14d %11.1f%% %6d\n"
-                  (Cm_vcs.Repo.backend_name backend)
-                  (Cm_vcs.Repo.file_count repo)
-                  (Cm_vcs.Repo.commit_count repo)
-                  (Cm_vcs.Store.object_count store)
-                  bytes1 hashed_per_commit (100.0 *. reused) generation;
-                Printf.printf
-                  "         store puts %d, dedup hits %d (%d bytes deduplicated)\n"
-                  (Cm_vcs.Store.put_count store)
-                  (Cm_vcs.Store.dedup_hits store)
-                  (Cm_vcs.Store.dedup_bytes store);
-                (match Cm_vcs.Store.pack_handle store with
-                | None -> ()
-                | Some pack ->
-                    let module P = Cm_pack.Pack in
-                    Cm_vcs.Store.sync store;
-                    Printf.printf
-                      "         pack: %d segments, %d file bytes (%d dead), %d appends in %d fsync batches\n"
-                      (P.segment_count pack) (P.file_bytes pack) (P.dead_bytes pack)
-                      (P.appends pack) (P.fsync_batches pack);
-                    Printf.printf
-                      "         pack: generation %d durable, gc runs %d (%d objects, %d bytes reclaimed)\n"
-                      (P.durable_generation pack) (P.gc_runs pack)
-                      (P.gc_reclaimed_objects pack)
-                      (P.gc_reclaimed_bytes pack);
-                    Cm_vcs.Store.close store))
-              backends;
-            (* The compiler's memo cache rides along with the storage
-               report: compile the imported tree twice through a
-               (optionally budgeted) cache — the second pass is all
-               hits unless the clock-LRU sweep evicted under the
-               budget. *)
-            let module C = Core.Compiler.Cache in
-            let cache =
-              C.create
-                ?byte_budget:
-                  (if cache_mb > 0 then Some (cache_mb * 1024 * 1024) else None)
-                ()
-            in
-            let compiler = Core.Compiler.create ~cache tree in
-            ignore (Core.Compiler.compile_all compiler);
-            ignore (Core.Compiler.compile_all compiler);
-            Printf.printf
-              "compile cache: %d artifacts resident (%d bytes%s), %d hits, %d misses, %d evictions\n"
-              (C.size cache) (C.resident_bytes cache)
-              (match C.byte_budget cache with
-              | None -> ", unbounded"
-              | Some b -> Printf.sprintf " of %d budget" b)
-              (C.hits cache) (C.misses cache) (C.evictions cache);
-            0)
-
-let repo_cmd =
-  let stats_doc =
-    "Import the tree into the content-addressed store and report per-backend \
-     object counts and per-commit re-hashed vs reused bytes (flat rewrites the \
-     whole tree object each commit; merkle only the changed directory spine).  \
-     With $(b,--store pack) the commits land in durable pack segments; the \
-     backend-independent counters are identical to a memory run, and pack \
-     internals (segments, dead bytes, fsync batches) are appended."
-  in
-  let backend =
-    Arg.(
-      value & opt string "both"
-      & info [ "backend" ] ~docv:"B" ~doc:"Backend to measure: flat, merkle or both.")
-  in
-  let commits =
-    Arg.(
-      value & opt int 20
-      & info [ "commits" ] ~docv:"N" ~doc:"Synthetic update commits to push.")
-  in
-  let store =
-    Arg.(
-      value & opt string "memory"
-      & info [ "store" ] ~docv:"S" ~doc:"Object store: memory or pack.")
-  in
-  let store_dir =
-    Arg.(
-      value & opt string "_pack_stats"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Pack directory for $(b,--store pack) (one subdirectory per backend; wiped first).")
-  in
-  let cache_mb =
-    Arg.(
-      value & opt int 0
-      & info [ "cache-mb" ] ~docv:"MB"
-          ~doc:
-            "Byte budget for the compile memo cache report (0 = unbounded).  \
-             Bounded caches evict by sharded clock-LRU; the report shows \
-             resident bytes and evictions.")
-  in
-  let stats_cmd =
-    Cmd.v (Cmd.info "stats" ~doc:stats_doc)
-      Term.(
-        const run_repo_stats $ tree_arg $ backend $ commits $ store $ store_dir
-        $ cache_mb)
-  in
-  Cmd.group (Cmd.info "repo" ~doc:"Version-control storage inspection.") [ stats_cmd ]
-
 (* --- generations / rollback / gc --------------------------------------- *)
 
 (* Operate on an existing pack-backed repository directory: reopening
    it *is* crash recovery (segment scan + generation-log replay), so
-   these verbs double as the recovery UI. *)
+   these verbs double as the recovery UI.  A directory without a
+   pack-*.seg segment is refused before the store is opened, since
+   opening one creates its first segment. *)
 
 let open_pack_repo dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then
-    Error (Printf.sprintf "%s is not a pack directory" dir)
+  let is_segment name =
+    String.starts_with ~prefix:"pack-" name && Filename.check_suffix name ".seg"
+  in
+  if not (Sys.file_exists dir && Sys.is_directory dir
+          && Array.exists is_segment (Sys.readdir dir))
+  then Error (Printf.sprintf "%s is not a pack directory (no pack-*.seg)" dir)
   else
     let store = Cm_vcs.Store.create ~backend:(Cm_vcs.Store.pack_backend dir) () in
     Ok (Cm_vcs.Repo.of_store store)
@@ -986,9 +685,7 @@ let () =
             deps_cmd;
             affected_cmd;
             gk_check_cmd;
-            gk_cmd;
             whereis_cmd;
-            repo_cmd;
             generations_cmd;
             rollback_cmd;
             gc_cmd;

@@ -1,6 +1,9 @@
 #!/bin/sh
 # The one gate a change must pass before landing: full build, the
-# entire test suite (unit + property + examples + CLI smoke), a
+# entire test suite (unit + property + examples + the CLI verbs
+# check/compile/deps/affected/verify/whereis/gk-check over
+# examples/configs, generations refusing a non-pack directory, check
+# over a tree with a directory link cycle), a
 # reduced-scale benchmark run whose experiments fail on their own
 # gates (recorded in each BENCH_*.json "gates" array), the perfbench
 # determinism check, and the CLI rollback demo.  Mirrors what the

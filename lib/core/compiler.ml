@@ -71,7 +71,6 @@ module Cache = struct
     nshards : int;
     shards : shard Atomic.t array;
     clock : int Atomic.t;
-    byte_budget : int option;
     shard_budget : int;  (* byte_budget / nshards, or max_int *)
     evicted : int Atomic.t;
     hit_counter : Metrics.Counter.t;
@@ -86,7 +85,6 @@ module Cache = struct
       shards =
         Array.init nshards (fun _ -> Atomic.make { entries = Smap.empty; bytes = 0 });
       clock = Atomic.make 0;
-      byte_budget;
       shard_budget =
         (match byte_budget with
         | Some budget -> max 1 (budget / nshards)
@@ -175,7 +173,6 @@ module Cache = struct
     Array.fold_left (fun acc cell -> acc + (Atomic.get cell).bytes) 0 t.shards
 
   let evictions t = Atomic.get t.evicted
-  let byte_budget t = t.byte_budget
   let shard_count t = t.nshards
   let compile_seconds t = t.compile_seconds
 

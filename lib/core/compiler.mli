@@ -85,7 +85,6 @@ module Cache : sig
   val evictions : t -> int
   (** Entries dropped by the clock-LRU sweep since creation. *)
 
-  val byte_budget : t -> int option
   val shard_count : t -> int
 
   val compile_seconds : t -> Cm_sim.Metrics.Histogram.t

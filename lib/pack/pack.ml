@@ -42,10 +42,7 @@ type t = {
   mutable gen_count : int;
   mutable durable_gen : int;
   mutable batch_start : float option;
-  mutable nappends : int;
   mutable nbatches : int;
-  mutable ngc_runs : int;
-  mutable ngc_objects : int;
   mutable ngc_bytes : int;
   precovery : recovery;
   mutable closed : bool;
@@ -364,10 +361,7 @@ let create ~dir ?(sync_window = 0.05) ?(segment_max_bytes = 8 * 1024 * 1024)
     gen_count = !gen_count;
     durable_gen = !gen_count;
     batch_start = None;
-    nappends = 0;
     nbatches = 0;
-    ngc_runs = 0;
-    ngc_objects = 0;
     ngc_bytes = 0;
     precovery =
       {
@@ -454,7 +448,6 @@ let put t ~oid ~data =
       };
     t.live_record_bytes <- t.live_record_bytes + String.length record;
     t.live_data_bytes <- t.live_data_bytes + String.length data;
-    t.nappends <- t.nappends + 1;
     maybe_sync t;
     true
   end
@@ -657,8 +650,6 @@ let gc t ~live ~keep_gens =
   Sys.rename snap_tmp (Filename.concat t.pdir snapshot_name);
   fsync_dir t.pdir;
   let bytes_after = file_bytes t in
-  t.ngc_runs <- t.ngc_runs + 1;
-  t.ngc_objects <- t.ngc_objects + !swept;
   t.ngc_bytes <- t.ngc_bytes + max 0 (bytes_before - bytes_after);
   {
     gc_live_objects = Hashtbl.length t.index;
@@ -677,8 +668,5 @@ let object_count t = Hashtbl.length t.index
 let data_bytes t = t.live_data_bytes
 let dead_bytes t = file_bytes t - t.live_record_bytes
 let segment_count t = 1 + List.length t.segs
-let appends t = t.nappends
 let fsync_batches t = t.nbatches
-let gc_runs t = t.ngc_runs
-let gc_reclaimed_objects t = t.ngc_objects
 let gc_reclaimed_bytes t = t.ngc_bytes

@@ -165,9 +165,6 @@ val dead_bytes : t -> int
 (** [file_bytes] not accounted to a live record. *)
 
 val segment_count : t -> int
-val appends : t -> int
 val fsync_batches : t -> int
-val gc_runs : t -> int
-val gc_reclaimed_objects : t -> int
 val gc_reclaimed_bytes : t -> int
 (** Cumulative segment-file bytes reclaimed by GC. *)

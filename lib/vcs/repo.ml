@@ -2,11 +2,6 @@ type backend = Flat | Merkle
 
 let backend_name = function Flat -> "flat" | Merkle -> "merkle"
 
-let backend_of_string = function
-  | "flat" -> Some Flat
-  | "merkle" -> Some Merkle
-  | _ -> None
-
 type t = {
   rname : string;
   rstore : Store.t;

@@ -29,7 +29,6 @@ type t
 type backend = Flat | Merkle
 
 val backend_name : backend -> string
-val backend_of_string : string -> backend option
 
 val create : ?backend:backend -> ?store:Store.backend -> ?name:string -> unit -> t
 (** [backend] defaults to [Merkle]; [store] to [Store.Memory] (pass
