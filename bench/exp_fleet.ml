@@ -1,12 +1,12 @@
 (* Fleet-scale simulation: one engine, one simulated day, 100k servers
    and 1M mobile devices.
 
-   The point of the run is the harness itself: the hierarchical
-   timer-wheel engine plus Cohort aggregation (one event stream per
-   cluster of statistically identical Zeus proxies, one per thousand
-   identical devices) keep the event count proportional to *distinct
-   behaviors*, not fleet size, while Net.send ~copies and weighted
-   histograms keep bytes, messages and latency percentiles exact.
+   The point of the run is the harness itself: Cohort aggregation (one
+   event stream per cluster of statistically identical Zeus proxies,
+   one per thousand identical devices) keeps the event count
+   proportional to *distinct behaviors*, not fleet size, while
+   Net.send ~copies and weighted histograms keep bytes, messages and
+   latency percentiles exact.
 
    Each sweep cell simulates a full diurnal day:
 
@@ -27,9 +27,10 @@
      aggregated.
 
    Headline: simulated events per wall-clock second, and the wall time
-   for the 100k-server / 1M-device day.  Results land in
-   BENCH_fleet.json; --quick shrinks the sweep to one 10k-server /
-   100k-device cell for CI. *)
+   for the 100k-server / 1M-device day.  The full sweep writes
+   BENCH_fleet_full.json; --quick shrinks it to one 10k-server /
+   100k-device cell for CI and writes BENCH_fleet.json, so a quick run
+   never overwrites a full one. *)
 
 module Engine = Cm_sim.Engine
 module Topology = Cm_sim.Topology
@@ -374,11 +375,12 @@ let run () =
   (* The quick cell does >1M events/s on a dev machine; 50k/s is the
      sandbagged floor that still catches an accidental return to
      per-member event streams. *)
-  Render.write_json ~file:"BENCH_fleet.json" doc
+  let file = if quick then "BENCH_fleet.json" else "BENCH_fleet_full.json" in
+  Render.write_json ~file doc
     ~gates:
       [
         Render.gate "events_per_s" headline.r_eps Render.Ge 50_000.0;
         Render.gate "noop_callbacks" (float_of_int headline.r_noop_callbacks)
           Render.Eq 0.0;
       ];
-  Render.note "wrote BENCH_fleet.json"
+  Render.note "wrote %s" file

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Headless driver for the gated performance benchmarks: leaves
 # BENCH_distribution.json / BENCH_trace.json / BENCH_vcs.json /
-# BENCH_store.json / BENCH_fleet.json / BENCH_verify.json /
-# BENCH_gatekeeper.json / BENCH_build.json in the repository root
+# BENCH_store.json / BENCH_fleet.json (BENCH_fleet_full.json at full
+# scale) / BENCH_verify.json / BENCH_gatekeeper.json /
+# BENCH_build.json in the repository root
 # (plus _pack_demo/, a multi-thousand-commit pack repository for the
 # CLI rollback demo).  Each experiment records its gates in its BENCH
 # file's "gates" array and fails the run if an applicable gate does

@@ -1,10 +1,10 @@
-type handle = {
-  hf : unit -> unit;
-  mutable hlive : bool; (* false once fired or cancelled *)
-}
+(* [None] once fired or cancelled: a dead handle keeps nothing its
+   closure captured reachable, even while the caller or a stale heap
+   slot still holds the handle. *)
+type handle = { mutable hf : (unit -> unit) option }
 
 type t = {
-  wheel : handle Wheel.t;
+  queue : handle Heap.t;
   mutable clock : float;
   mutable next_seq : int;
   mutable live : int;
@@ -12,9 +12,9 @@ type t = {
   random : Rng.t;
 }
 
-let create ?(seed = 42L) ?granularity ?slots () =
+let create ?(seed = 42L) () =
   {
-    wheel = Wheel.create ?granularity ?slots ();
+    queue = Heap.create ();
     clock = 0.0;
     next_seq = 0;
     live = 0;
@@ -31,8 +31,8 @@ let at t ~time f =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.live <- t.live + 1;
-  let h = { hf = f; hlive = true } in
-  Wheel.add t.wheel ~time ~seq h;
+  let h = { hf = Some f } in
+  Heap.push t.queue ~time ~seq h;
   h
 
 let schedule t ~delay f = at t ~time:(t.clock +. Float.max 0.0 delay) f
@@ -40,44 +40,49 @@ let schedule t ~delay f = at t ~time:(t.clock +. Float.max 0.0 delay) f
 let cancel t handle =
   (* Per-handle liveness: cancelling a fired or already-cancelled
      event is a no-op, and nothing is leaked. *)
-  if handle.hlive then begin
-    handle.hlive <- false;
+  if Option.is_some handle.hf then begin
+    handle.hf <- None;
     t.live <- t.live - 1
   end
 
 let pending t = t.live
 
-(* Pops the next live entry due at or before [limit]; dead entries
-   (cancelled handles still in the wheel) are discarded on the way. *)
+(* Pops the next live entry due at or before [limit] and retires its
+   handle; dead entries (cancelled handles still in the heap) are
+   discarded on the way. *)
 let rec next_due t ~limit =
-  match Wheel.pop_due t.wheel ~limit with
-  | None -> None
-  | Some (time, _, h) -> if h.hlive then Some (time, h) else next_due t ~limit
+  match Heap.peek t.queue with
+  | Some (time, _, h) when time <= limit -> (
+      ignore (Heap.pop t.queue);
+      match h.hf with
+      | Some f ->
+          h.hf <- None;
+          Some (time, f)
+      | None -> next_due t ~limit)
+  | _ -> None
 
-let fire t time h =
+let fire t time f =
   t.clock <- time;
   t.live <- t.live - 1;
   t.processed <- t.processed + 1;
-  h.hlive <- false;
-  h.hf ()
+  f ()
 
 let step t =
   match next_due t ~limit:infinity with
   | None -> false
-  | Some (time, h) ->
-      fire t time h;
+  | Some (time, f) ->
+      fire t time f;
       true
 
-let run ?until t =
-  match until with
-  | None -> while step t do () done
-  | Some limit ->
-      let continue = ref true in
-      while !continue do
-        match next_due t ~limit with
-        | None -> continue := false
-        | Some (time, h) -> fire t time h
-      done
+let run ?(until = infinity) t =
+  let rec loop () =
+    match next_due t ~limit:until with
+    | None -> ()
+    | Some (time, f) ->
+        fire t time f;
+        loop ()
+  in
+  loop ()
 
 let run_for t d =
   let target = t.clock +. d in

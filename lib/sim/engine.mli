@@ -3,21 +3,19 @@
     Time is a [float] in seconds.  Events are closures; they may
     schedule further events.  The engine is single-threaded and
     deterministic: ties at the same instant fire in scheduling order,
-    and all randomness comes from the engine's seeded {!Rng.t}. *)
+    and all randomness comes from the engine's seeded {!Rng.t}.
+    Pending events wait in one {!Heap} keyed by [(time, seq)]. *)
 
 type t
 
 type handle
 (** Identifies a scheduled event so it can be cancelled.  Liveness is
     tracked per handle: a handle is live from {!schedule}/{!at} until
-    it fires or is cancelled, and late cancels are exact no-ops. *)
+    it fires or is cancelled, and late cancels are exact no-ops.  A
+    handle that is no longer live holds no reference to its closure. *)
 
-val create : ?seed:int64 -> ?granularity:float -> ?slots:int -> unit -> t
-(** Default seed is 42.  [granularity] and [slots] shape the internal
-    {!Wheel}: slot width in seconds (default 1ms) and slots per
-    revolution (default 8192).  The defaults suit both micro-tests and
-    fleet-scale runs; widen [granularity] for very sparse decade-long
-    simulations. *)
+val create : ?seed:int64 -> unit -> t
+(** Default seed is 42. *)
 
 val now : t -> float
 (** Current simulated time in seconds. *)

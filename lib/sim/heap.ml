@@ -3,7 +3,6 @@ type 'a entry = { time : float; seq : int; payload : 'a }
 type 'a t = { mutable data : 'a entry array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
-let size h = h.len
 let is_empty h = h.len = 0
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

@@ -7,7 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit

@@ -12,7 +12,6 @@ module Histogram = struct
     cap : int;
     mutable total : int; (* samples ever added (weights included) *)
     mutable tsum : float;
-    mutable tsumsq : float;
     mutable tmin : float;
     mutable tmax : float;
     rng : Rng.t;
@@ -28,7 +27,6 @@ module Histogram = struct
       cap = Stdlib.max 1 cap;
       total = 0;
       tsum = 0.0;
-      tsumsq = 0.0;
       tmin = infinity;
       tmax = neg_infinity;
       rng = Rng.create 0x9e3779b97f4a7c15L;
@@ -45,7 +43,6 @@ module Histogram = struct
 
   let note t v =
     t.tsum <- t.tsum +. v;
-    t.tsumsq <- t.tsumsq +. (v *. v);
     if v < t.tmin then t.tmin <- v;
     if v > t.tmax then t.tmax <- v
 
@@ -65,7 +62,6 @@ module Histogram = struct
       let prev = t.total in
       t.total <- t.total + weight;
       t.tsum <- t.tsum +. (v *. float_of_int weight);
-      t.tsumsq <- t.tsumsq +. (v *. v *. float_of_int weight);
       if v < t.tmin then t.tmin <- v;
       if v > t.tmax then t.tmax <- v;
       (* Fill the reservoir exactly while it has room... *)
@@ -135,19 +131,6 @@ module Histogram = struct
       in
       float_of_int (search 0 t.len) /. float_of_int t.len
     end
-
-  let stddev t =
-    if t.total < 2 then 0.0
-    else begin
-      let n = float_of_int t.total in
-      let m = t.tsum /. n in
-      let var = (t.tsumsq -. (n *. m *. m)) /. (n -. 1.0) in
-      sqrt (Float.max 0.0 var)
-    end
-
-  let values t =
-    ensure_sorted t;
-    Array.sub t.data 0 t.len
 end
 
 module Counter = struct

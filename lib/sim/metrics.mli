@@ -2,7 +2,7 @@
     quantiles, counters, and fixed-width time series. *)
 
 module Histogram : sig
-  (** Count, sum, mean, min, max and stddev are streamed exactly over
+  (** Count, sum, mean, min and max are streamed exactly over
       every sample; order statistics (quantile, cdf) are computed over
       a bounded uniform reservoir (Vitter's Algorithm R, capacity
       [cap]).  Below [cap] samples the reservoir holds everything and
@@ -39,10 +39,6 @@ module Histogram : sig
 
   val cdf_at : t -> float -> float
   (** Fraction of reservoir samples <= the given value. *)
-
-  val stddev : t -> float
-  val values : t -> float array
-  (** Sorted copy of the reservoir sample. *)
 end
 
 module Counter : sig

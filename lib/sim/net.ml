@@ -31,14 +31,13 @@ type t = {
   mutable bytes : int;
   mutable messages : int;
   mutable xregion_bytes : int;
-  mutable xcluster_bytes : int;
   egress : int array; (* indexed by node id, pre-sized from the topology *)
   mutable tracer : Cm_trace.Tracer.t option;
 }
 
 let create ?(params = default_params) engine topology =
   { params; engine; topology; rng = Rng.split (Engine.rng engine);
-    bytes = 0; messages = 0; xregion_bytes = 0; xcluster_bytes = 0;
+    bytes = 0; messages = 0; xregion_bytes = 0;
     egress = Array.make (Topology.node_count topology) 0; tracer = None }
 
 let engine t = t.engine
@@ -69,12 +68,8 @@ let account ?(copies = 1) t ~src ~dst ~bytes =
   t.bytes <- t.bytes + total;
   t.messages <- t.messages + copies;
   t.egress.(src) <- t.egress.(src) + total;
-  (match locality t ~src ~dst with
-  | Same_cluster -> ()
-  | Same_region -> t.xcluster_bytes <- t.xcluster_bytes + total
-  | Cross_region ->
-      t.xcluster_bytes <- t.xcluster_bytes + total;
-      t.xregion_bytes <- t.xregion_bytes + total)
+  if locality t ~src ~dst = Cross_region then
+    t.xregion_bytes <- t.xregion_bytes + total
 
 let deliver t ~dst callback () = if Topology.is_up t.topology dst then callback ()
 
@@ -120,7 +115,6 @@ let send_reliable ?(hop = "net.send") ?ctx ?(ctxs = []) ?(copies = 1) t ~src
 let bytes_sent t = t.bytes
 let messages_sent t = t.messages
 let cross_region_bytes t = t.xregion_bytes
-let cross_cluster_bytes t = t.xcluster_bytes
 
 let egress_bytes t node = t.egress.(node)
 
@@ -128,5 +122,4 @@ let reset_counters t =
   t.bytes <- 0;
   t.messages <- 0;
   t.xregion_bytes <- 0;
-  t.xcluster_bytes <- 0;
   Array.fill t.egress 0 (Array.length t.egress) 0

@@ -92,8 +92,6 @@ val cross_region_bytes : t -> int
 (** Bytes that crossed a region boundary; the metric the P2P locality
     ablation reports. *)
 
-val cross_cluster_bytes : t -> int
-
 val egress_bytes : t -> Topology.node_id -> int
 (** Bytes sent with the given node as source — e.g. the Zeus leader's
     fan-out egress, which the two-level relay tree is meant to bound. *)

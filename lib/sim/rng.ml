@@ -14,7 +14,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = create (bits64 t)
-let copy t = { state = t.state }
 
 let int t bound =
   assert (bound > 0);
@@ -32,7 +31,6 @@ let unit_float t =
   raw /. 9007199254740992.0
 
 let float t bound = unit_float t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 
 let exponential t mean =
@@ -45,10 +43,6 @@ let normal t ~mu ~sigma =
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
-
-let pareto t ~alpha ~x_min =
-  let u = 1.0 -. unit_float t in
-  x_min /. (u ** (1.0 /. alpha))
 
 let binomial t ~n ~p =
   assert (n >= 0);

@@ -13,8 +13,6 @@ val create : int64 -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -27,8 +25,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 
@@ -36,7 +32,6 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from Exp with the given mean. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-val pareto : t -> alpha:float -> x_min:float -> float
 
 val normal : t -> mu:float -> sigma:float -> float
 (** Box-Muller. *)

@@ -62,7 +62,6 @@ let same_region t a b = (node t a).region = (node t b).region
 let crash t id = (node t id).up <- false
 let restart t id = (node t id).up <- true
 let is_up t id = (node t id).up
-let random_node rng t = Rng.int rng (Array.length t.all)
 
 let random_up_node rng t =
   (* Rejection sampling with a bounded number of tries, then a scan. *)

@@ -49,5 +49,4 @@ val crash : t -> node_id -> unit
 val restart : t -> node_id -> unit
 val is_up : t -> node_id -> bool
 
-val random_node : Rng.t -> t -> node_id
 val random_up_node : Rng.t -> t -> node_id option

@@ -1,6 +1,5 @@
 module Rng = Cm_sim.Rng
 module Heap = Cm_sim.Heap
-module Wheel = Cm_sim.Wheel
 module Engine = Cm_sim.Engine
 module Topology = Cm_sim.Topology
 module Net = Cm_sim.Net
@@ -242,14 +241,14 @@ let engine_tests =
         Engine.run engine;
         Alcotest.(check (float 1e-9)) "relative" 11.0 !at);
     Alcotest.test_case "same-time fifo across wheel slots and wrap" `Quick (fun () ->
-        (* A tiny wheel (4 slots of 0.5s = 2s horizon) forces the
-           shared instant through overflow, refill and slot dumps. *)
-        let engine = Engine.create ~granularity:0.5 ~slots:4 () in
+        (* Fifty events share one instant; earlier traffic scheduled
+           after them fires first, and the tie still fires in
+           scheduling order. *)
+        let engine = Engine.create () in
         let log = ref [] in
         for i = 0 to 49 do
           ignore (Engine.at engine ~time:10.0 (fun () -> log := i :: !log))
         done;
-        (* Interleave earlier traffic so the wheel turns before 10.0. *)
         for i = 0 to 19 do
           ignore (Engine.at engine ~time:(0.3 *. float_of_int i) (fun () -> ()))
         done;
@@ -275,32 +274,108 @@ let engine_tests =
         Engine.cancel engine h;
         Engine.run engine;
         Alcotest.(check int) "one processed" 1 (Engine.events_processed engine));
+    Alcotest.test_case "fired and cancelled events release their closures" `Quick
+      (fun () ->
+        (* Each event captures 1 MB; once fired or cancelled, neither
+           its live handle nor the queue may keep that reachable. *)
+        let engine = Engine.create () and captured = Weak.create 3 in
+        let arm i delay =
+          let bytes = Bytes.create (1 lsl 20) in
+          Weak.set captured i (Some bytes);
+          Engine.schedule engine ~delay (fun () -> ignore (Bytes.length bytes))
+        in
+        let handles = [ arm 0 1.0; arm 1 2.0; arm 2 100.0 ] in
+        List.iter (Engine.cancel engine) (List.tl handles);
+        Engine.run ~until:10.0 engine;
+        Gc.full_major ();
+        List.iteri
+          (fun i what -> Alcotest.(check bool) what false (Weak.check captured i))
+          [ "fired"; "cancelled, popped"; "cancelled, still queued" ];
+        ignore (Sys.opaque_identity (engine, handles)));
   ]
 
-let engine_order_property =
-  QCheck2.Test.make ~name:"engine fires any schedule in (time, seq) order"
-    ~count:100
-    QCheck2.Gen.(
-      pair (int_range 2 64)
-        (list_size (int_range 0 300) (float_range 0.0 30.0)))
-    (fun (slots, times) ->
-      (* A coarse little wheel maximizes slot churn, wrap and overflow
-         traffic for the same schedule. *)
-      let engine = Engine.create ~granularity:0.05 ~slots () in
-      let fired = ref [] in
-      List.iteri
-        (fun i time ->
-          ignore (Engine.at engine ~time (fun () -> fired := (time, i) :: !fired)))
-        times;
-      Engine.run engine;
-      let expect =
-        List.stable_sort
-          (fun (a, _) (b, _) -> Float.compare a b)
-          (List.mapi (fun i time -> (time, i)) times)
-      in
-      List.rev !fired = expect)
+(* Model-based check of the engine contract.  A program schedules
+   events at absolute times or after delays, cancels any handle made
+   so far (pending, fired or already cancelled) and runs up to a
+   limit; a firing event runs its own delay-0 schedules and cancels.
+   The reference keeps pending events in a list and always fires the
+   (time, seq) minimum.  Both record the fired ids (creation order,
+   i.e. seq) and (now, pending, processed) after every top-level act. *)
+type act = At of float * act list | Sched of float * act list | Cancel of int | Run_until of float
 
-let engine_property_tests = [ QCheck_alcotest.to_alcotest engine_order_property ]
+let gen_program =
+  let open QCheck2.Gen in
+  let instant = map (fun i -> float_of_int i *. 0.5) (int_range 0 20) (* many ties *) in
+  let delay = frequency [ 2, return 0.0; 3, instant; 1, return (-1.0) ] in
+  let inner = frequency [ 3, map (fun d -> Sched (d, [])) delay; 1, map (fun k -> Cancel k) nat ] in
+  let inners = list_size (int_range 0 3) inner in
+  list_size (int_range 0 60)
+    (frequency
+       [
+         3, map2 (fun t acts -> At (t, acts)) instant inners;
+         3, map2 (fun d acts -> Sched (d, acts)) delay inners;
+         2, map (fun k -> Cancel k) nat;
+         1, map (fun l -> Run_until l) instant;
+       ])
+
+let interpret (add, cancel, run, observe) program =
+  let made = ref 0 and fired = ref [] in
+  let rec perform = function
+    | At (time, acts) -> add `At time (event acts)
+    | Sched (delay, acts) -> add `Delay delay (event acts)
+    | Cancel k -> if !made > 0 then cancel (!made - 1 - (k mod !made))
+    | Run_until limit -> run (Some limit)
+  and event acts =
+    let id = !made in
+    incr made;
+    (id, fun () -> fired := id :: !fired; List.iter perform acts)
+  in
+  let trace = List.map (fun act -> perform act; observe ()) program in
+  run None;
+  (List.rev !fired, trace @ [ observe () ])
+
+let engine_scheduler () =
+  let e = Engine.create () and handles = Hashtbl.create 64 in
+  ( (fun kind x (id, f) ->
+      Hashtbl.replace handles id
+        (if kind = `At then Engine.at e ~time:x f else Engine.schedule e ~delay:x f)),
+    (fun id -> Engine.cancel e (Hashtbl.find handles id)),
+    (fun until -> Engine.run ?until e),
+    fun () -> (Engine.now e, Engine.pending e, Engine.events_processed e) )
+
+let model_scheduler () =
+  let clock = ref 0.0 and queue = ref [] and processed = ref 0 in
+  let rec run limit =
+    match List.sort (fun (t, i, _) (u, j, _) -> compare (t, i) (u, j)) !queue with
+    | (time, _, f) :: rest when time <= limit ->
+        queue := rest;
+        clock := time;
+        incr processed;
+        f ();
+        run limit
+    | _ -> ()
+  in
+  ( (fun kind x (id, f) ->
+      let time = if kind = `At then x else !clock +. Float.max 0.0 x in
+      queue := (Float.max time !clock, id, f) :: !queue),
+    (fun id -> queue := List.filter (fun (_, i, _) -> i <> id) !queue),
+    (fun until -> run (Option.value until ~default:infinity)),
+    fun () -> (!clock, List.length !queue, !processed) )
+
+let engine_order_property =
+  QCheck2.Test.make ~name:"engine fires any schedule in (time, seq) order" ~count:100
+    QCheck2.Gen.(list_size (int_range 0 300) (float_range 0.0 30.0))
+    (fun times ->
+      let fired, _ = interpret (engine_scheduler ()) (List.map (fun t -> At (t, [])) times) in
+      fired = List.map snd (List.stable_sort compare (List.mapi (fun i t -> (t, i)) times)))
+
+let engine_model_property =
+  QCheck2.Test.make ~name:"engine matches a (time, seq) reference model" ~count:300 gen_program
+    (fun program ->
+      interpret (engine_scheduler ()) program = interpret (model_scheduler ()) program)
+
+let engine_property_tests =
+  List.map QCheck_alcotest.to_alcotest [ engine_order_property; engine_model_property ]
 
 (* --- topology & net -------------------------------------------------- *)
 
