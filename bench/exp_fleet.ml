@@ -59,13 +59,6 @@ let hot_paths = 8
 let payload_bytes = 512
 let day = 86400.0
 
-(* Zeus tuned for fleet scale: the proxy health loop and gap-repair
-   retries run every catchup_interval; at 0.5s a 200-proxy fleet burns
-   hundreds of thousands of idle health events per simulated hour, so
-   widen it (failure detection latency is not under test here). *)
-let fleet_params =
-  { Zeus.default_params with Zeus.catchup_interval = 30.0; detect_timeout = 60.0 }
-
 let config_path i = Printf.sprintf "fleet/cfg_%02d" i
 
 (* Payloads carry their submit time so delivery callbacks can compute
@@ -112,7 +105,7 @@ let run_cell ~clusters ~mult =
     Topology.create ~regions ~clusters_per_region:clusters ~nodes_per_cluster
   in
   let net = Net.create engine topo in
-  let zeus = Zeus.create ~params:fleet_params net in
+  let zeus = Zeus.create net in
   let rng = Rng.create 77L in
   let latencies = Metrics.Histogram.create () in
   let callbacks = ref 0 in
@@ -130,7 +123,7 @@ let run_cell ~clusters ~mult =
         List.init clusters (fun cluster ->
             let c =
               Cohort.of_cluster topo ~region ~cluster
-                ~skip_head:fleet_params.Zeus.observers_per_cluster
+                ~skip_head:Zeus.default_params.Zeus.observers_per_cluster
                 ~skip_tail:(ensemble_tail ~region ~cluster)
             in
             let proxy = Zeus.proxy_on zeus ~weight:(Cohort.weight c) (Cohort.node c) in

@@ -405,9 +405,7 @@ let run_whereis tree_dir config_path regions clusters nodes =
               let proxy = Cm_zeus.Service.proxy_on zeus n.id in
               Cm_zeus.Service.subscribe proxy ~path:artifact (fun ~zxid:_ _ -> ()))
             (Cm_sim.Topology.nodes topo);
-          (* Zeus keeps periodic health timers alive, so drive the clock
-             with bounded steps rather than waiting for the queue to
-             drain. *)
+          (* Let every proxy register its watch before the write. *)
           Engine.run_for engine 1.0;
           let ctx = Tracer.new_trace tracer ~name:("whereis:" ^ artifact) in
           Cm_zeus.Service.write ~digest:compiled.Core.Compiler.digest ~ctx zeus

@@ -1,7 +1,7 @@
 (** A crashable simulated process: an owner for scheduled events.
 
-    Components that model a daemon (a tailer, a proxy, a committer)
-    schedule their events through a [Proc.t].  {!kill} models
+    A model of a daemon can own its events through a [Proc.t]; today
+    only [exp_store]'s simulated committer does.  {!kill} models
     [kill -9]: every pending owned event is cancelled and any event
     already in flight from an older incarnation fires as a no-op — the
     process does no further work and runs no cleanup, exactly like a

@@ -12,6 +12,7 @@ type t = {
   regions : int;
   clusters_per_region : int;
   nodes_per_cluster : int;
+  mutable listeners : (node_id -> unit) list;  (* in registration order *)
 }
 
 let create ~regions ~clusters_per_region ~nodes_per_cluster =
@@ -24,7 +25,7 @@ let create ~regions ~clusters_per_region ~nodes_per_cluster =
         let cluster = id mod per_region / nodes_per_cluster in
         { id; region; cluster; up = true })
   in
-  { all; regions; clusters_per_region; nodes_per_cluster }
+  { all; regions; clusters_per_region; nodes_per_cluster; listeners = [] }
 
 let node_count t = Array.length t.all
 let region_count t = t.regions
@@ -59,8 +60,14 @@ let same_cluster t a b =
   na.region = nb.region && na.cluster = nb.cluster
 
 let same_region t a b = (node t a).region = (node t b).region
-let crash t id = (node t id).up <- false
-let restart t id = (node t id).up <- true
+let on_change t f = t.listeners <- t.listeners @ [ f ]
+
+let set_up t id up =
+  (node t id).up <- up;
+  List.iter (fun f -> f id) t.listeners
+
+let crash t id = set_up t id false
+let restart t id = set_up t id true
 let is_up t id = (node t id).up
 
 let random_up_node rng t =

@@ -7,7 +7,7 @@
 
 type node_id = int
 
-type node = {
+type node = private {
   id : node_id;
   region : int;
   cluster : int;
@@ -48,5 +48,9 @@ val same_region : t -> node_id -> node_id -> bool
 val crash : t -> node_id -> unit
 val restart : t -> node_id -> unit
 val is_up : t -> node_id -> bool
+
+val on_change : t -> (node_id -> unit) -> unit
+(** Registers a listener run, in registration order, after every
+    {!crash} and {!restart} (even a no-op one) of any node. *)
 
 val random_up_node : Rng.t -> t -> node_id option

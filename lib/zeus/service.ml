@@ -8,8 +8,6 @@ module Propagation = Cm_trace.Propagation
 type params = {
   followers : int;
   observers_per_cluster : int;
-  detect_timeout : float;
-  catchup_interval : float;
   msg_overhead : int;
   fanout_stagger : float;
   snapshot_threshold : int;
@@ -26,8 +24,6 @@ let default_params =
   {
     followers = 4;
     observers_per_cluster = 2;
-    detect_timeout = 2.0;
-    catchup_interval = 0.5;
     msg_overhead = 128;
     fanout_stagger = 0.0;
     snapshot_threshold = 500;
@@ -42,6 +38,10 @@ let default_params =
 
 let legacy_params =
   { default_params with dedup = false; batching = false; relay = false }
+
+(* Seconds: leader-failure detection, and the observer/proxy repair unit. *)
+let detect_timeout = 2.0
+let catchup_interval = 0.5
 
 type write_rec = {
   zxid : int;
@@ -180,7 +180,6 @@ and proxy = {
       (* cohort weight: how many statistically identical servers this
          proxy stands for; 1 for an ordinary per-server proxy *)
   mutable pdeliv_w : int; (* effective deliveries x weight at the time *)
-  mutable phealth : Engine.handle option; (* the health loop's next tick *)
 }
 
 and t = {
@@ -206,7 +205,6 @@ and t = {
   mutable prop : Propagation.t option;
 }
 
-let params t = t.prm
 let engine t = Net.engine t.net
 let topo t = Net.topology t.net
 let tracer t = Net.tracer t.net
@@ -268,7 +266,7 @@ let stats t =
 
 (* --- placement ----------------------------------------------------- *)
 
-let create ?(params = default_params) net =
+let init ?(params = default_params) net =
   let topology = Net.topology net in
   let regions = Topology.region_count topology in
   let per_cluster = Array.length (Topology.nodes_in_cluster topology ~region:0 ~cluster:0) in
@@ -614,7 +612,7 @@ and observer_request_catchup t obs =
         else obs.ocatchup_inflight <- false);
     (* Retry guard: if the reply never arrives (crashes), re-arm. *)
     ignore
-      (Engine.schedule (engine t) ~delay:(t.prm.catchup_interval *. 4.0) (fun () ->
+      (Engine.schedule (engine t) ~delay:(catchup_interval *. 4.0) (fun () ->
            obs.ocatchup_inflight <- false))
   end
 
@@ -694,7 +692,7 @@ let fanout_batch t batch =
                re-send straight to every observer of the region.
                Resends are idempotent: stale batches are ignored. *)
             ignore
-              (Engine.schedule (engine t) ~delay:t.prm.detect_timeout (fun () ->
+              (Engine.schedule (engine t) ~delay:detect_timeout (fun () ->
                    let acked =
                      match Hashtbl.find_opt t.racked r with Some z -> z | None -> 0
                    in
@@ -869,12 +867,7 @@ let elect t =
       Queue.transfer t.write_queue queued;
       Queue.iter (fun (path, data, digest, ctx) -> do_write t path data digest ctx) queued
 
-let crash_leader t =
-  Topology.crash (topo t) (leader_node t);
-  if not t.election_pending then begin
-    t.election_pending <- true;
-    ignore (Engine.schedule (engine t) ~delay:t.prm.detect_timeout (fun () -> elect t))
-  end
+let crash_leader t = Topology.crash (topo t) (leader_node t)
 
 (* --- observer failure injection ------------------------------------ *)
 
@@ -891,12 +884,10 @@ let crash_observer t ~region ~cluster i =
   Topology.crash (topo t) (find_observer t ~region ~cluster i).onode
 
 let restart_observer t ~region ~cluster i =
-  let obs = find_observer t ~region ~cluster i in
-  Topology.restart (topo t) obs.onode;
-  observer_request_catchup t obs
+  Topology.restart (topo t) (find_observer t ~region ~cluster i).onode
 
+let observer_on t node = Array.find_opt (fun obs -> obs.onode = node) t.observers
 let observer_last_zxid t ~region ~cluster i = (find_observer t ~region ~cluster i).olast
-let observer_count t = Array.length t.observers
 
 let observer_data t ~region ~cluster i =
   let obs = find_observer t ~region ~cluster i in
@@ -943,17 +934,9 @@ let register_watch t proxy path =
         | None -> ()
       end)
 
-let rec proxy_health_loop t proxy =
-  proxy.phealth <-
-    Some
-      (Engine.schedule (engine t) ~delay:(t.prm.catchup_interval *. 2.0) (fun () ->
-           if proxy.pup then begin
-             if not (Topology.is_up (topo t) proxy.pobserver.onode) then begin
-               proxy.pobserver <- pick_observer t proxy.pnode;
-               Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs
-             end;
-             proxy_health_loop t proxy
-           end))
+let attach t proxy =
+  proxy.pobserver <- pick_observer t proxy.pnode;
+  Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs
 
 let proxy_on ?(weight = 1) t node =
   match Hashtbl.find_opt t.proxies node with
@@ -971,12 +954,10 @@ let proxy_on ?(weight = 1) t node =
           pdelivered = Ring.create t.prm.delivery_log_cap;
           pweight = weight;
           pdeliv_w = 0;
-          phealth = None;
         }
       in
-      proxy.pobserver <- pick_observer t node;
+      attach t proxy;
       Hashtbl.replace t.proxies node proxy;
-      proxy_health_loop t proxy;
       proxy
 
 let subscribe proxy ~path callback =
@@ -1027,18 +1008,11 @@ let crash_proxy proxy =
   Hashtbl.reset proxy.pmem
 
 let restart_proxy proxy =
-  let t = proxy.pservice in
   proxy.pup <- true;
   (* Warm the memory cache from disk, reconnect, resubscribe. *)
   Hashtbl.iter (fun path entry -> Hashtbl.replace proxy.pmem path entry) proxy.pdisk;
-  proxy.pobserver <- pick_observer t proxy.pnode;
-  Hashtbl.iter (fun path _ -> register_watch t proxy path) proxy.psubs;
-  (* One loop per proxy: a restart before the old loop's next tick
-     (which would find the proxy up and carry on) replaces it. *)
-  Option.iter (Engine.cancel (engine t)) proxy.phealth;
-  proxy_health_loop t proxy
+  attach proxy.pservice proxy
 
-let proxy_count t = Hashtbl.length t.proxies
 let delivery_log proxy = Ring.to_list proxy.pdelivered
 let deliveries_total proxy = Ring.total proxy.pdelivered
 let deliveries_weighted proxy = proxy.pdeliv_w
@@ -1055,11 +1029,37 @@ let msg_overhead t = t.prm.msg_overhead
 let nearest_observer_node t node = (pick_observer t node).onode
 
 let observer_value_at t node path =
-  let found = ref None in
-  Array.iter (fun obs -> if obs.onode = node then found := Some obs) t.observers;
-  match !found with
+  match observer_on t node with
   | None -> None
   | Some obs -> (
       match Hashtbl.find_opt obs.odata path with
       | Some w -> Some (w.zxid, w.wdata)
       | None -> None)
+
+(* --- crash reaction --------------------------------------------------- *)
+
+let failover t =
+  Hashtbl.iter
+    (fun _ proxy ->
+      if proxy.pup && not (Topology.is_up (topo t) proxy.pobserver.onode) then
+        attach t proxy)
+    t.proxies
+
+(* Zeus's one reaction to a crash or restart, whoever caused it. *)
+let on_node_change t node =
+  let up = Topology.is_up (topo t) node in
+  if node = leader_node t && (not up) && not t.election_pending then begin
+    t.election_pending <- true;
+    ignore (Engine.schedule (engine t) ~delay:detect_timeout (fun () -> elect t))
+  end;
+  Option.iter
+    (fun obs ->
+      if up then observer_request_catchup t obs;
+      ignore
+        (Engine.schedule (engine t) ~delay:(catchup_interval *. 2.0) (fun () -> failover t)))
+    (observer_on t node)
+
+let create ?params net =
+  let t = init ?params net in
+  Topology.on_change (topo t) (on_node_change t);
+  t

@@ -35,15 +35,16 @@
 
     Failure injection: leaders, observers and proxies can crash and
     restart; invariants (in-order delivery, no lost committed writes,
-    cache availability) are exercised in the test suite. *)
+    cache availability) are exercised in the test suite.  A crash or
+    restart from any source (this API, Monitor, a bare {!Cm_sim.Topology}
+    call) triggers the reaction; 1 s after an observer's node goes down
+    or comes back, every live proxy on a down observer reconnects. *)
 
 type t
 
 type params = {
   followers : int;           (** ensemble size is [followers + 1] *)
   observers_per_cluster : int;
-  detect_timeout : float;    (** leader-failure detection, seconds *)
-  catchup_interval : float;  (** observer gap-repair retry, seconds *)
   msg_overhead : int;        (** bytes of protocol framing per message *)
   fanout_stagger : float;
       (** extra delay between successive pushes of one fan-out stage,
@@ -87,8 +88,6 @@ val legacy_params : params
     baseline. *)
 
 val create : ?params:params -> Cm_sim.Net.t -> t
-
-val params : t -> params
 
 (** {1 Write path} *)
 
@@ -149,8 +148,8 @@ val proxy_cached_zxid : proxy -> string -> int option
 (** {1 Failure injection} *)
 
 val crash_leader : t -> unit
-(** Kills the current leader node; a follower with the longest log is
-    elected after [detect_timeout]. *)
+(** Crashes the current leader's node; 2 s later the live member with
+    the longest log is elected. *)
 
 val leader_node : t -> Cm_sim.Topology.node_id
 val crash_observer : t -> region:int -> cluster:int -> int -> unit
@@ -162,15 +161,12 @@ val restart_proxy : proxy -> unit
 
 (** {1 Introspection for tests and benches} *)
 
-val observer_count : t -> int
 val observer_last_zxid : t -> region:int -> cluster:int -> int -> int
 
 val observer_data : t -> region:int -> cluster:int -> int -> (string * (int * string)) list
 (** Sorted [(path, (zxid, data))] snapshot of an observer's replica —
     lets tests check that snapshot and replay catch-up converge to the
     same state. *)
-
-val proxy_count : t -> int
 
 val delivery_log : proxy -> (string * int) list
 (** [(path, zxid)] of the most recent [delivery_log_cap] updates

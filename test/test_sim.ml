@@ -400,6 +400,21 @@ let topo_tests =
         Alcotest.(check bool) "down" false (Topology.is_up t 2);
         Topology.restart t 2;
         Alcotest.(check bool) "up" true (Topology.is_up t 2));
+    Alcotest.test_case "on_change listeners see every crash and restart" `Quick (fun () ->
+        let t = Topology.create ~regions:1 ~clusters_per_region:1 ~nodes_per_cluster:4 in
+        let seen = ref [] in
+        let listen name =
+          Topology.on_change t (fun id -> seen := (name, id, Topology.is_up t id) :: !seen)
+        in
+        listen "a";
+        listen "b";
+        Topology.crash t 2;
+        Topology.restart t 2;
+        Topology.restart t 1;
+        Alcotest.(check (list (triple string int bool)))
+          "in registration order, after the change"
+          [ "a", 2, false; "b", 2, false; "a", 2, true; "b", 2, true; "a", 1, true; "b", 1, true ]
+          (List.rev !seen));
     Alcotest.test_case "random_up_node avoids down nodes" `Quick (fun () ->
         let t = Topology.create ~regions:1 ~clusters_per_region:1 ~nodes_per_cluster:4 in
         Topology.crash t 0;
@@ -652,8 +667,8 @@ let run_zeus ~aggregate ~k ~writes ~seed =
               | None -> ()))
         paths)
     proxies;
-  (* Let registration, initial pushes and health timers settle, then
-     measure only the steady-state write traffic. *)
+  (* Let registration and initial pushes settle, then measure only the
+     steady-state write traffic. *)
   Engine.run ~until:5.0 engine;
   Net.reset_counters net;
   List.iteri

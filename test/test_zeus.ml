@@ -168,25 +168,50 @@ let failure_tests =
     Alcotest.test_case "restarts keep one health loop per proxy" `Quick (fun () ->
         let engine, _, zeus = setup () in
         let proxy = Zeus.proxy_on zeus 9 in
-        (* The health loop ticks once a second; windows start half a
-           tick off its phase so each holds exactly 100 ticks. *)
+        (* Failover is driven by node crashes, not by a per-proxy
+           timer: a quiet proxy schedules nothing, before or after
+           any number of restarts. *)
         Engine.run_for engine 10.5;
         let window () =
           let before = Engine.events_processed engine in
           Engine.run_for engine 100.0;
           Engine.events_processed engine - before
         in
-        Alcotest.(check int) "one loop at the start" 100 (window ());
-        (* Restarted before the crashed loop's next tick: that tick
-           finds the proxy up again. *)
+        Alcotest.(check int) "quiet at the start" 0 (window ());
         Zeus.crash_proxy proxy;
         Engine.run_for engine 0.25;
         Zeus.restart_proxy proxy;
         Engine.run_for engine 0.5;
-        Alcotest.(check int) "one loop after a quick crash and restart" 100 (window ());
+        Alcotest.(check int) "quiet after a quick crash and restart" 0 (window ());
         Zeus.restart_proxy proxy;
         Engine.run_for engine 0.5;
-        Alcotest.(check int) "one loop after restarting a live proxy" 100 (window ()));
+        Alcotest.(check int) "quiet after restarting a live proxy" 0 (window ()));
+    Alcotest.test_case "leader crashed outside Zeus is replaced" `Quick (fun () ->
+        let engine, topo, zeus = setup () in
+        let proxy = Zeus.proxy_on zeus 6 in
+        Zeus.subscribe proxy ~path:"cfg/o" (fun ~zxid:_ _ -> ());
+        let old_leader = Zeus.leader_node zeus in
+        Topology.crash topo old_leader;
+        Engine.run_for engine 10.0;
+        Alcotest.(check bool) "new leader" true (Zeus.leader_node zeus <> old_leader);
+        Zeus.write zeus ~path:"cfg/o" ~data:"after";
+        Engine.run_for engine 30.0;
+        Alcotest.(check (option string)) "write delivered" (Some "after")
+          (Zeus.proxy_get proxy "cfg/o"));
+    Alcotest.test_case "observer restarted outside Zeus catches up" `Quick (fun () ->
+        let engine, topo, zeus = setup () in
+        (* Observer 0 of a cluster runs on the cluster's first node. *)
+        let node = Topology.cluster_base topo ~region:1 ~cluster:1 in
+        Zeus.crash_observer zeus ~region:1 ~cluster:1 0;
+        for i = 1 to 8 do
+          Zeus.write zeus ~path:("cfg/o" ^ string_of_int i) ~data:"d"
+        done;
+        Engine.run_for engine 10.0;
+        Alcotest.(check int) "behind" 0 (Zeus.observer_last_zxid zeus ~region:1 ~cluster:1 0);
+        Topology.restart topo node;
+        Engine.run_for engine 30.0;
+        Alcotest.(check int) "caught up without a write" 8
+          (Zeus.observer_last_zxid zeus ~region:1 ~cluster:1 0));
   ]
 
 let snapshot_tests =
@@ -232,18 +257,28 @@ let snapshot_tests =
   ]
 
 (* Property: under random write bursts and observer crash/restart, every
-   proxy sees strictly increasing zxids per path and ends consistent. *)
+   proxy sees strictly increasing zxids per path and ends consistent.
+   [bare] sends the crashes and restarts through bare [Topology] calls
+   on the observer's node instead of the Zeus API; Zeus must react the
+   same way. *)
 let chaos_property =
   QCheck2.Test.make ~name:"in-order delivery under observer chaos" ~count:25
-    QCheck2.Gen.(pair (int_range 0 1000000) (int_range 5 25))
-    (fun (seed, nwrites) ->
-      let engine, _, zeus = setup ~seed:(Int64.of_int seed) () in
+    QCheck2.Gen.(triple (int_range 0 1000000) (int_range 5 25) bool)
+    (fun (seed, nwrites, bare) ->
+      let engine, topo, zeus = setup ~seed:(Int64.of_int seed) () in
+      let crash, restart =
+        (* Observer 0 of region 0, cluster 0 runs on node 0. *)
+        if bare then (fun () -> Topology.crash topo 0), fun () -> Topology.restart topo 0
+        else
+          ( (fun () -> Zeus.crash_observer zeus ~region:0 ~cluster:0 0),
+            fun () -> Zeus.restart_observer zeus ~region:0 ~cluster:0 0 )
+      in
       let proxy = Zeus.proxy_on zeus 15 in
       Zeus.subscribe proxy ~path:"p" (fun ~zxid:_ _ -> ());
       for i = 1 to nwrites do
         Zeus.write zeus ~path:"p" ~data:("v" ^ string_of_int i);
-        if i mod 4 = 0 then Zeus.crash_observer zeus ~region:0 ~cluster:0 0;
-        if i mod 4 = 2 then Zeus.restart_observer zeus ~region:0 ~cluster:0 0;
+        if i mod 4 = 0 then crash ();
+        if i mod 4 = 2 then restart ();
         Engine.run_for engine 0.3
       done;
       Engine.run_for engine 60.0;
