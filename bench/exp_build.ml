@@ -16,9 +16,10 @@
 
    Gates:
    - equivalence: the 4-domain run's artifact digests, error list,
-     merged cache counters, verify verdicts and sandcastle report are
-     bit-identical to the 1-domain run's (the QCheck property from
-     test_parallel, re-run at bench scale);
+     cache counters, size, resident bytes and evictions (under the
+     bounded cell's byte budget), verify verdicts and sandcastle
+     report are bit-identical to the 1-domain run's (the QCheck
+     property from test_parallel, re-run at bench scale);
    - chain overhead (4 domains vs 1) <= 1.50: size-one levels execute
      inline on the caller, so extra idle domains must stay cheap;
    - scaling >= 1.8x at 4 domains vs 1 — gated only in "measured" mode
@@ -30,9 +31,8 @@
      than 4 cores report the measured ratio with scaling_mode
      "under_4_cores_ungated" and the gate recorded as not applied.
 
-   The bounded-cache satellite rides along: one wide cell runs under a
-   small byte budget and must show clock-LRU evictions while staying
-   within it.
+   The bounded cache rides along: one wide cell runs under a small
+   byte budget and must show LRU evictions while staying within it.
 
    --quick shrinks the workload. *)
 
@@ -195,11 +195,13 @@ let best_chain ~domains () =
 (* --- equivalence at bench scale ---------------------------------------- *)
 
 (* Everything observable about one landing round, a 1-domain vs a
-   4-domain pool over identical fresh trees. *)
+   4-domain pool over identical fresh trees, with the cache under the
+   bounded cell's byte budget so its evictions are compared too. *)
 let equivalence_check () =
   let view pool =
     let tree = wide_tree () in
-    let compiler = Compiler.create tree in
+    let cache = Compiler.Cache.create ~byte_budget:cache_budget_bytes () in
+    let compiler = Compiler.create ~cache tree in
     let oks0, errors0 = Compiler.compile_all ~pool compiler in
     let k = 0 in
     let src = module_source k 424242 in
@@ -212,7 +214,6 @@ let equivalence_check () =
         (verify_input ~pool ~tree ~compiler ~repo ~changes:[ module_path k, src ] oks)
     in
     let report = Sandcastle.run ~pool (Sandcastle.create ()) oks in
-    let cache = Compiler.cache compiler in
     let render_ok c = c.Compiler.config_path, c.Compiler.digest in
     let render_err e = e.Compiler.at, Compiler.stage_name e.Compiler.stage, e.Compiler.message in
     let render_v v = Format.asprintf "%a" Defense.pp_verdict v in
@@ -220,7 +221,11 @@ let equivalence_check () =
       List.map render_err errors0,
       List.map render_ok oks,
       List.map render_err errors,
-      (Compiler.Cache.hits cache, Compiler.Cache.misses cache),
+      ( Compiler.Cache.hits cache,
+        Compiler.Cache.misses cache,
+        Compiler.Cache.size cache,
+        Compiler.Cache.resident_bytes cache,
+        Compiler.Cache.evictions cache ),
       List.map render_v verdicts,
       List.map render_v report )
   in
@@ -253,8 +258,8 @@ let run () =
 
   let equivalent = equivalence_check () in
 
-  (* Bounded-cache satellite: the same landing loop under a byte
-     budget must evict instead of growing without bound. *)
+  (* Bounded cache: the same landing loop under a byte budget must
+     evict instead of growing without bound. *)
   let _, _, bounded = best_wide ~byte_budget:cache_budget_bytes ~domains:1 () in
 
   Render.table
@@ -292,8 +297,6 @@ let run () =
   Render.write_json ~file:"BENCH_build.json"
     (Json.obj
        [
-         "cores", Json.Int cores;
-         "quick", Json.Bool quick;
          "wide_configs", Json.Int nwide;
          "wide_rounds", Json.Int wide_rounds;
          "chain_length", Json.Int nchain;

@@ -250,7 +250,6 @@ let write_json legacy optimized =
                 "clusters_per_region", Int clusters;
                 "nodes_per_cluster", Int nodes_per_cluster;
                 "configs", Int nconfigs;
-                "quick", Bool quick;
               ] );
           "rows", List [ json_of_result legacy; json_of_result optimized ];
           "steady_bytes_ratio", Float (ratio legacy.steady.ph_bytes optimized.steady.ph_bytes);

@@ -356,7 +356,6 @@ let run () =
                 "regions", Int regions;
                 "nodes_per_cluster", Int nodes_per_cluster;
                 "device_ratio", Int device_ratio;
-                "quick", Bool quick;
               ] );
           "rows", List (List.map json_of_cell results);
           "headline_servers", Int headline.r_servers;

@@ -362,8 +362,6 @@ let run () =
   Render.write_json ~file:"BENCH_gatekeeper.json"
     (Json.obj
        [
-         "cores", Json.Int cores;
-         "quick", Json.Bool quick;
          "checks_per_domain", Json.Int checks_per_domain;
          "rows", Json.List (List.map row_json rows);
          "scaling_mode", Json.String scaling_mode;

@@ -517,7 +517,6 @@ let run () =
       Assoc
         [
           "experiment", String "durable-store";
-          "quick", Bool quick;
           ( "rows",
             List
               (List.map

@@ -271,7 +271,6 @@ let run () =
                 "nodes_per_cluster", Int nodes_per_cluster;
                 "configs", Int nconfigs;
                 "write_rounds", Int nevents;
-                "quick", Bool quick;
               ] );
           ( "hops",
             List

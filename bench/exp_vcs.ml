@@ -243,7 +243,6 @@ let run () =
       Assoc
         [
           "experiment", String "storage-plane";
-          "quick", Bool quick;
           "sizes", List (List.map (fun n -> Int n) sizes);
           "rows", List (List.map json_of_row rows);
           "flat_slowdown", Float flat_slowdown;

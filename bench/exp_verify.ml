@@ -219,7 +219,6 @@ let run () =
     (Assoc
        [
          "experiment", String "verify";
-         "quick", Bool quick;
          "n", Int n;
          "baseline_escaped", Int baseline_escaped;
          "verify_escaped", Int verify_escaped;

@@ -126,16 +126,27 @@ let describe g =
 (* Write a BENCH_*.json artifact, first checking that the serialized
    text re-parses with our own parser — a malformed emitter fails the
    bench run instead of producing a file downstream tooling chokes on.
+   Every BENCH file opens with one "host" block (cores, OCaml version,
+   quick or full run) so each number names the host that measured it.
    Every BENCH file is gated: [gates] are appended to [doc] as a
    "gates" array, printed, and then enforced: the file is written
    first so a failing number is on disk, and the run fails with one
    message naming every applicable gate that did not pass. *)
 let write_json ~gates ~file doc =
   let doc =
-    match doc with
-    | Cm_json.Value.Assoc fields ->
-        Cm_json.Value.Assoc (fields @ [ "gates", Cm_json.Value.List (List.map json_of_gate gates) ])
-    | _ -> invalid_arg "Render.write_json: gates need an object document"
+    Cm_json.Value.(
+      match doc with
+      | Assoc fields ->
+          let host =
+            Assoc
+              [
+                "cores", Int (Domain.recommended_domain_count ());
+                "ocaml", String Sys.ocaml_version;
+                "quick", Bool quick;
+              ]
+          in
+          Assoc ((("host", host) :: fields) @ [ "gates", List (List.map json_of_gate gates) ])
+      | _ -> invalid_arg "Render.write_json: gates need an object document")
   in
   let text = Cm_json.Value.to_pretty_string doc ^ "\n" in
   (match Cm_json.Parser.parse text with

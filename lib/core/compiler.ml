@@ -32,67 +32,49 @@ let verdict_of_error { at; stage; message } =
   let layer = match stage with Validation -> "validator" | _ -> "compile" in
   Defense.fail ~stage:layer ~rule:(stage_name stage) ~path:at message
 
-(* Domain-safe, content-addressed artifact memo cache.
+(* Content-addressed artifact memo table, owned by one domain.
 
-   The keyspace is hash-sharded; each shard is an immutable map
-   behind one [Atomic.t] (the PR-8 snapshot-swap recipe from the
-   Gatekeeper/Laser check plane, applied to the write path).  The hit
-   path is wait-free — one atomic load plus a persistent-map lookup;
-   publishing a miss is a CAS loop against the freshest shard root,
-   so compiling domains never block each other and never block a
-   concurrent reader (e.g. the live tailer hitting the cache while a
-   proposal compiles on the pool).
+   Keys are closure hashes.  The table is a persistent map, so
+   [collect] hands pool workers the map as it stands before a fan-out
+   -- an immutable snapshot they can only read -- and makes every
+   write (hit/miss counts, recency stamps, publishing) itself, on the
+   caller's domain, at the join.  Workers read an entry's [value]
+   only; its [stamp] changes only at the join.
 
-   The cache is bounded: an optional byte budget, split evenly across
-   shards, is enforced at publish time by clock-style LRU eviction —
-   every hit stamps its entry from a global tick counter, and a
-   publish that overflows its shard drops least-recently-stamped
-   entries (never the one being added) until the shard fits.  A
-   long-lived tailer thus holds a working set, not an unbounded
-   history of every closure hash it ever compiled.
-
-   Shared counters ([hits]/[misses]/[compile_seconds]) are plain
-   metrics mutated only on the caller's domain: workers accumulate
-   into per-domain [local] blocks that [merge] at the pool's join
-   point. *)
+   An optional byte budget bounds the table by exact LRU: every use
+   stamps its entry from one clock, and a publish that overflows the
+   budget drops least-recently-used entries (never the one being
+   added) until the table fits.  A long-lived compiler thus holds a
+   working set, not an unbounded history of every closure hash it ever
+   compiled. *)
 module Cache = struct
-  module Metrics = Cm_sim.Metrics
   module Smap = Map.Make (String)
 
   type entry = {
     value : compiled;
-    cost : int;                (* bytes this entry accounts for *)
-    last_used : int Atomic.t;  (* clock stamp; racy by design *)
+    cost : int;  (* bytes this entry accounts for *)
+    mutable stamp : int;  (* clock of its last use *)
   }
-
-  type shard = { entries : entry Smap.t; bytes : int }
 
   type t = {
-    nshards : int;
-    shards : shard Atomic.t array;
-    clock : int Atomic.t;
-    shard_budget : int;  (* byte_budget / nshards, or max_int *)
-    evicted : int Atomic.t;
-    hit_counter : Metrics.Counter.t;
-    miss_counter : Metrics.Counter.t;
-    compile_seconds : Metrics.Histogram.t;
+    budget : int;  (* byte_budget, or max_int *)
+    mutable entries : entry Smap.t;
+    mutable clock : int;
+    mutable bytes : int;
+    mutable evicted : int;
+    mutable hits : int;
+    mutable misses : int;
   }
 
-  let create ?byte_budget ?(shards = 16) () =
-    let nshards = max 1 shards in
+  let create ?(byte_budget = max_int) () =
     {
-      nshards;
-      shards =
-        Array.init nshards (fun _ -> Atomic.make { entries = Smap.empty; bytes = 0 });
-      clock = Atomic.make 0;
-      shard_budget =
-        (match byte_budget with
-        | Some budget -> max 1 (budget / nshards)
-        | None -> max_int);
-      evicted = Atomic.make 0;
-      hit_counter = Metrics.Counter.create ();
-      miss_counter = Metrics.Counter.create ();
-      compile_seconds = Metrics.Histogram.create ();
+      budget = byte_budget;
+      entries = Smap.empty;
+      clock = 0;
+      bytes = 0;
+      evicted = 0;
+      hits = 0;
+      misses = 0;
     }
 
   (* What an entry charges against the budget: the artifact bytes plus
@@ -104,93 +86,68 @@ module Cache = struct
     + List.fold_left (fun acc d -> acc + String.length d) 0 c.deps
     + 160
 
-  let shard_of t key = Hashtbl.hash key mod t.nshards
+  let touch t e =
+    e.stamp <- t.clock;
+    t.clock <- t.clock + 1
 
-  let find t key =
-    let root = Atomic.get t.shards.(shard_of t key) in
-    match Smap.find_opt key root.entries with
-    | Some e ->
-        Atomic.set e.last_used (Atomic.fetch_and_add t.clock 1);
-        Some e.value
-    | None -> None
-
-  (* Evict least-recently-stamped entries (never [keep]) until the
-     shard fits its budget. *)
-  let rec shrink t ~keep shard nevicted =
-    if shard.bytes <= t.shard_budget || Smap.cardinal shard.entries <= 1 then
-      shard, nevicted
-    else begin
-      let victim =
+  (* Drop the least recently used entry, never [keep], until the table
+     fits its budget. *)
+  let rec evict t ~keep =
+    if t.bytes > t.budget then begin
+      let oldest =
         Smap.fold
           (fun key e acc ->
             if String.equal key keep then acc
             else
               match acc with
-              | Some (_, best) when Atomic.get best.last_used <= Atomic.get e.last_used
-                -> acc
+              | Some (_, old) when old.stamp <= e.stamp -> acc
               | _ -> Some (key, e))
-          shard.entries None
+          t.entries None
       in
-      match victim with
-      | None -> shard, nevicted
+      match oldest with
+      | None -> ()
       | Some (key, e) ->
-          shrink t ~keep
-            { entries = Smap.remove key shard.entries; bytes = shard.bytes - e.cost }
-            (nevicted + 1)
+          t.entries <- Smap.remove key t.entries;
+          t.bytes <- t.bytes - e.cost;
+          t.evicted <- t.evicted + 1;
+          evict t ~keep
     end
 
-  let rec store t key value =
-    let cell = t.shards.(shard_of t key) in
-    let old = Atomic.get cell in
-    if Smap.mem key old.entries then ()
-      (* a racing publisher won; closure hashes are content addresses,
-         so its artifact is byte-identical to ours *)
-    else begin
-      let e =
-        {
-          value;
-          cost = entry_cost value;
-          last_used = Atomic.make (Atomic.fetch_and_add t.clock 1);
-        }
-      in
-      let grown = { entries = Smap.add key e old.entries; bytes = old.bytes + e.cost } in
-      let next, nevicted = shrink t ~keep:key grown 0 in
-      if Atomic.compare_and_set cell old next then begin
-        if nevicted > 0 then ignore (Atomic.fetch_and_add t.evicted nevicted)
-      end
-      else store t key value
-    end
+  let store t key value =
+    match Smap.find_opt key t.entries with
+    | Some e -> touch t e
+    | None ->
+        let e = { value; cost = entry_cost value; stamp = 0 } in
+        touch t e;
+        t.entries <- Smap.add key e t.entries;
+        t.bytes <- t.bytes + e.cost;
+        evict t ~keep:key
 
-  let hits t = Metrics.Counter.value t.hit_counter
-  let misses t = Metrics.Counter.value t.miss_counter
+  let find t key =
+    match Smap.find_opt key t.entries with
+    | Some e ->
+        touch t e;
+        Some e.value
+    | None -> None
 
-  let size t =
-    Array.fold_left
-      (fun acc cell -> acc + Smap.cardinal (Atomic.get cell).entries)
-      0 t.shards
+  (* The join-point writes for one target, in target order: a hit
+     re-stamps (or, if an earlier publish of the same join evicted it,
+     re-publishes) its artifact; a miss publishes only a success --
+     errors are cheap to reproduce and must stay attributable to
+     current sources. *)
+  let record_hit t key value =
+    t.hits <- t.hits + 1;
+    store t key value
 
-  let resident_bytes t =
-    Array.fold_left (fun acc cell -> acc + (Atomic.get cell).bytes) 0 t.shards
+  let record_miss t key result =
+    t.misses <- t.misses + 1;
+    Result.iter (store t key) result
 
-  let evictions t = Atomic.get t.evicted
-  let shard_count t = t.nshards
-  let compile_seconds t = t.compile_seconds
-
-  (* Per-domain counter block, merged on the caller's domain at the
-     pool's join point — shared metrics are never touched from a
-     worker. *)
-  type local = {
-    mutable lhits : int;
-    mutable lmisses : int;
-    mutable lsamples : float list;  (* per-miss compile seconds, newest first *)
-  }
-
-  let local () = { lhits = 0; lmisses = 0; lsamples = [] }
-
-  let merge t l =
-    if l.lhits > 0 then Metrics.Counter.incr ~by:l.lhits t.hit_counter;
-    if l.lmisses > 0 then Metrics.Counter.incr ~by:l.lmisses t.miss_counter;
-    List.iter (Metrics.Histogram.add t.compile_seconds) (List.rev l.lsamples)
+  let hits t = t.hits
+  let misses t = t.misses
+  let size t = Smap.cardinal t.entries
+  let resident_bytes t = t.bytes
+  let evictions t = t.evicted
 end
 
 type t = {
@@ -384,47 +341,45 @@ let closure_hash t path =
     closure;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Memoized compile: unchanged transitive closures are never
-   re-evaluated.  Only successful artifacts are cached — errors are
-   cheap to reproduce and must stay attributable to current sources.
-   The [stats] block receives the hit/miss/latency accounting; it
-   merges into the shared counters at the pool's join. *)
-let compile_memo t stats path =
+(* What a pool worker hands back for one target. *)
+type lookup = Hit of compiled | Compiled of (compiled, error) result
+
+(* The worker half of a memoized compile: hash the closure and look it
+   up in [snapshot], compiling only on a miss.  Reads the immutable
+   tree and snapshot, writes nothing shared. *)
+let lookup t snapshot path =
   let key = closure_hash t path in
-  match Cache.find t.cache key with
-  | Some compiled ->
-      stats.Cache.lhits <- stats.Cache.lhits + 1;
-      Ok compiled
-  | None ->
-      let started = Sys.time () in
-      let result = compile t path in
-      stats.Cache.lsamples <- (Sys.time () -. started) :: stats.Cache.lsamples;
-      stats.Cache.lmisses <- stats.Cache.lmisses + 1;
-      (match result with
-      | Ok compiled -> Cache.store t.cache key compiled
-      | Error _ -> ());
-      result
+  match Cache.Smap.find_opt key snapshot with
+  | Some e -> key, Hit e.Cache.value
+  | None -> key, Compiled (compile t path)
 
 (* Collect: topologically level-order the targets from the dependency
-   graph, fan each level out to the domain pool (workers claim configs
-   with one fetch-and-add; per-domain counter blocks merge at each
-   level's join), then fold the results into ([oks], [errors]), both
-   in [targets] order.  Because distinct config paths have distinct
-   closure hashes (a config's own path and source are part of its
-   closure), no two in-flight compiles share a memo key — hit/miss
-   totals and the assembled output are identical at any domain count,
-   bit for bit.  Without [pool], a 1-domain pool runs every level
-   inline on the caller. *)
+   graph and fan each level out to the domain pool against a snapshot
+   of the cache taken before the fan-out.  At each level's join the
+   caller counts, stamps and publishes in level order, so the cache
+   ends up identical -- entries, recency, evictions, hit/miss totals --
+   at any domain count.  The results fold into ([oks], [errors]), both
+   in [targets] order.  Without [pool], a 1-domain pool runs every
+   level inline on the caller. *)
 let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let results = Hashtbl.create (max 16 (List.length targets)) in
   List.iter
     (fun level ->
       let level = Array.of_list level in
-      let out =
-        Cm_parallel.Pool.map_local pool ~local:Cache.local
-          ~f:(compile_memo t) ~merge:(Cache.merge t.cache) level
-      in
-      Array.iteri (fun i result -> Hashtbl.replace results level.(i) result) out)
+      let out = Cm_parallel.Pool.map_array pool (lookup t t.cache.Cache.entries) level in
+      Array.iteri
+        (fun i (key, found) ->
+          let result =
+            match found with
+            | Hit compiled ->
+                Cache.record_hit t.cache key compiled;
+                Ok compiled
+            | Compiled result ->
+                Cache.record_miss t.cache key result;
+                result
+          in
+          Hashtbl.replace results level.(i) result)
+        out)
     (Depgraph.levels t.dep targets);
   List.fold_left
     (fun (oks, errors) path ->

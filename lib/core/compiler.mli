@@ -59,20 +59,19 @@ val digest_of_text : string -> string
     so a table can be shared between compilers over different trees:
     identical closure bytes imply an identical artifact.
 
-    The table is domain-safe: hash-sharded immutable maps behind
-    atomics — lookups are wait-free (one atomic load per shard), a
-    publish is a CAS retry loop, so a pool of compiling domains (and
-    any concurrent reader, e.g. the live tailer) never block each
-    other.  With [byte_budget] set the cache is bounded by clock-LRU
-    eviction at publish time; without it, it grows without bound as
-    before. *)
+    The table belongs to the domain that compiles through it.  A
+    pooled compile hands its workers an immutable snapshot to read and
+    makes every write -- counting, recency, publishing -- itself at
+    each level's join, so the table's contents, evictions and counters
+    are identical at any domain count.  With [byte_budget] set the
+    table is bounded by exact LRU eviction at publish time; without
+    it, it grows without bound. *)
 module Cache : sig
   type t
 
-  val create : ?byte_budget:int -> ?shards:int -> unit -> t
-  (** [byte_budget] bounds the resident artifact bytes (approximately:
-      the budget is split evenly across [shards], 16 by default, and
-      enforced per shard).  Unset means unbounded. *)
+  val create : ?byte_budget:int -> unit -> t
+  (** [byte_budget] bounds the resident artifact bytes.  Unset means
+      unbounded. *)
 
   val hits : t -> int
   val misses : t -> int
@@ -83,33 +82,18 @@ module Cache : sig
   (** Bytes currently charged against the budget. *)
 
   val evictions : t -> int
-  (** Entries dropped by the clock-LRU sweep since creation. *)
+  (** Entries dropped by LRU eviction since creation. *)
 
-  val shard_count : t -> int
-
-  val compile_seconds : t -> Cm_sim.Metrics.Histogram.t
-  (** Per-miss compile latency (CPU seconds); hits cost no samples. *)
-
-  (** {2 Direct access (tests and custom schedulers)} *)
+  (** {2 Direct access (tests)} *)
 
   val find : t -> string -> compiled option
-  (** Wait-free lookup by closure hash; stamps the entry's clock. *)
+  (** Lookup by closure hash; a hit marks the entry most recently
+      used. *)
 
   val store : t -> string -> compiled -> unit
-  (** CAS-publish an artifact under its closure hash, evicting to the
-      byte budget.  Losing a race to an identical key is a no-op. *)
-
-  (** Per-domain counter block: workers on a pool accumulate hits,
-      misses and compile-latency samples privately and the caller
-      merges them into the shared counters at the join point. *)
-  type local = {
-    mutable lhits : int;
-    mutable lmisses : int;
-    mutable lsamples : float list;
-  }
-
-  val local : unit -> local
-  val merge : t -> local -> unit
+  (** Publish an artifact under its closure hash as the most recently
+      used entry, evicting least-recently-used others to the byte
+      budget.  A key already present is only re-marked. *)
 end
 
 type t
@@ -138,9 +122,11 @@ val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
     memo table.  Configs fan out across [pool]'s domains in dependency
     level order ({!Depgraph.levels}); [pool] defaults to a 1-domain
-    pool, which runs every level inline on the caller.  The result —
-    artifact list, error list and ordering, cache counter totals — is
-    identical at any domain count. *)
+    pool, which runs every level inline on the caller.  Workers only
+    read (the tree and a snapshot of the {!Cache}); the caller
+    updates the cache at each level's join.  The result — artifact
+    list, error list and ordering, the cache's entries and counters —
+    is identical at any domain count. *)
 
 val note_changed : t -> string list -> unit
 (** Re-index the given paths in the compiler's dependency graph after

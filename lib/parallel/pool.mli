@@ -8,7 +8,11 @@
     [d]-domain pool spawns up to [d - 1] domains per call; the caller's
     domain works as worker 0 alongside them.  A 1-domain pool (or a
     1-item call) runs inline on the caller's domain with no spawns,
-    which is how the landing path runs sequentially. *)
+    which is how the landing path runs sequentially.
+
+    Workers get no private state and nothing is merged: callers hand
+    them read-only inputs and make their writes on their own domain
+    after the join. *)
 
 type t
 
@@ -28,17 +32,3 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     observed is re-raised on the caller's domain. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_local :
-  t ->
-  local:(unit -> 's) ->
-  f:('s -> 'a -> 'b) ->
-  merge:('s -> unit) ->
-  'a array ->
-  'b array
-(** Like {!map_array}, with worker-local state: each worker calls
-    [local ()] once, threads the state through its items, and the
-    caller's domain runs [merge] on every worker's state after the
-    join (in worker order) — the pattern for per-domain counter
-    blocks that merge into shared metrics at the join point.  On an
-    exception the states are not merged. *)

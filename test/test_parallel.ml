@@ -1,18 +1,22 @@
 (* The multicore landing path: domain pool semantics, level-order
-   scheduling, the sharded memo cache, and the headline guarantee —
-   compile/verify on an N-domain pool produces bit-identical output to
-   a 1-domain pool, which runs everything inline on the caller.
+   scheduling, the single-domain memo cache, and the headline
+   guarantee — compile/verify on an N-domain pool produces
+   bit-identical output to a 1-domain pool, which runs everything
+   inline on the caller.
 
    - pool: input order preserved under uneven work; exceptions
-     propagate after the join; worker-local state merges exactly once;
-     the caller's domain works as worker 0;
+     propagate after the join; every item is applied exactly once; the
+     caller's domain works as worker 0;
    - Depgraph.levels: wide cones are one level, chains are one level
      per link, members never precede their in-set dependencies;
    - QCheck: compile_all / compile_affected on an N-domain pool equal
      the 1-domain run — artifact digests, error list and order, and
-     merged cache counters;
-   - sharded cache: racing publishers and readers across domains keep
-     the content-addressed invariant and respect the byte budget;
+     the cache's counters, size, resident bytes and evictions under a
+     small byte budget (workers only read; the caller writes the cache
+     at each join, so eviction order is deterministic);
+   - cache: store/find churn keeps the content-addressed invariant and
+     the byte budget; eviction is exact LRU; two compilers share one
+     cache one after the other;
    - verify + sandcastle fan-out: verdict lists identical on 1-domain
      vs N-domain pools; a jobs>1 pipeline lands the same changes, HEAD
      tree and cache totals as jobs=1;
@@ -58,34 +62,44 @@ let pool_tests =
                  (Array.init 50 (fun i -> i)))));
     Alcotest.test_case "map_local merges each worker's state exactly once" `Quick
       (fun () ->
+        (* Kept under its old name: map_array is now the primitive, and
+           the property is that each item is applied exactly once. *)
         let pool = Pool.create ~domains:4 () in
-        let total = ref 0 and merges = ref 0 in
+        let applied = Array.init 200 (fun _ -> Atomic.make 0) in
         let out =
-          Pool.map_local pool
-            ~local:(fun () -> ref 0)
-            ~f:(fun state i ->
-              incr state;
-              i)
-            ~merge:(fun state ->
-              incr merges;
-              total := !total + !state)
-            (Array.init 200 (fun i -> i))
-        in
-        Alcotest.(check int) "every item counted once" 200 !total;
-        Alcotest.(check bool) "one merge per worker" true (!merges >= 1 && !merges <= 4);
-        Alcotest.(check int) "results intact" 199 out.(199));
-    Alcotest.test_case "the caller's domain works as worker 0" `Quick (fun () ->
-        let pool = Pool.create ~domains:2 () in
-        let caller = (Domain.self () :> int) in
-        let ran_on =
           Pool.map_array pool
             (fun i ->
-              ignore (Sys.opaque_identity (Array.make 64 i));
-              (Domain.self () :> int))
-            (Array.init 2000 (fun i -> i))
+              Atomic.incr applied.(i);
+              i)
+            (Array.init 200 (fun i -> i))
         in
-        Alcotest.(check bool) "some items ran on the caller" true
-          (Array.exists (fun id -> id = caller) ran_on));
+        Alcotest.(check (array int)) "every item applied once" (Array.make 200 1)
+          (Array.map Atomic.get applied);
+        Alcotest.(check int) "results intact" 199 out.(199));
+    Alcotest.test_case "the caller's domain works as worker 0" `Quick (fun () ->
+        (* Each of the two items waits until both have started, which
+           can only happen if the caller runs one of them beside the
+           one spawned domain.  A deadline turns a broken pool into a
+           failure instead of a hang. *)
+        let pool = Pool.create ~domains:2 () in
+        let started = Atomic.make 0 in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        let ran_on =
+          Pool.map_array pool
+            (fun _ ->
+              Atomic.incr started;
+              while Atomic.get started < 2 do
+                if Unix.gettimeofday () > deadline then
+                  failwith "the second item never started";
+                Domain.cpu_relax ()
+              done;
+              (Domain.self () :> int))
+            [| 0; 1 |]
+        in
+        Alcotest.(check bool) "one item ran on the caller" true
+          (Array.mem (Domain.self () :> int) ran_on);
+        Alcotest.(check bool) "the other ran on another domain" true
+          (ran_on.(0) <> ran_on.(1)));
   ]
 
 (* --- level scheduling -------------------------------------------------- *)
@@ -185,14 +199,31 @@ let gen_tree n seed =
     (List.init nmods (fun k -> gen_module_path k, Printf.sprintf "M%02d = %d" k (k + seed))
     @ List.init n (fun i -> gen_config_path i, gen_config_source ~n i seed))
 
+(* A budget that holds about eight of the generated artifacts, so the
+   larger trees evict. *)
+let small_budget = 2048
+
+(* The cache state a run leaves behind: counters, entries, resident
+   bytes and evictions. *)
+let cache_view compiler =
+  let cache = Compiler.cache compiler in
+  ( Compiler.Cache.hits cache,
+    Compiler.Cache.misses cache,
+    Compiler.Cache.size cache,
+    Compiler.Cache.resident_bytes cache,
+    Compiler.Cache.evictions cache )
+
+let budgeted_compiler tree =
+  Compiler.create ~cache:(Compiler.Cache.create ~byte_budget:small_budget ()) tree
+
 (* Everything observable about a compile run: artifacts in output
    order with digests, the error list in output order, and the cache
-   counter totals.  Runs compile_all twice so the hit path counts. *)
+   state under a small byte budget.  Runs compile_all twice so the hit
+   path counts. *)
 let compile_view ?pool tree =
-  let compiler = Compiler.create tree in
+  let compiler = budgeted_compiler tree in
   let oks, errors = Compiler.compile_all ?pool compiler in
   let oks2, errors2 = Compiler.compile_all ?pool compiler in
-  let cache = Compiler.cache compiler in
   let render_ok c = c.Compiler.config_path, c.Compiler.digest in
   let render_err e =
     e.Compiler.at, Compiler.stage_name e.Compiler.stage, e.Compiler.message
@@ -200,7 +231,7 @@ let compile_view ?pool tree =
   ( List.map render_ok oks,
     List.map render_err errors,
     (List.map render_ok oks2, List.map render_err errors2),
-    (Compiler.Cache.hits cache, Compiler.Cache.misses cache) )
+    cache_view compiler )
 
 let equivalence_property =
   QCheck2.Test.make ~name:"parallel compile (N domains) equals sequential" ~count:30
@@ -216,7 +247,7 @@ let affected_property =
     (fun (domains, n, seed) ->
       let view ?pool () =
         let tree = gen_tree n seed in
-        let compiler = Compiler.create tree in
+        let compiler = budgeted_compiler tree in
         ignore (Compiler.compile_all ?pool compiler);
         (* Edit a shared module: the cone is every config importing
            module 0, plus chain importers. *)
@@ -224,51 +255,51 @@ let affected_property =
         let oks, errors =
           Compiler.compile_affected ?pool compiler ~changed:[ gen_module_path 0 ]
         in
-        let cache = Compiler.cache compiler in
         ( List.map (fun c -> c.Compiler.config_path, c.Compiler.digest) oks,
           List.map (fun e -> e.Compiler.at, e.Compiler.message) errors,
-          (Compiler.Cache.hits cache, Compiler.Cache.misses cache) )
+          cache_view compiler )
       in
       view () = view ~pool:(Pool.create ~domains ()) ())
 
-(* --- the sharded cache under contention -------------------------------- *)
+(* --- the cache ------------------------------------------------------------ *)
+
+(* Real artifacts as payloads: each synthetic key maps to one fixed
+   artifact, as closure hashes do. *)
+let sample_artifacts () =
+  let compiler = Compiler.create (gen_tree 16 1) in
+  let values, errors = Compiler.compile_all compiler in
+  Alcotest.(check int) "seed tree compiles" 0 (List.length errors);
+  Array.of_list values
 
 let cache_tests =
   [
     Alcotest.test_case "racing publishers keep the content-addressed invariant" `Quick
       (fun () ->
-        (* Real artifacts as payloads; each synthetic key maps to one
-           fixed artifact, as closure hashes do. *)
-        let compiler = Compiler.create (gen_tree 16 1) in
-        let values, errors = Compiler.compile_all compiler in
-        Alcotest.(check int) "seed tree compiles" 0 (List.length errors);
-        let values = Array.of_list values in
+        (* Kept under its old name: the cache has one writer now, so
+           the store/find churn runs on one domain. *)
+        let values = sample_artifacts () in
         let nvals = Array.length values in
         let nkeys = 64 in
         let key j = Printf.sprintf "key-%03d" (j mod nkeys) in
         let value_of j = values.((j mod nkeys) mod nvals) in
-        let cache = Compiler.Cache.create ~byte_budget:4096 ~shards:4 () in
-        let pool = Pool.create ~domains:4 () in
-        (* 4 domains race store+find over 64 keys, many times each. *)
+        let cache = Compiler.Cache.create ~byte_budget:4096 () in
         let bad =
-          Pool.map_array pool
-            (fun j ->
+          Array.init 512 (fun j ->
               Compiler.Cache.store cache (key j) (value_of j);
               match Compiler.Cache.find cache (key j) with
-              | None -> 0 (* evicted under the budget: legal *)
+              | None -> 1 (* the entry just stored is never the one evicted *)
               | Some found ->
                   if String.equal found.Compiler.digest (value_of j).Compiler.digest
                   then 0
                   else 1)
-            (Array.init 512 (fun j -> j))
         in
-        Alcotest.(check int) "no reader ever saw a foreign value" 0
+        Alcotest.(check int) "every read saw its own value" 0
           (Array.fold_left ( + ) 0 bad);
         Alcotest.(check bool) "budget forced evictions" true
           (Compiler.Cache.evictions cache > 0);
         Alcotest.(check bool) "resident bytes within budget" true
           (Compiler.Cache.resident_bytes cache <= 4096);
-        (* Post-race: every surviving key still maps to its value. *)
+        (* Every surviving key still maps to its value. *)
         for j = 0 to nkeys - 1 do
           match Compiler.Cache.find cache (key j) with
           | None -> ()
@@ -276,24 +307,40 @@ let cache_tests =
               Alcotest.(check string) "stable" (value_of j).Compiler.digest
                 found.Compiler.digest
         done);
+    Alcotest.test_case "eviction drops the least recently used entry" `Quick
+      (fun () ->
+        let value = (sample_artifacts ()).(0) in
+        let probe = Compiler.Cache.create () in
+        Compiler.Cache.store probe "probe" value;
+        let cost = Compiler.Cache.resident_bytes probe in
+        let cache = Compiler.Cache.create ~byte_budget:(2 * cost) () in
+        Compiler.Cache.store cache "a" value;
+        Compiler.Cache.store cache "b" value;
+        ignore (Compiler.Cache.find cache "a");
+        Compiler.Cache.store cache "c" value;
+        let resident k = Option.is_some (Compiler.Cache.find cache k) in
+        Alcotest.(check (list bool)) "a and c stay, b is evicted" [ true; false; true ]
+          [ resident "a"; resident "b"; resident "c" ];
+        Alcotest.(check int) "one eviction" 1 (Compiler.Cache.evictions cache));
     Alcotest.test_case "two domains compiling through one shared cache" `Quick
       (fun () ->
+        (* Kept under its old name: the cache has one writer now, so two
+           compilers over identical trees share it one after the other,
+           as the live tree and a proposal clone do. *)
         let cache = Compiler.Cache.create () in
-        let pool = Pool.create ~domains:2 () in
-        (* Each worker compiles its own compiler over an identical
-           tree, racing store/find on identical closure hashes. *)
-        let digests =
-          Pool.map_array pool
-            (fun _ ->
-              let compiler = Compiler.create ~cache (gen_tree 12 2) in
-              let oks, errors = Compiler.compile_all compiler in
-              Alcotest.(check int) "no errors" 0 (List.length errors);
-              String.concat "," (List.map (fun c -> c.Compiler.digest) oks))
-            [| 0; 1 |]
+        let digests () =
+          let compiler = Compiler.create ~cache (gen_tree 12 2) in
+          let oks, errors = Compiler.compile_all ~pool:(Pool.create ~domains:2 ()) compiler in
+          Alcotest.(check int) "no errors" 0 (List.length errors);
+          String.concat "," (List.map (fun c -> c.Compiler.digest) oks)
         in
-        Alcotest.(check string) "identical artifacts" digests.(0) digests.(1);
-        (* Content addressing deduplicated the racing publishes: one
-           entry per config, not per worker. *)
+        let first = digests () in
+        let second = digests () in
+        Alcotest.(check string) "identical artifacts" first second;
+        Alcotest.(check (pair int int)) "the second run is all hits" (12, 12)
+          (Compiler.Cache.hits cache, Compiler.Cache.misses cache);
+        (* Content addressing shares the entries: one per config, not
+           per compiler. *)
         Alcotest.(check int) "one entry per config" 12 (Compiler.Cache.size cache));
   ]
 
