@@ -34,6 +34,14 @@
    The bounded cache rides along: one wide cell runs under a small
    byte budget and must show LRU evictions while staying within it.
 
+   Tree-size sweep: a fixed [sweep_cone]-config cone of typed configs
+   (guarded by one source validator) in trees of 500, 2000 and 8000
+   configs.  Per-config CPU ([Sys.time], median of [sweep_reps] reps,
+   [Gc.compact] before each size) of compile_affected over the cone
+   and of a cold compile_all over the tree must not grow with the
+   tree: each 8000/500 ratio <= 2.0.  They read 0.8-1.6 on a 2-core
+   host; a key that sorts the whole tree reads 26x and 23x.
+
    --quick shrinks the workload. *)
 
 module Compiler = Core.Compiler
@@ -192,6 +200,75 @@ let chain_cell ~domains () =
 let best_chain ~domains () =
   List.fold_left min (chain_cell ~domains ()) (List.init (reps - 1) (fun _ -> chain_cell ~domains ()))
 
+(* --- tree-size sweep ------------------------------------------------------ *)
+
+let sweep_sizes = [ 500; 2000; 8000 ]
+let sweep_cone = 250
+let sweep_reps = 15
+let hot_module = "modules/hot.cinc"
+let sweep_path i = Printf.sprintf "fleet/svc_%05d.cconf" i
+
+(* The first [sweep_cone] configs import the hot module; the rest
+   spread over [nmods] cold ones.  Every config is a typed [Svc], so
+   each compile resolves and runs the source validator too. *)
+let sweep_tree n =
+  let import i = if i < sweep_cone then hot_module else module_path (i mod nmods) in
+  ST.of_alist
+    ([
+       ( "schemas/svc.thrift",
+         "struct Svc { 1: optional i32 id = 0; 2: optional i32 port = 0; 3: optional i32 weight = 0; }" );
+       "schemas/Svc.thrift-cvalidator", "def validate(cfg) = cfg.port < 65536";
+       hot_module, "W = 0";
+     ]
+    @ List.init nmods (fun k -> module_path k, "W = 1")
+    @ List.init n (fun i ->
+          ( sweep_path i,
+            Printf.sprintf
+              "import_thrift \"schemas/svc.thrift\"\nimport \"%s\"\nexport Svc { id = %d, port = 7000 + %d, weight = W * 3 }"
+              (import i) i i )))
+
+let cpu f =
+  let t0 = Sys.time () in
+  let r = f () in
+  r, Sys.time () -. t0
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+type sweep_row = { configs : int; affected_us : float; bootstrap_us : float }
+
+(* Microseconds of CPU per config: a cold compile_all of the whole
+   tree, and compile_affected of the hot cone after a hot-module edit
+   (a fresh value each rep, so every cone config misses the cache). *)
+let sweep_row n =
+  Gc.compact ();
+  let tree = sweep_tree n in
+  let depgraph = Core.Depgraph.create () in
+  Core.Depgraph.scan depgraph tree;
+  let bootstrap =
+    List.init sweep_reps (fun _ ->
+        (* A fresh cache each rep; compile_all only reads the graph. *)
+        let compiler = Compiler.create ~depgraph tree in
+        let (oks, errors), s = cpu (fun () -> Compiler.compile_all compiler) in
+        if errors <> [] || List.length oks <> n then failwith "build: sweep tree failed to bootstrap";
+        s /. float_of_int n)
+  in
+  let compiler = Compiler.create ~depgraph tree in
+  ignore (Compiler.compile_all compiler);
+  let affected =
+    List.init sweep_reps (fun r ->
+        ST.write tree hot_module (Printf.sprintf "W = %d" (r + 1));
+        let (oks, errors), s =
+          cpu (fun () -> Compiler.compile_affected compiler ~changed:[ hot_module ])
+        in
+        if errors <> [] || List.length oks <> sweep_cone then
+          failwith "build: sweep cone went wrong";
+        s /. float_of_int sweep_cone)
+  in
+  { configs = n; affected_us = 1e6 *. median affected; bootstrap_us = 1e6 *. median bootstrap }
+
 (* --- equivalence at bench scale ---------------------------------------- *)
 
 (* Everything observable about one landing round, a 1-domain vs a
@@ -262,6 +339,14 @@ let run () =
      evict instead of growing without bound. *)
   let _, _, bounded = best_wide ~byte_budget:cache_budget_bytes ~domains:1 () in
 
+  let sweep = List.map sweep_row sweep_sizes in
+  let sweep_ratio field =
+    let at n = field (List.find (fun r -> r.configs = n) sweep) in
+    at 8000 /. at 500
+  in
+  let affected_ratio = sweep_ratio (fun r -> r.affected_us) in
+  let bootstrap_ratio = sweep_ratio (fun r -> r.bootstrap_us) in
+
   Render.table
     ~header:[ "domains"; "wide cone s"; "configs/s" ]
     (List.map
@@ -285,6 +370,18 @@ let run () =
   Render.note
     "each round = edit a shared module, recompile the cone, run verify + \
      sandcastle: the full commit-to-land check plane";
+  Render.table
+    ~header:[ "tree configs"; "compile_affected us/config"; "compile_all us/config" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.configs;
+           Printf.sprintf "%.1f" r.affected_us;
+           Printf.sprintf "%.1f" r.bootstrap_us;
+         ])
+       sweep);
+  Render.kv "per-config CPU, 8000 vs 500 configs"
+    (Printf.sprintf "compile_affected %.2fx, compile_all %.2fx" affected_ratio bootstrap_ratio);
 
   let row_json r =
     Json.obj
@@ -309,6 +406,19 @@ let run () =
          "cache_byte_budget", Json.Int cache_budget_bytes;
          "cache_evictions", Json.Int (Compiler.Cache.evictions bounded);
          "cache_resident_bytes", Json.Int (Compiler.Cache.resident_bytes bounded);
+         "sweep_cone", Json.Int sweep_cone;
+         "sweep_reps", Json.Int sweep_reps;
+         ( "sweep",
+           Json.List
+             (List.map
+                (fun r ->
+                  Json.obj
+                    [
+                      "configs", Json.Int r.configs;
+                      "compile_affected_us_per_config", Json.Float r.affected_us;
+                      "compile_all_us_per_config", Json.Float r.bootstrap_us;
+                    ])
+                sweep) );
        ])
     ~gates:
       [
@@ -320,5 +430,7 @@ let run () =
         Render.gate "cache_resident_bytes"
           (float_of_int (Compiler.Cache.resident_bytes bounded)) Render.Le
           (float_of_int cache_budget_bytes);
+        Render.gate "compile_per_config_8000_over_500" affected_ratio Render.Le 2.0;
+        Render.gate "bootstrap_per_config_8000_over_500" bootstrap_ratio Render.Le 2.0;
       ];
   Render.note "wrote BENCH_build.json"

@@ -47,9 +47,9 @@ let verdict_of_error { at; stage; message } =
    added) until the table fits.  A long-lived compiler thus holds a
    working set, not an unbounded history of every closure hash it ever
    compiled. *)
-module Cache = struct
-  module Smap = Map.Make (String)
+module Smap = Map.Make (String)
 
+module Cache = struct
   type entry = {
     value : compiled;
     cost : int;  (* bytes this entry accounts for *)
@@ -184,35 +184,58 @@ let artifact_path_of path =
 
 let err at stage fmt = Printf.ksprintf (fun message -> Error { at; stage; message }) fmt
 
-(* Source validators live at "<dir>/<Type>.thrift-cvalidator" or
-   anywhere in the tree with that basename; discovery is by suffix. *)
-let source_validator t type_name =
-  let suffix = type_name ^ ".thrift-cvalidator" in
-  let matches path =
-    let n = String.length path and m = String.length suffix in
-    n >= m
-    && String.sub path (n - m) m = suffix
-    && (n = m || path.[n - m - 1] = '/')
-  in
-  match List.find_opt matches (Source_tree.paths t.tree) with
-  | Some path -> Source_tree.read t.tree path
-  | None -> None
+(* What every key and every typed compile reads of the tree's
+   validators, built once per [collect] on the caller before the
+   fan-out; workers only read it.
 
-let run_validators t ~path ~type_name value =
+   - [closure]: every validator plus its transitive imports, sorted
+     and unique -- a validator can constrain any typed config, so its
+     text is part of every key;
+   - [rules]: type name -> the parsed source validator at the first
+     path, in sorted order, named "<Type>.thrift-cvalidator" (at the
+     root or under any directory). *)
+type view = { closure : string list; rules : (Validator.rule, string) result Smap.t }
+
+let validator_closure t =
+  List.sort_uniq String.compare
+    (List.concat_map
+       (fun v -> v :: Depgraph.transitive_deps t.dep v)
+       (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator))
+
+(* The type a validator path guards: its basename less the suffix. *)
+let guarded_type path =
+  let suffix = ".thrift-cvalidator" in
+  if not (String.ends_with ~suffix path) then None
+  else
+    let start = match String.rindex_opt path '/' with Some i -> i + 1 | None -> 0 in
+    Some (String.sub path start (String.length path - String.length suffix - start))
+
+let view t =
+  let rules =
+    List.fold_left
+      (fun rules path ->
+        match guarded_type path, Source_tree.read t.tree path with
+        | Some type_name, Some source when not (Smap.mem type_name rules) ->
+            Smap.add type_name (Validator.of_source ~type_name ~source) rules
+        | _ -> rules)
+      Smap.empty
+      (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
+  in
+  { closure = validator_closure t; rules }
+
+let run_validators t view ~path ~type_name value =
   match Validator.validate t.vals ~type_name value with
   | Validator.Fail reason -> err path Validation "%s" reason
   | Validator.Pass -> (
-      match source_validator t type_name with
+      match Smap.find_opt type_name view.rules with
       | None -> Ok ()
-      | Some source -> (
-          match Validator.of_source ~type_name ~source with
-          | Error reason -> err path Validation "%s" reason
-          | Ok rule -> (
-              match rule.Validator.check value with
-              | Validator.Pass -> Ok ()
-              | Validator.Fail reason -> err path Validation "%s" reason)))
+      | Some (Error reason) -> err path Validation "%s" reason
+      | Some (Ok rule) -> (
+          match rule.Validator.check value with
+          | Validator.Pass -> Ok ()
+          | Validator.Fail reason -> err path Validation "%s" reason))
 
-let compile_cconf t path source =
+let compile_cconf t view path source =
   match
     Cm_lang.Eval.run ~loader:(Source_tree.loader t.tree) ~path ~source
   with
@@ -239,7 +262,7 @@ let compile_cconf t path source =
               | Ok (normalized, type_name) -> (
                   let validated =
                     match type_name with
-                    | Some name -> run_validators t ~path ~type_name:name normalized
+                    | Some name -> run_validators t view ~path ~type_name:name normalized
                     | None -> Ok ()
                   in
                   match validated with
@@ -302,32 +325,26 @@ let compile_raw path source =
           deps = [];
         }
 
-let compile t path =
+let compile_in t view path =
   match Source_tree.read t.tree path with
   | None -> err path Parse "no such source file"
   | Some source -> (
       match Source_tree.kind_of_path path with
-      | Source_tree.Cconf -> compile_cconf t path source
+      | Source_tree.Cconf -> compile_cconf t view path source
       | Source_tree.Raw -> compile_raw path source
       | Source_tree.Cinc | Source_tree.Thrift | Source_tree.Cvalidator ->
           err path Parse "not a config root (modules and schemas are not compiled directly)")
 
+let compile t path = compile_in t (view t) path
+
 (* The content key of a config: its own source, its transitive import
-   closure, and every validator source (plus the validators' own
-   imports) — a validator can constrain any typed config, so its text
-   is part of every typed compile.  Hashing the closure rather than
-   tracking timestamps makes the memo table shareable across source
-   trees: a development clone and the live tree that agree on the
-   closure bytes agree on the artifact. *)
-let closure_hash t path =
-  let validator_closure =
-    List.concat_map
-      (fun v -> v :: Depgraph.transitive_deps t.dep v)
-      (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
-  in
+   closure, and the validator closure ([view.closure]).  Hashing the
+   closure rather than tracking timestamps makes the memo table
+   shareable across source trees: a development clone and the live
+   tree that agree on the closure bytes agree on the artifact. *)
+let closure_key t ~validators path =
   let closure =
-    List.sort_uniq String.compare
-      ((path :: Depgraph.transitive_deps t.dep path) @ validator_closure)
+    List.sort_uniq String.compare ((path :: Depgraph.transitive_deps t.dep path) @ validators)
   in
   let buf = Buffer.create 512 in
   List.iter
@@ -341,32 +358,36 @@ let closure_hash t path =
     closure;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let closure_hash t path = closure_key t ~validators:(validator_closure t) path
+
 (* What a pool worker hands back for one target. *)
 type lookup = Hit of compiled | Compiled of (compiled, error) result
 
 (* The worker half of a memoized compile: hash the closure and look it
    up in [snapshot], compiling only on a miss.  Reads the immutable
-   tree and snapshot, writes nothing shared. *)
-let lookup t snapshot path =
-  let key = closure_hash t path in
-  match Cache.Smap.find_opt key snapshot with
+   tree, view and snapshot, writes nothing shared. *)
+let lookup t view snapshot path =
+  let key = closure_key t ~validators:view.closure path in
+  match Smap.find_opt key snapshot with
   | Some e -> key, Hit e.Cache.value
-  | None -> key, Compiled (compile t path)
+  | None -> key, Compiled (compile_in t view path)
 
-(* Collect: topologically level-order the targets from the dependency
-   graph and fan each level out to the domain pool against a snapshot
-   of the cache taken before the fan-out.  At each level's join the
-   caller counts, stamps and publishes in level order, so the cache
-   ends up identical -- entries, recency, evictions, hit/miss totals --
-   at any domain count.  The results fold into ([oks], [errors]), both
+(* Collect: build the validator [view] once, topologically level-order
+   the targets from the dependency graph and fan each level out to the
+   domain pool against a snapshot of the cache taken before the
+   fan-out.  At each level's join the caller counts, stamps and
+   publishes in level order, so the cache ends up identical --
+   entries, recency, evictions, hit/miss totals -- at any domain
+   count.  The results fold into ([oks], [errors]), both
    in [targets] order.  Without [pool], a 1-domain pool runs every
    level inline on the caller. *)
 let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
+  let view = view t in
   let results = Hashtbl.create (max 16 (List.length targets)) in
   List.iter
     (fun level ->
       let level = Array.of_list level in
-      let out = Cm_parallel.Pool.map_array pool (lookup t t.cache.Cache.entries) level in
+      let out = Cm_parallel.Pool.map_array pool (lookup t view t.cache.Cache.entries) level in
       Array.iteri
         (fun i (key, found) ->
           let result =

@@ -116,15 +116,20 @@ val cache : t -> Cache.t
 
 val compile : t -> string -> (compiled, error) result
 (** Compile one [*.cconf] or raw config by source path — always
-    re-evaluates; no memoization. *)
+    re-evaluates; no memoization.  Builds the same validator view as
+    {!compile_all} (the validator closure and each type's parsed
+    source validator), so it costs the config's closure plus the
+    tree's validators, never a walk of the tree. *)
 
 val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
     memo table.  Configs fan out across [pool]'s domains in dependency
     level order ({!Depgraph.levels}); [pool] defaults to a 1-domain
-    pool, which runs every level inline on the caller.  Workers only
-    read (the tree and a snapshot of the {!Cache}); the caller
-    updates the cache at each level's join.  The result — artifact
+    pool, which runs every level inline on the caller.  Before the
+    fan-out the caller builds one immutable validator view (the
+    validator closure and each type's parsed source validator).
+    Workers only read (the tree, that view and a snapshot of the
+    {!Cache}); the caller updates the cache at each level's join.  The result — artifact
     list, error list and ordering, the cache's entries and counters —
     is identical at any domain count. *)
 
@@ -144,8 +149,11 @@ val compile_affected :
 
 val closure_hash : t -> string -> string
 (** Content hash of a config's transitive source closure (its own
-    source, its import closure, and all validator sources) — the memo
-    key. *)
+    source, its import closure, and every validator source with the
+    validators' own imports) — the memo key.  The validator part comes
+    from {!Source_tree}'s validator index, so a key costs its closure
+    plus the validators, independent of tree size; a pooled compile
+    computes the validator closure once per call, not once per key. *)
 
 val artifact_path_of : string -> string
 (** ["a/b.cconf" -> "a/b.json"]; raw paths map to themselves. *)

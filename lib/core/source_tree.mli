@@ -19,8 +19,9 @@ val of_alist : (string * string) list -> t
 
 val copy : t -> t
 (** O(files) shallow copy — contents are immutable strings, so the
-    copy is independent for write/remove purposes.  Cheaper than
-    [of_alist (snapshot t)], which also sorts. *)
+    copy is independent for write/remove purposes (its validator index
+    included).  Cheaper than [of_alist (snapshot t)], which also
+    sorts. *)
 
 val write : t -> string -> string -> unit
 val remove : t -> string -> unit
@@ -30,6 +31,12 @@ val paths : t -> string list
 (** Sorted. *)
 
 val paths_of_kind : t -> kind -> string list
+(** Sorted: [List.filter (fun p -> kind_of_path p = kind) (paths t)].
+    [Cvalidator] paths come from an index that {!write}, {!remove},
+    {!of_alist} and {!copy} keep current, so they cost the number of
+    validators and never walk the tree; every other kind filters and
+    sorts the whole tree. *)
+
 val count : t -> int
 
 val loader : t -> string -> string option

@@ -96,6 +96,7 @@ let of_source ~type_name ~source =
       in
       if not has_validate then Error "validator source must define validate(cfg)"
       else
+        let call = Cm_lang.Parser.parse_expr_exn "validate(cfg)" in
         let check v =
           (* Re-run the validator file, then apply its [validate]. *)
           match
@@ -109,9 +110,6 @@ let of_source ~type_name ~source =
               | None -> Fail "validator did not produce a validate function"
               | Some fn -> (
                   let arg = Cm_lang.Eval.of_thrift v in
-                  let call =
-                    Cm_lang.Parser.parse_expr_exn "validate(cfg)"
-                  in
                   match
                     Cm_lang.Eval.eval_expr_standalone
                       ~bindings:[ "validate", fn; "cfg", arg ] call

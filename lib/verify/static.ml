@@ -5,7 +5,7 @@ module Ast = Cm_lang.Ast
 type check = {
   check_name : string;
   run :
-    tree:ST.t ->
+    files:(string * Ast.file) list ->
     compiled:Core.Compiler.compiled list ->
     Defense.finding list;
 }
@@ -22,7 +22,7 @@ let is_csl path =
   | ST.Cconf | ST.Cinc | ST.Cvalidator -> true
   | ST.Thrift | ST.Raw -> false
 
-let parsed tree paths =
+let cone_files tree compiled =
   List.filter_map
     (fun path ->
       if not (is_csl path) then None
@@ -34,7 +34,7 @@ let parsed tree paths =
             match Cm_lang.Parser.parse source with
             | Error _ -> None
             | Ok file -> Some (path, file)))
-    paths
+    (reachable compiled)
 
 let csl_imports file =
   List.filter_map
@@ -45,8 +45,7 @@ let cycles =
   {
     check_name = "dep-cycle";
     run =
-      (fun ~tree ~compiled ->
-        let files = parsed tree (reachable compiled) in
+      (fun ~files ~compiled:_ ->
         let adj = Hashtbl.create 16 in
         List.iter
           (fun (path, file) -> Hashtbl.replace adj path (csl_imports file))
@@ -91,8 +90,7 @@ let shadowed_exports =
   {
     check_name = "shadowed-export";
     run =
-      (fun ~tree ~compiled ->
-        let files = parsed tree (reachable compiled) in
+      (fun ~files ~compiled:_ ->
         let exports_of =
           let table = Hashtbl.create 16 in
           List.iter (fun (path, file) -> Hashtbl.replace table path (bound_names file)) files;
@@ -138,7 +136,7 @@ let artifact_collisions =
   {
     check_name = "artifact-collision";
     run =
-      (fun ~tree:_ ~compiled ->
+      (fun ~files:_ ~compiled ->
         let by_artifact = Hashtbl.create 16 in
         List.iter
           (fun c ->

@@ -48,6 +48,8 @@ export create_job("security")
       "raw/knob.json", {|{"threshold": 5}|};
     ]
 
+let all_kinds = ST.[ Cconf; Cinc; Thrift; Cvalidator; Raw ]
+
 let source_tree_tests =
   [
     Alcotest.test_case "kind_of_path" `Quick (fun () ->
@@ -69,6 +71,49 @@ let source_tree_tests =
           (ST.loader tree "mod/x.cinc");
         Alcotest.(check (option string)) "leading slash" (Some "X = 1")
           (ST.loader tree "/mod/x.cinc"));
+    Alcotest.test_case "paths_of_kind equals a filter of paths" `Quick (fun () ->
+        let agrees step tree =
+          List.iter
+            (fun kind ->
+              Alcotest.(check (list string)) step
+                (List.filter (fun p -> ST.kind_of_path p = kind) (ST.paths tree))
+                (ST.paths_of_kind tree kind))
+            all_kinds
+        in
+        let tree =
+          ST.of_alist
+            [
+              "z/Job.thrift-cvalidator", "def validate(cfg) = true";
+              "Job.thrift-cvalidator", "def validate(cfg) = true";
+              "misc/notes.cvalidator", "N = 1";
+              "a.cconf", "export { a: 1 }";
+              "m.cinc", "M = 1";
+              "s.thrift", "struct S { 1: optional i32 n = 0; }";
+              "r.json", "{}";
+            ]
+        in
+        agrees "of_alist" tree;
+        ST.write tree "b/Svc.thrift-cvalidator" "def validate(cfg) = true";
+        ST.write tree "b.cconf" "export { b: 1 }";
+        agrees "write" tree;
+        ST.remove tree "Job.thrift-cvalidator";
+        ST.remove tree "m.cinc";
+        ST.remove tree "never/there.thrift-cvalidator";
+        agrees "remove" tree;
+        let clone = ST.copy tree in
+        ST.write clone "c/Job.thrift-cvalidator" "def validate(cfg) = false";
+        agrees "copy then write (clone)" clone;
+        agrees "copy then write (original)" tree);
+    Alcotest.test_case "a validator written to a clone stays out of the original" `Quick
+      (fun () ->
+        let tree = ST.of_alist [ "Job.thrift-cvalidator", "def validate(cfg) = true" ] in
+        let clone = ST.copy tree in
+        ST.write clone "x/Job.thrift-cvalidator" "def validate(cfg) = false";
+        ST.remove clone "Job.thrift-cvalidator";
+        Alcotest.(check (list string)) "original" [ "Job.thrift-cvalidator" ]
+          (ST.paths_of_kind tree ST.Cvalidator);
+        Alcotest.(check (list string)) "clone" [ "x/Job.thrift-cvalidator" ]
+          (ST.paths_of_kind clone ST.Cvalidator));
   ]
 
 let validator_tests =
@@ -1423,11 +1468,162 @@ let incr_equivalence_property =
           view incr = view (Compiler.create tree))
         mutations)
 
+(* The memo key as defined before Source_tree indexed its validators:
+   every validator found by filtering the whole tree.  The key's bytes
+   are part of the cache's contract (a clone and the live tree share
+   one cache), so the indexed key must equal this one exactly. *)
+let reference_closure_hash compiler path =
+  let tree = Compiler.source_tree compiler and dep = Compiler.depgraph compiler in
+  let validator_closure =
+    List.concat_map
+      (fun v -> v :: Depgraph.transitive_deps dep v)
+      (List.filter (fun p -> ST.kind_of_path p = ST.Cvalidator) (ST.paths tree))
+  in
+  let closure =
+    List.sort_uniq String.compare
+      ((path :: Depgraph.transitive_deps dep path) @ validator_closure)
+  in
+  let buf = Buffer.create 512 in
+  List.iter
+    (fun p ->
+      Buffer.add_string buf p;
+      Buffer.add_char buf '\000';
+      (match ST.read tree p with
+      | Some content -> Buffer.add_string buf content
+      | None -> Buffer.add_string buf "\000<missing>");
+      Buffer.add_char buf '\000')
+    closure;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Files a random keyed tree may hold, each parameterized by a small
+   int: typed and untyped configs, a config with a missing import,
+   source validators at the root and nested (two for Svc, so the
+   first in sorted order must win), one that imports a [.cinc] (and so
+   fails when run, with a Validation error), one with a missing
+   import, one that does not parse, and a path ending in [cvalidator]
+   without [.thrift-], which [kind_of_path] also counts as a
+   validator. *)
+let keyed_files =
+  let p = Printf.sprintf in
+  [|
+    "modules/m0.cinc", (fun v -> p "M0 = %d" v);
+    "modules/m1.cinc", (fun v -> p "import \"modules/m0.cinc\"\nM1 = M0 + %d" v);
+    "modules/lim.cinc", (fun v -> p "LIMIT = %d" (v + 4));
+    "c/a.cconf", (fun v -> p "import \"modules/m0.cinc\"\nexport { n: M0 + %d }" v);
+    ( "c/job.cconf",
+      fun v ->
+        p "import_thrift \"schemas/t.thrift\"\nimport \"modules/m1.cinc\"\nexport Job { n = M1 + %d }" v );
+    ( "c/d/job2.cconf",
+      fun v -> p "import_thrift \"schemas/t.thrift\"\nexport Job { n = %d }" v );
+    ( "c/svc.cconf",
+      fun v ->
+        p "import_thrift \"schemas/t.thrift\"\nimport \"modules/m0.cinc\"\nexport Svc { n = M0 + %d }" v );
+    "c/lost.cconf", (fun v -> p "import \"modules/gone.cinc\"\nexport { n: %d }" v);
+    "raw/knob.json", (fun v -> p {|{"v": %d}|} v);
+    "Job.thrift-cvalidator", (fun v -> p "def validate(cfg) = cfg.n < %d" (v + 5));
+    "schemas/Job.thrift-cvalidator", (fun v -> p "def validate(cfg) = cfg.n != %d" v);
+    "b/Svc.thrift-cvalidator", (fun v -> p "def validate(cfg) = cfg.n < %d" (v + 3));
+    "c/Svc.thrift-cvalidator", (fun v -> p "def validate(cfg) = cfg.n > %d" v);
+    ( "v/Svc.thrift-cvalidator",
+      fun v -> p "import \"modules/lim.cinc\"\ndef validate(cfg) = cfg.n < LIMIT + %d" v );
+    ( "w/Job.thrift-cvalidator",
+      fun v -> p "import \"modules/gone.cinc\"\ndef validate(cfg) = cfg.n < %d" v );
+    "x/Svc.thrift-cvalidator", (fun v -> p "def validate(cfg) = (%d" v);
+    "misc/notes.cvalidator", (fun v -> p "import \"modules/m1.cinc\"\nNOTE = %d" v);
+  |]
+
+let keyed_schema =
+  "schemas/t.thrift", "struct Job { 1: optional i32 n = 0; }\nstruct Svc { 1: optional i32 n = 0; }"
+
+(* A random tree (each file present with probability 1/2) and a
+   random list of writes ([Some v]) and removes ([None]) to apply to a
+   copy of it. *)
+let keyed_gen =
+  let open QCheck2.Gen in
+  let file_count = Array.length keyed_files in
+  pair
+    (list_repeat file_count (opt ~ratio:0.5 (int_range 0 9)))
+    (list_size (int_range 0 8) (pair (int_range 0 (file_count - 1)) (opt (int_range 0 9))))
+
+let keyed_trees (present, edits) =
+  let file i v = let path, source = keyed_files.(i) in path, source v in
+  let tree =
+    ST.of_alist
+      (keyed_schema
+      :: List.concat (List.mapi (fun i -> function Some v -> [ file i v ] | None -> []) present))
+  in
+  let clone = ST.copy tree in
+  List.iter
+    (fun (i, v) ->
+      match v with
+      | Some v -> let path, source = file i v in ST.write clone path source
+      | None -> ST.remove clone (fst keyed_files.(i)))
+    edits;
+  tree, clone
+
+let config_paths tree = ST.paths_of_kind tree ST.Cconf @ ST.paths_of_kind tree ST.Raw
+
+let closure_key_property =
+  QCheck2.Test.make ~name:"closure keys equal the whole-tree reference" ~count:200 keyed_gen
+    (fun spec ->
+      let tree, clone = keyed_trees spec in
+      List.for_all
+        (fun tree ->
+          let compiler = Compiler.create tree in
+          List.for_all
+            (fun path ->
+              String.equal (Compiler.closure_hash compiler path)
+                (reference_closure_hash compiler path))
+            (config_paths tree))
+        [ tree; clone ])
+
+(* The source validator a type got before the index: the first path,
+   in whole-tree sorted order, named "<Type>.thrift-cvalidator". *)
+let reference_validator tree type_name =
+  let suffix = type_name ^ ".thrift-cvalidator" in
+  List.find_opt
+    (fun path -> path = suffix || String.ends_with ~suffix:("/" ^ suffix) path)
+    (ST.paths tree)
+
+(* A typed compile through the index of an edited clone (pooled
+   [compile_all] and single [compile]) equals a compile over a fresh
+   tree of the same files, and over a fresh tree that keeps only the
+   validator the whole-tree rule picks for each type. *)
+let clone_compile_property =
+  QCheck2.Test.make ~name:"compile over an edited clone equals a fresh tree" ~count:150
+    keyed_gen (fun spec ->
+      let _, clone = keyed_trees spec in
+      let render = function
+        | Ok c -> "ok " ^ c.Compiler.json_text
+        | Error e -> Compiler.stage_name e.Compiler.stage ^ " " ^ e.Compiler.message
+      in
+      let chosen = List.filter_map (reference_validator clone) [ "Job"; "Svc" ] in
+      let fresh = Compiler.create (ST.of_alist (ST.snapshot clone)) in
+      let pruned =
+        Compiler.create
+          (ST.of_alist
+             (List.filter
+                (fun (p, _) -> ST.kind_of_path p <> ST.Cvalidator || List.mem p chosen)
+                (ST.snapshot clone)))
+      in
+      let edited = Compiler.create clone in
+      let oks, errors = Compiler.compile_all edited in
+      let collected =
+        List.sort compare
+          (List.map (fun c -> c.Compiler.config_path, render (Ok c)) oks
+          @ List.map (fun e -> e.Compiler.at, render (Error e)) errors)
+      in
+      let each compiler =
+        List.sort compare
+          (List.map (fun p -> p, render (Compiler.compile compiler p)) (config_paths clone))
+      in
+      collected = each fresh && each edited = each fresh && each pruned = each fresh)
+
 let core_properties =
   List.map QCheck_alcotest.to_alcotest
     [
       spec_roundtrip_property; ui_source_roundtrip_property; risk_monotone_property;
-      incr_equivalence_property;
+      incr_equivalence_property; closure_key_property; clone_compile_property;
     ]
 
 let () =

@@ -106,6 +106,11 @@ let defense_tests =
 
 (* --- static cross-artifact checks ------------------------------------- *)
 
+(* A static check as [Verify.run] runs it: over the cone's sources,
+   parsed once. *)
+let run_static check tree compiled =
+  check.Static.run ~files:(Static.cone_files tree compiled) ~compiled
+
 let static_tests =
   [
     Alcotest.test_case "latent import cycle detected" `Quick (fun () ->
@@ -126,7 +131,7 @@ let static_tests =
             (fun c -> { c with Compiler.deps = [ "mods/a.cinc"; "mods/b.cinc" ] })
             compiled
         in
-        match Static.cycles.Static.run ~tree ~compiled:cone with
+        match run_static Static.cycles tree cone with
         | [] -> Alcotest.fail "cycle not detected"
         | f :: _ ->
             Alcotest.(check bool) "failure" false f.Defense.ok;
@@ -135,7 +140,7 @@ let static_tests =
     Alcotest.test_case "acyclic cone is clean" `Quick (fun () ->
         let tree, _, compiled = compile_tree (job_tree 2048) in
         Alcotest.(check int) "no findings" 0
-          (List.length (Static.cycles.Static.run ~tree ~compiled)));
+          (List.length (run_static Static.cycles tree compiled)));
     Alcotest.test_case "import-over-import shadow flagged" `Quick (fun () ->
         let tree, _, compiled =
           compile_tree
@@ -146,7 +151,7 @@ let static_tests =
                 "import \"mods/a.cinc\"\nimport \"mods/b.cinc\"\nexport { t: TIMEOUT }" );
             ]
         in
-        match Static.shadowed_exports.Static.run ~tree ~compiled with
+        match run_static Static.shadowed_exports tree compiled with
         | [] -> Alcotest.fail "shadow not detected"
         | f :: _ ->
             Alcotest.(check bool) "names both sources" true
@@ -159,7 +164,7 @@ let static_tests =
               "cfg/site.cconf", "import \"mods/a.cinc\"\nTIMEOUT = 5\nexport { t: TIMEOUT }";
             ]
         in
-        match Static.shadowed_exports.Static.run ~tree ~compiled with
+        match run_static Static.shadowed_exports tree compiled with
         | [] -> Alcotest.fail "local shadow not detected"
         | f :: _ ->
             Alcotest.(check bool) "says local binding" true
@@ -174,13 +179,13 @@ let static_tests =
             ]
         in
         Alcotest.(check int) "clean" 0
-          (List.length (Static.shadowed_exports.Static.run ~tree ~compiled)));
+          (List.length (run_static Static.shadowed_exports tree compiled)));
     Alcotest.test_case "artifact collision detected" `Quick (fun () ->
         let tree, _, compiled =
           compile_tree
             [ "jobs/a.cconf", "export { v: 1 }"; "jobs/a.json", {|{"v": 2}|} ]
         in
-        match Static.artifact_collisions.Static.run ~tree ~compiled with
+        match run_static Static.artifact_collisions tree compiled with
         | [ f ] ->
             Alcotest.(check string) "at the artifact" "jobs/a.json" f.Defense.at;
             Alcotest.(check bool) "lists both configs" true
