@@ -3,8 +3,10 @@
    Figure-13 regime) vs the Merkle backend (directory-sharded trees,
    head index, generation numbers, per-commit change records).
 
-   For each backend x repo size we measure, on a two-level sharded
-   namespace (configs/dXX/eXX/cfg_NNNNNN.json):
+   For each backend x repo size we measure, on a three-level sharded
+   namespace (configs/dXX/eXX/fXX/cfg_NNNNNN.json), and for the Merkle
+   backend also on one directory holding every file
+   (configs/cfg_NNNNNN.json):
 
    - mean wall-clock per 1-file and per 10-file commit;
    - changed_since over the last K commits (the tailer's poll);
@@ -12,8 +14,10 @@
 
    The run gates the tentpole claims: over a 100x size sweep the flat
    backend's per-commit cost must degrade by an order of magnitude
-   while the Merkle backend stays ~flat (bounds in the gate list at
-   the end of [run]).  It also measures the paper's §3.6
+   while the Merkle backend stays ~flat, and the bytes a Merkle commit
+   hashes in one ever-wider directory must stay ~flat too (bounded
+   node width; bounds in the gate list at the end of [run]).  It also
+   measures the paper's §3.6
    remedy — an 8-way partitioned flat namespace — against a single
    Merkle repository and reports the estimated crossover size beyond
    which one Merkle repo beats the partitioned flat fleet.
@@ -29,15 +33,22 @@ let base_commits = if quick then 10 else 30
 let k_window = 10 (* changed_since window, commits *)
 let partitions = 8
 
-(* Three-level directory sharding: 32 x 32 x 32 dirs, so every
-   directory stays small and a Merkle commit rewrites a short spine of
-   small tree objects regardless of repo size. *)
-let path_of i =
-  Printf.sprintf "configs/d%02x/e%02x/f%02x/cfg_%06d.json" (i land 31)
-    ((i lsr 5) land 31) ((i lsr 10) land 31) i
+(* Sharded: 32 x 32 x 32 dirs, so every directory stays small.  One
+   directory: every file side by side, the layout where a Merkle node
+   per directory would grow with the repository. *)
+type layout = Sharded | One_dir
 
-let seed_changes nfiles =
-  List.init nfiles (fun i -> path_of i, Some (Printf.sprintf {|{"id":%d,"v":0}|} i))
+let layout_name = function Sharded -> "sharded" | One_dir -> "one-dir"
+
+let path_of layout i =
+  match layout with
+  | Sharded ->
+      Printf.sprintf "configs/d%02x/e%02x/f%02x/cfg_%06d.json" (i land 31)
+        ((i lsr 5) land 31) ((i lsr 10) land 31) i
+  | One_dir -> Printf.sprintf "configs/cfg_%06d.json" i
+
+let seed_changes layout nfiles =
+  List.init nfiles (fun i -> path_of layout i, Some (Printf.sprintf {|{"id":%d,"v":0}|} i))
 
 let time f =
   let start = Unix.gettimeofday () in
@@ -54,6 +65,7 @@ let ncommits backend nfiles =
 
 type row = {
   r_backend : string;
+  r_layout : layout;
   r_files : int;
   r_commit1_s : float;
   r_commit10_s : float;
@@ -63,10 +75,13 @@ type row = {
   r_hashed_per_commit : int;
 }
 
-let measure backend nfiles =
+let measure layout backend nfiles =
+  let path_of = path_of layout in
   let repo = Repo.create ~backend () in
   let store = Repo.store repo in
-  ignore (Repo.commit repo ~author:"seed" ~message:"import" ~timestamp:0.0 (seed_changes nfiles));
+  ignore
+    (Repo.commit repo ~author:"seed" ~message:"import" ~timestamp:0.0
+       (seed_changes layout nfiles));
   let n = ncommits backend nfiles in
   (* Warm up and settle the import's garbage so a major collection
      triggered by seeding doesn't land inside the timed loop. *)
@@ -117,6 +132,7 @@ let measure backend nfiles =
   in
   {
     r_backend = Repo.backend_name backend;
+    r_layout = layout;
     r_files = nfiles;
     r_commit1_s = commit1;
     r_commit10_s = commit10;
@@ -151,14 +167,17 @@ let measure_partitioned_flat nfiles =
       done)
   /. float_of_int n
 
-let find_row rows backend files =
-  List.find (fun r -> r.r_backend = backend && r.r_files = files) rows
+let find_row ?(layout = Sharded) rows backend files =
+  List.find
+    (fun r -> r.r_backend = backend && r.r_layout = layout && r.r_files = files)
+    rows
 
 let json_of_row r =
   Cm_json.Value.(
     Assoc
       [
         "backend", String r.r_backend;
+        "layout", String (layout_name r.r_layout);
         "files", Int r.r_files;
         "commit_1_s", Float r.r_commit1_s;
         "commit_10_s", Float r.r_commit10_s;
@@ -177,18 +196,19 @@ let run () =
     (if quick then " (quick)" else "");
   let rows =
     List.concat_map
-      (fun backend ->
-        List.map (fun nfiles -> measure backend nfiles) sizes)
-      [ Repo.Flat; Repo.Merkle ]
+      (fun (layout, backend) ->
+        List.map (fun nfiles -> measure layout backend nfiles) sizes)
+      [ Sharded, Repo.Flat; Sharded, Repo.Merkle; One_dir, Repo.Merkle ]
   in
   Render.table
     ~header:
-      [ "backend"; "files"; "commit 1f"; "commit 10f"; "changed_since";
+      [ "backend"; "layout"; "files"; "commit 1f"; "commit 10f"; "changed_since";
         "objects"; "hashed/commit" ]
     (List.map
        (fun r ->
          [
            r.r_backend;
+           layout_name r.r_layout;
            string_of_int r.r_files;
            Printf.sprintf "%.2fms" (1000.0 *. r.r_commit1_s);
            Printf.sprintf "%.2fms" (1000.0 *. r.r_commit10_s);
@@ -211,6 +231,14 @@ let run () =
     (Printf.sprintf "%.1fx" flat_slowdown);
   Render.kv "merkle commit+scan slowdown over the sweep"
     (Printf.sprintf "%.2fx" merkle_slowdown);
+  (* Deterministic: the bytes one 1-file commit adds in a single
+     directory of [largest] files over those it adds at [smallest]. *)
+  let hashed files = (find_row ~layout:One_dir rows "merkle" files).r_hashed_per_commit in
+  let one_dir_hashed_growth =
+    float_of_int (hashed largest) /. float_of_int (max 1 (hashed smallest))
+  in
+  Render.kv "merkle one-directory hashed bytes growth over the sweep"
+    (Printf.sprintf "%.2fx" one_dir_hashed_growth);
 
   (* Crossover vs the paper's partitioning remedy.  Flat per-commit
      cost is ~linear in files: cost(n) ~ slope * n.  P partitions cut
@@ -247,6 +275,7 @@ let run () =
           "rows", List (List.map json_of_row rows);
           "flat_slowdown", Float flat_slowdown;
           "merkle_slowdown", Float merkle_slowdown;
+          "one_dir_hashed_growth", Float one_dir_hashed_growth;
           "partitions", Int partitions;
           "flat_partitioned_commit_s", Float flat_partitioned_s;
           "merkle_commit_s", Float merkle_commit_s;
@@ -258,5 +287,6 @@ let run () =
       [
         Render.gate "flat_slowdown" flat_slowdown Render.Ge 10.0;
         Render.gate "merkle_slowdown" merkle_slowdown Render.Le 4.0;
+        Render.gate "one_dir_hashed_growth" one_dir_hashed_growth Render.Le 2.0;
       ];
   Render.note "wrote BENCH_vcs.json"

@@ -122,41 +122,34 @@ let run_compile tree_dir out_dir paths pretty =
       1
   | Ok tree -> (
       let compiler = Core.Compiler.create tree in
-      let targets =
+      let result =
         match paths with
-        | [] ->
-            Core.Source_tree.paths_of_kind tree Core.Source_tree.Cconf
-            @ Core.Source_tree.paths_of_kind tree Core.Source_tree.Raw
-        | _ -> paths
+        | [] -> Core.Compiler.compile_all compiler
+        | _ -> Core.Compiler.compile_targets compiler paths
       in
-      let results = List.map (fun path -> path, Core.Compiler.compile compiler path) targets in
-      let errors = List.filter_map (fun (_, r) -> match r with Error e -> Some e | Ok _ -> None) results in
-      match errors with
-      | _ :: _ ->
+      match result with
+      | _, (_ :: _ as errors) ->
           print_errors errors;
           1
-      | [] ->
+      | compiled, [] ->
           List.iter
-            (fun (_, result) ->
-              match result with
-              | Error _ -> ()
-              | Ok c ->
-                  let out_path = Filename.concat out_dir c.Core.Compiler.artifact_path in
-                  let rec mkdirs d =
-                    if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-                      mkdirs (Filename.dirname d);
-                      Sys.mkdir d 0o755
-                    end
-                  in
-                  mkdirs (Filename.dirname out_path);
-                  let oc = open_out out_path in
-                  output_string oc
-                    (if pretty then Cm_json.Value.to_pretty_string c.Core.Compiler.json
-                     else c.Core.Compiler.json_text);
-                  output_char oc '\n';
-                  close_out oc;
-                  Printf.printf "%s -> %s\n" c.Core.Compiler.config_path out_path)
-            results;
+            (fun c ->
+              let out_path = Filename.concat out_dir c.Core.Compiler.artifact_path in
+              let rec mkdirs d =
+                if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+                  mkdirs (Filename.dirname d);
+                  Sys.mkdir d 0o755
+                end
+              in
+              mkdirs (Filename.dirname out_path);
+              let oc = open_out out_path in
+              output_string oc
+                (if pretty then Cm_json.Value.to_pretty_string c.Core.Compiler.json
+                 else c.Core.Compiler.json_text);
+              output_char oc '\n';
+              close_out oc;
+              Printf.printf "%s -> %s\n" c.Core.Compiler.config_path out_path)
+            compiled;
           0)
 
 let compile_cmd =

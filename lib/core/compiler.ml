@@ -417,6 +417,8 @@ let compile_affected ?pool t ~changed =
   note_changed t changed;
   collect ?pool t (Depgraph.affected_configs t.dep changed)
 
+let compile_targets = collect
+
 let compile_all ?pool t =
   collect ?pool t
     (Source_tree.paths_of_kind t.tree Source_tree.Cconf

@@ -133,6 +133,13 @@ val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
     list, error list and ordering, the cache's entries and counters —
     is identical at any domain count. *)
 
+val compile_targets :
+  ?pool:Cm_parallel.Pool.t -> t -> string list -> (compiled list * error list)
+(** {!compile_all} over the given source paths instead of every config:
+    one validator view and one memoized, level-ordered fan-out for all
+    of them.  Results and errors come back in the order of the paths; a
+    path that is missing or not a config root is an error. *)
+
 val note_changed : t -> string list -> unit
 (** Re-index the given paths in the compiler's dependency graph after
     their tree content changed ({!Depgraph.update_file} per path). *)

@@ -206,7 +206,18 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
         let compiled, errors =
           Compiler.compile_affected ~pool:t.ppool clone_compiler ~changed:changed_paths
         in
+        (* A path the repository cannot hold is refused here, not by
+           [Repo.commit] inside the landing strip's event. *)
+        let path_errors =
+          List.filter_map
+            (fun path ->
+              Option.map
+                (fun message -> { Compiler.at = path; stage = Compiler.Parse; message })
+                (Cm_vcs.Repo.path_error path))
+            changed_paths
+        in
         let spec = canary_spec_of clone changed_paths in
+        let errors = path_errors @ errors in
         let errors = match spec with Ok _ -> errors | Error e -> errors @ [ e ] in
         ret
           [ ("configs", string_of_int (List.length compiled));

@@ -137,189 +137,403 @@ let changed_paths_of_commit_flat t oid =
       diff_trees parent current
 
 (* ===================================================================
-   Merkle backend: directory-sharded trees.  A tree node's entries are
-   path components; an entry's oid names a Blob (file) or another Tree
-   (subdirectory).  The same component may appear once as each, since
-   the flat namespace allows "a" and "a/b" to coexist.  A commit
-   re-hashes only the dirty spine (changed leaf + ancestor nodes);
-   untouched subtrees are shared by oid, so byte cost is O(changed).
+   Merkle backend: directory-sharded trees with bounded-width nodes.
+   A directory's entries are path components; an entry's oid names a
+   Blob (file) or another directory.  The same component may appear
+   once as each, since the flat namespace allows "a" and "a/b" to
+   coexist; the file sorts first.
+
+   A directory of at most [width] entries is one plain name-sorted
+   Tree.  A wider one is a fan node: up to 16 buckets keyed by
+   successive hex digits of the MD5 of each entry name, each bucket
+   plain or, while still wider than [width], a fan one digit deeper --
+   the HAMT-sharded directory of content-addressed stores such as IPFS
+   UnixFS.  A bucket entry is named [fan_marker] and its hex digit;
+   commits reject the marker byte in paths, so no real entry looks
+   like one.  The layout is a pure function of the directory's entry
+   set, so equal file maps give equal roots whatever the history.  A
+   commit rewrites the changed leaves and the nodes above them -- a
+   spine of nodes of at most [width] entries, however wide the
+   directories -- and shares every other node by oid.
    =================================================================== *)
 
-type kind = File | Dir
+(* The widest plain node, from a measured sweep of commit and diff
+   cost (DESIGN.md, storage plane). *)
+let width = 32
 
-let kind_rank = function File -> 0 | Dir -> 1
+let fan_marker = '\002'
+let max_depth = 32 (* hex digits in an MD5 digest *)
+let bucket_names = Array.init 16 (fun d -> Printf.sprintf "%c%x" fan_marker d)
 
-let compare_entry (n1, k1, _) (n2, k2, _) =
-  let c = String.compare n1 n2 in
-  if c <> 0 then c else Int.compare (kind_rank k1) (kind_rank k2)
+(* Hex digit [depth] of a raw digest. *)
+let digit digest depth =
+  let byte = Char.code digest.[depth / 2] in
+  if depth land 1 = 0 then byte lsr 4 else byte land 15
+
+let is_fan = function
+  | (name, _) :: _ -> name <> "" && name.[0] = fan_marker
+  | [] -> false
 
 let node_entries store oid =
   match Store.get_exn store oid with
   | Store.Tree entries -> entries
   | Store.Blob _ | Store.Commit _ -> invalid_arg "corrupt merkle tree: oid is not a tree"
 
-let entry_kind store oid =
-  match Store.get_exn store oid with
-  | Store.Blob _ -> File
-  | Store.Tree _ -> Dir
-  | Store.Commit _ -> invalid_arg "corrupt merkle tree: commit inside a tree"
-
-let annotate store entries =
-  List.map (fun (name, oid) -> name, entry_kind store oid, oid) entries
-
 let root_of_commit t oid =
   match Store.get_exn t.rstore oid with
   | Store.Commit c -> c.Store.tree
   | Store.Blob _ | Store.Tree _ -> invalid_arg "not a commit"
 
+(* Every entry of a directory node, through its fan buckets. *)
+let rec fold_entries store f entries acc =
+  if is_fan entries then
+    List.fold_left (fun acc (_, b) -> fold_entries store f (node_entries store b) acc) acc entries
+  else List.fold_left (fun acc e -> f e acc) acc entries
+
+let fold_dir store f oid acc = fold_entries store f (node_entries store oid) acc
+
+(* A directory node's entries as one name-sorted list.  Equal names
+   share a bucket, file first, and the stable sort keeps them so. *)
+let flatten store entries =
+  if is_fan entries then
+    List.stable_sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.rev (fold_entries store List.cons entries []))
+  else entries
+
+(* The leading entries named [name] of a name-sorted list (the file,
+   then the directory), and the rest. *)
+let take_name name entries =
+  let rec go same = function
+    | ((n, _) as e) :: rest when String.equal n name -> go (e :: same) rest
+    | rest -> List.rev same, rest
+  in
+  go [] entries
+
+(* The file and the directory among one name's entries. *)
+let file_and_dir store entries =
+  List.fold_left
+    (fun (file, dir) (_, o) ->
+      match Store.get_exn store o with
+      | Store.Blob _ -> Some o, dir
+      | Store.Tree _ -> file, Some o
+      | Store.Commit _ -> invalid_arg "corrupt merkle tree: commit inside a tree")
+    (None, None) entries
+
+(* The one plain node of directory [oid] that can hold [name]: descend
+   the fan buckets along the name's digest. *)
+let bucket_of store oid name =
+  let digest = Digest.string name in
+  let rec descend oid depth =
+    let entries = node_entries store oid in
+    if is_fan entries then
+      match List.assoc_opt bucket_names.(digit digest depth) entries with
+      | Some b -> descend b (depth + 1)
+      | None -> []
+    else entries
+  in
+  descend oid 0
+
 type action = Set of Store.oid | Remove
 
-(* Rebuild the dirty spine under one node.  [changes] pairs non-empty
-   component lists with actions; returns the new node oid, or None if
-   the node emptied out (the parent then drops its entry, so deleted
-   directories don't linger as empty husks). *)
-let rec update_node t old_oid changes =
-  let entries =
-    match old_oid with
-    | None -> []
-    | Some oid -> annotate t.rstore (node_entries t.rstore oid)
+(* One touched name of a directory: the action on the file of that
+   name, the changes below the subdirectory of that name ([[]] if
+   none), and the name's digest once {!digest_of} has computed it (at
+   most once per commit, and only if the directory is or becomes a
+   fan; a plain [lazy] costs more than the hash here). *)
+type edit = {
+  name : string;
+  mutable file : action option;
+  mutable sub : (string list * action) list;
+  mutable digest : string;  (* "" until computed *)
+}
+
+let digest_of e =
+  if e.digest = "" then e.digest <- Digest.string e.name;
+  e.digest
+
+let put_tree t entries = Store.put t.rstore (Store.Tree entries)
+
+(* The canonical node at fan depth [depth] for the name-sorted slice
+   [lo, hi) of [src], entries paired with their names' digests.  Each
+   level scatters its slice into the same slice of [tmp] by hex digit
+   (a stable counting sort, so every bucket stays name-sorted) and
+   recurses with the two arrays swapped: a wide directory is laid out
+   without a list per level. *)
+let rec put_slice t ~depth src tmp lo hi =
+  let n = hi - lo in
+  if n <= width || depth >= max_depth then put_tree t (List.init n (fun i -> snd src.(lo + i)))
+  else begin
+    let starts = Array.make 17 0 in
+    for i = lo to hi - 1 do
+      let b = digit (fst src.(i)) depth + 1 in
+      starts.(b) <- starts.(b) + 1
+    done;
+    for b = 1 to 16 do
+      starts.(b) <- starts.(b) + starts.(b - 1)
+    done;
+    let next = Array.sub starts 0 16 in
+    for i = lo to hi - 1 do
+      let b = digit (fst src.(i)) depth in
+      tmp.(lo + next.(b)) <- src.(i);
+      next.(b) <- next.(b) + 1
+    done;
+    put_tree t
+      (List.filter_map
+         (fun b ->
+           if starts.(b) = starts.(b + 1) then None
+           else
+             Some
+               ( bucket_names.(b),
+                 put_slice t ~depth:(depth + 1) tmp src (lo + starts.(b)) (lo + starts.(b + 1)) ))
+         (List.init 16 Fun.id))
+  end
+
+(* Lay out [n] name-sorted entries, more than [width], at fan depth
+   [depth], hashing each name once: the digests of the name-sorted
+   [edits] are reused. *)
+let put_wide t ~depth n entries edits =
+  let hashed = Array.make n ("", ("", "")) in
+  let rec fill i entries edits =
+    match entries, edits with
+    | [], _ -> ()
+    | ((name, _) as e) :: rest, ed :: more ->
+        let c = String.compare name ed.name in
+        if c > 0 then fill i entries more
+        else begin
+          hashed.(i) <- ((if c = 0 then digest_of ed else Digest.string name), e);
+          fill (i + 1) rest edits
+        end
+    | ((name, _) as e) :: rest, [] ->
+        hashed.(i) <- (Digest.string name, e);
+        fill (i + 1) rest []
   in
-  let leaves = Hashtbl.create 8 and subs = Hashtbl.create 8 in
+  fill 0 entries edits;
+  put_slice t ~depth hashed (Array.copy hashed) 0 n
+
+(* Do these fan buckets hold [width] entries or fewer in all?  A fan
+   bucket alone holds more, so this reads a few plain buckets at most. *)
+let narrow store buckets =
+  let rec count n = function
+    | [] -> true
+    | (_, oid) :: rest ->
+        let entries = node_entries store oid in
+        (not (is_fan entries))
+        &&
+        let n = n + List.length entries in
+        n <= width && count n rest
+  in
+  count 0 buckets
+
+(* Rebuild the dirty spine under one directory.  [changes] pairs
+   non-empty component lists with actions; returns the new node oid, or
+   None if the directory emptied out (the parent then drops its entry,
+   so deleted directories don't linger as empty husks). *)
+let rec update_dir t old_oid changes =
+  let touched = Hashtbl.create (min 1024 (List.length changes)) and edits = ref [] in
+  let edit name =
+    match Hashtbl.find_opt touched name with
+    | Some e -> e
+    | None ->
+        let e = { name; file = None; sub = []; digest = "" } in
+        Hashtbl.add touched name e;
+        edits := e :: !edits;
+        e
+  in
   List.iter
     (fun (comps, act) ->
       match comps with
       | [] -> invalid_arg "Repo: empty path"
-      | [ leaf ] -> Hashtbl.replace leaves leaf act
-      | child :: rest -> (
-          match Hashtbl.find_opt subs child with
-          | Some group -> group := (rest, act) :: !group
-          | None -> Hashtbl.add subs child (ref [ rest, act ])))
+      | [ leaf ] -> (edit leaf).file <- Some act
+      | child :: rest ->
+          let e = edit child in
+          e.sub <- (rest, act) :: e.sub)
     changes;
-  let kept =
-    List.filter
-      (fun (name, k, _) ->
-        match k with
-        | File -> not (Hashtbl.mem leaves name)
-        | Dir -> not (Hashtbl.mem subs name))
-      entries
-  in
-  let file_entries =
-    Hashtbl.fold
-      (fun name act acc ->
-        match act with Set oid -> (name, File, oid) :: acc | Remove -> acc)
-      leaves []
-  in
-  let dir_entries =
-    Hashtbl.fold
-      (fun name group acc ->
-        let old_sub =
-          List.find_map
-            (fun (n, k, oid) -> if n = name && k = Dir then Some oid else None)
-            entries
-        in
-        match update_node t old_sub !group with
-        | Some oid -> (name, Dir, oid) :: acc
-        | None -> acc)
-      subs []
-  in
-  match List.sort compare_entry (file_entries @ dir_entries @ kept) with
-  | [] -> None
-  | merged ->
-      Some (Store.put t.rstore (Store.Tree (List.map (fun (n, _, o) -> n, o) merged)))
+  fst (update_node t ~depth:0 old_oid (List.sort (fun a b -> String.compare a.name b.name) !edits))
 
-(* Resolve a file by descending the spine: O(tree depth x fanout). *)
+(* Apply name-sorted [edits] to one node of a directory at fan depth
+   [depth]; returns the new node and the change in its entry count. *)
+and update_node t ~depth old_oid edits =
+  let entries = match old_oid with None -> [] | Some oid -> node_entries t.rstore oid in
+  if is_fan entries then update_fan t ~depth entries edits else update_plain t ~depth entries edits
+
+(* One merge of the sorted entries with the edits: only entries sharing
+   a touched name are looked up (for their kind). *)
+and update_plain t ~depth entries edits =
+  let rec merge entries edits acc =
+    match entries, edits with
+    | rest, [] -> List.rev_append acc rest
+    | [], e :: more -> merge [] more (apply_edit t e [] acc)
+    | ((name, _) as entry) :: rest, e :: more ->
+        let c = String.compare name e.name in
+        if c < 0 then merge rest edits (entry :: acc)
+        else if c > 0 then merge entries more (apply_edit t e [] acc)
+        else
+          let same, rest = take_name name entries in
+          merge rest more (apply_edit t e same acc)
+  in
+  let before = List.length entries in
+  match merge entries edits [] with
+  | [] -> None, -before
+  | merged ->
+      let n = List.length merged in
+      let oid =
+        if n <= width then put_tree t merged
+        else put_wide t ~depth n merged edits
+      in
+      Some oid, n - before
+
+(* Push one touched name's new entries onto the reversed [acc]. *)
+and apply_edit t e olds acc =
+  let old_file, old_dir = file_and_dir t.rstore olds in
+  let file =
+    match e.file with None -> old_file | Some (Set oid) -> Some oid | Some Remove -> None
+  in
+  let dir = match e.sub with [] -> old_dir | sub -> update_dir t old_dir sub in
+  let acc = match file with Some o -> (e.name, o) :: acc | None -> acc in
+  match dir with Some o -> (e.name, o) :: acc | None -> acc
+
+(* Only the touched buckets are rebuilt.  A fan holds more than [width]
+   entries, so only a net loss can take it back to one plain node. *)
+and update_fan t ~depth entries edits =
+  let groups = Array.make 16 [] in
+  List.iter
+    (fun e ->
+      let b = digit (digest_of e) depth in
+      groups.(b) <- e :: groups.(b))
+    (List.rev edits);
+  let delta = ref 0 in
+  let buckets =
+    List.filter_map
+      (fun b ->
+        let old = List.assoc_opt bucket_names.(b) entries in
+        let node =
+          match groups.(b) with
+          | [] -> old
+          | group ->
+              let node, d = update_node t ~depth:(depth + 1) old group in
+              delta := !delta + d;
+              node
+        in
+        Option.map (fun oid -> bucket_names.(b), oid) node)
+      (List.init 16 Fun.id)
+  in
+  if !delta < 0 && narrow t.rstore buckets then
+    match flatten t.rstore buckets with
+    | [] -> None, !delta
+    | merged -> Some (put_tree t merged), !delta
+  else Some (put_tree t buckets), !delta
+
+(* Resolve a file by descending the spine: O(tree depth x width). *)
 let rec find_in_node store oid comps =
   match comps with
   | [] -> None
-  | [ leaf ] ->
+  | name :: rest ->
       List.find_map
         (fun (n, o) ->
-          if n = leaf then
-            match Store.get_exn store o with
-            | Store.Blob data -> Some data
-            | Store.Tree _ | Store.Commit _ -> None
-          else None)
-        (node_entries store oid)
-  | child :: rest ->
-      List.find_map
-        (fun (n, o) ->
-          if n = child then
-            match Store.get_exn store o with
-            | Store.Tree _ -> find_in_node store o rest
-            | Store.Blob _ | Store.Commit _ -> None
-          else None)
-        (node_entries store oid)
+          if not (String.equal n name) then None
+          else
+            match Store.get_exn store o, rest with
+            | Store.Blob data, [] -> Some data
+            | Store.Tree _, _ :: _ -> find_in_node store o rest
+            | (Store.Blob _ | Store.Tree _ | Store.Commit _), _ -> None)
+        (bucket_of store oid name)
 
-let rec collect_paths store prefix oid acc =
-  List.fold_left
-    (fun acc (name, o) ->
+let rec fold_files store prefix oid f acc =
+  fold_dir store
+    (fun (name, o) acc ->
       match Store.get_exn store o with
-      | Store.Blob _ -> (prefix ^ name) :: acc
-      | Store.Tree _ -> collect_paths store (prefix ^ name ^ "/") o acc
+      | Store.Blob _ -> f (prefix ^ name) o acc
+      | Store.Tree _ -> fold_files store (prefix ^ name ^ "/") o f acc
       | Store.Commit _ -> acc)
-    acc (node_entries store oid)
+    oid acc
+
+let collect_paths store prefix oid acc =
+  fold_files store prefix oid (fun path _ acc -> path :: acc) acc
 
 (* Paths under a string prefix: descend whole components, then filter
-   the last (possibly partial) component — O(matching + depth x
-   fanout), not O(repo). *)
+   the last (possibly partial) component -- O(matching + depth x
+   width), not O(repo). *)
 let rec collect_prefixed store oid comps built acc =
   match comps with
   | [] -> acc
   | [ partial ] ->
-      List.fold_left
-        (fun acc (name, o) ->
+      fold_dir store
+        (fun (name, o) acc ->
           if has_prefix ~prefix:partial name then
             match Store.get_exn store o with
             | Store.Blob _ -> (built ^ name) :: acc
             | Store.Tree _ -> collect_paths store (built ^ name ^ "/") o acc
             | Store.Commit _ -> acc
           else acc)
-        acc (node_entries store oid)
+        oid acc
   | comp :: rest ->
       List.fold_left
         (fun acc (name, o) ->
-          if name = comp then
+          if String.equal name comp then
             match Store.get_exn store o with
             | Store.Tree _ -> collect_prefixed store o rest (built ^ name ^ "/") acc
             | Store.Blob _ | Store.Commit _ -> acc
           else acc)
-        acc (node_entries store oid)
+        acc (bucket_of store oid comp)
 
-(* Structural diff: recurse only into subtrees whose oids differ, so
-   cost is O(changed paths x tree depth), not O(repo). *)
+(* Merge two name-sorted lists: [one] takes an element found on one
+   side only, [both] a pair with equal names. *)
+let merge_by_name ~one ~both olds news acc =
+  let rec go olds news acc =
+    match olds, news with
+    | [], [] -> acc
+    | o :: orest, [] -> go orest [] (one o acc)
+    | [], n :: nrest -> go [] nrest (one n acc)
+    | ((oname, _) as o) :: orest, ((nname, _) as n) :: nrest ->
+        let c = String.compare oname nname in
+        if c < 0 then go orest news (one o acc)
+        else if c > 0 then go olds nrest (one n acc)
+        else go orest nrest (both o n acc)
+  in
+  go olds news acc
+
+(* A name-sorted entry list grouped by name. *)
+let group_names entries =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (name, _) :: _ as entries ->
+        let same, rest = take_name name entries in
+        go ((name, same) :: acc) rest
+  in
+  go [] entries
+
+(* Structural diff of two nodes of one directory at one fan depth:
+   recurse only into nodes whose oids differ, so cost is O(changed
+   paths x depth x width), not O(repo).  Two fans diff bucket by
+   bucket; only a directory that crossed [width] is flattened.  Only
+   the entries of names whose oids differ are looked up. *)
 let rec diff_nodes store prefix old_oid new_oid acc =
-  if old_oid = new_oid then acc
-  else begin
-    let load = function
-      | None -> []
-      | Some oid -> annotate store (node_entries store oid)
-    in
-    let all_under (name, k, oid) acc =
-      match k with
-      | File -> (prefix ^ name) :: acc
-      | Dir -> collect_paths store (prefix ^ name ^ "/") oid acc
-    in
-    let rec merge olds news acc =
-      match olds, news with
-      | [], [] -> acc
-      | o :: orest, [] -> merge orest [] (all_under o acc)
-      | [], n :: nrest -> merge [] nrest (all_under n acc)
-      | (o :: orest as oall), (n :: nrest as nall) ->
-          let cmp = compare_entry o n in
-          if cmp < 0 then merge orest nall (all_under o acc)
-          else if cmp > 0 then merge oall nrest (all_under n acc)
-          else
-            let name, k, ooid = o and _, _, noid = n in
-            if ooid = noid then merge orest nrest acc
-            else (
-              match k with
-              | File -> merge orest nrest ((prefix ^ name) :: acc)
-              | Dir ->
-                  merge orest nrest
-                    (diff_nodes store (prefix ^ name ^ "/") (Some ooid) (Some noid) acc))
-    in
-    merge (load old_oid) (load new_oid) acc
-  end
+  match old_oid, new_oid with
+  | None, None -> acc
+  | Some o, Some n when String.equal o n -> acc
+  | Some oid, None | None, Some oid -> collect_paths store prefix oid acc
+  | Some old_oid, Some new_oid ->
+      let olds = node_entries store old_oid and news = node_entries store new_oid in
+      if is_fan olds && is_fan news then
+        merge_by_name
+          ~one:(fun (_, b) acc -> collect_paths store prefix b acc)
+          ~both:(fun (_, o) (_, n) acc -> diff_nodes store prefix (Some o) (Some n) acc)
+          olds news acc
+      else
+        merge_by_name
+          ~one:(fun (name, group) acc -> diff_name store prefix name group [] acc)
+          ~both:(fun (name, ogroup) (_, ngroup) acc ->
+            if ogroup = ngroup then acc else diff_name store prefix name ogroup ngroup acc)
+          (group_names (flatten store olds))
+          (group_names (flatten store news))
+          acc
+
+and diff_name store prefix name olds news acc =
+  let old_file, old_dir = file_and_dir store olds in
+  let new_file, new_dir = file_and_dir store news in
+  let acc = if old_file = new_file then acc else (prefix ^ name) :: acc in
+  if old_dir = new_dir then acc else diff_nodes store (prefix ^ name ^ "/") old_dir new_dir acc
 
 let commit_merkle t ~author ~message ~timestamp changes =
   let changes =
@@ -350,7 +564,7 @@ let commit_merkle t ~author ~message ~timestamp changes =
     match actions with
     | [] -> old_root
     | _ ->
-        update_node t old_root
+        update_dir t old_root
           (List.map (fun (path, act) -> String.split_on_char '/' path, act) actions)
   in
   let tree =
@@ -385,8 +599,30 @@ let commit_merkle t ~author ~message ~timestamp changes =
    Public API: dispatch on the backend.
    =================================================================== *)
 
+(* NUL and newline delimit tree entries and '\001' the commit's change
+   record, so such a path would be acked and then lost on reopen. *)
+let path_error path =
+  let n = String.length path in
+  let rec scan i =
+    if i = n then None
+    else
+      match path.[i] with
+      | '\000' | '\n' | '\001' -> Some "a path may not contain NUL, newline or \\001 bytes"
+      | c when c = fan_marker -> Some "a path may not contain the fan-node marker byte \\002"
+      | '/' when i = 0 || i = n - 1 || path.[i - 1] = '/' ->
+          Some "a path may not have an empty component"
+      | _ -> scan (i + 1)
+  in
+  if n = 0 then Some "a path may not be empty" else scan 0
+
 let commit t ~author ~message ~timestamp changes =
   if changes = [] then invalid_arg "Repo.commit: empty change list";
+  List.iter
+    (fun (path, _) ->
+      match path_error path with
+      | Some reason -> invalid_arg (Printf.sprintf "Repo.commit: %S: %s" path reason)
+      | None -> ())
+    changes;
   let oid =
     match t.rbackend with
     | Flat -> commit_flat t ~author ~message ~timestamp changes
@@ -592,16 +828,9 @@ let rebuild_indexes t =
       (match t.rhead with
       | None -> ()
       | Some head ->
-          let rec walk prefix oid =
-            List.iter
-              (fun (name, o) ->
-                match Store.get_exn t.rstore o with
-                | Store.Blob _ -> Hashtbl.replace t.head_index (prefix ^ name) o
-                | Store.Tree _ -> walk (prefix ^ name ^ "/") o
-                | Store.Commit _ -> ())
-              (node_entries t.rstore oid)
-          in
-          walk "" (root_of_commit t head));
+          fold_files t.rstore "" (root_of_commit t head)
+            (fun path o () -> Hashtbl.replace t.head_index path o)
+            ());
       (* Oldest first so consing leaves each group newest-first. *)
       List.iter
         (fun (oid, c) ->

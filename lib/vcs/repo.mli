@@ -4,15 +4,22 @@
     (§3.6), so the master history is a straight line; this module
     models exactly that — under two interchangeable storage backends:
 
-    - {b [Merkle]} (the default): directory-sharded Merkle trees plus
-      per-repo indexes.  A commit re-hashes only the dirty spine
-      (changed leaf nodes and their ancestors), so commit cost is
-      O(changed paths x tree depth); unchanged subtrees are shared by
-      oid, so byte cost is O(changed).  Head reads go through a
-      path->oid hash index (O(1)); commits carry generation numbers
-      and changed-path records, so ancestry checks are a generation
-      compare plus a bounded walk and history scans replay change
-      records instead of re-diffing trees.
+    - {b [Merkle]} (the default): directory-sharded Merkle trees with
+      bounded-width nodes, plus per-repo indexes.  A directory of at
+      most 32 entries is one tree node; a wider one becomes a fan node
+      of up to 16 buckets keyed by the hex digits of an MD5 of each
+      entry name, split again while a bucket holds more than 32 (a
+      HAMT-sharded directory).  So no node holds more than 32 entries,
+      and the layout is a function of the file map alone, never of
+      history.  A commit re-hashes only the dirty spine (the changed
+      paths' nodes and their ancestors): commit CPU and bytes are
+      O(changed paths x depth x 32), however wide a directory grows,
+      where depth counts directory levels plus one fan level per 16x
+      of width beyond 32.  Unchanged nodes are shared by oid.  Head
+      reads go through a path->oid hash index (O(1)); commits carry
+      generation numbers and changed-path records, so ancestry checks
+      are a generation compare plus a bounded walk and history scans
+      replay change records instead of re-diffing trees.
     - {b [Flat]}: the original single wide tree.  Committing rebuilds
       and re-hashes the whole listing and history scans re-diff full
       trees, so operations genuinely slow down as the repository grows
@@ -59,18 +66,24 @@ type change = string * string option
 val commit :
   t -> author:string -> message:string -> timestamp:float -> change list -> Store.oid
 (** Applies changes on top of head; returns the new commit id.
-    @raise Invalid_argument on an empty change list or a delete of a
-    missing path. *)
+    @raise Invalid_argument on an empty change list, a path that
+    {!path_error} rejects, or a delete of a missing path. *)
+
+val path_error : string -> string option
+(** Why [path] cannot be committed, or [None] if it can.  A path must
+    not contain NUL, newline, ['\001'] or ['\002'] bytes (the object
+    format's delimiters and the Merkle fan-node marker) nor an empty
+    component (a leading, trailing or doubled ['/']). *)
 
 val read_file : ?rev:Store.oid -> t -> string -> string option
-(** O(1) at head under the Merkle backend (hash index); O(tree depth x
-    fanout) at a historical revision. *)
+(** O(1) at head under the Merkle backend (hash index); O(depth x 32)
+    at a historical revision. *)
 
 val ls : ?rev:Store.oid -> ?prefix:string -> t -> string list
 (** All paths at a revision (default head), sorted; with [prefix],
     only paths starting with it.  Under the Merkle backend a prefix
     listing descends the spine and touches only matching subtrees —
-    O(matching paths + depth), not O(repo). *)
+    O(matching paths + depth x 32), not O(repo). *)
 
 val file_count : t -> int
 val commit_count : t -> int
@@ -99,7 +112,8 @@ val changed_between : t -> base:Store.oid option -> head:Store.oid -> string lis
     sorted.  Unlike {!changed_since}, a path rewritten and then
     reverted between the endpoints does {e not} appear — the tailer
     uses this to suppress no-op distribution writes.  Merkle trees
-    recurse only into subtrees whose oids differ. *)
+    recurse only into nodes whose oids differ, bucket by bucket in a
+    wide directory: O(changed paths x depth x 32). *)
 
 val conflicts : t -> base:Store.oid option -> paths:string list -> string list
 (** Of [paths], those also modified between [base] and head — the

@@ -29,13 +29,17 @@ type obj =
   | Blob of string
   | Tree of (string * oid) list
       (** sorted [name -> oid] listing.  The flat backend stores full
-          paths mapping to blob oids (one wide tree); the Merkle
+          paths mapping to blob oids (one wide tree).  The Merkle
           backend stores path {e components}, where an entry's oid may
           name a [Blob] (a file) or another [Tree] (a subdirectory) —
           the same component may appear once as each when a path is
-          both a file and a directory prefix.  Paths must not contain
-          NUL or newline bytes (the serialized form uses them as
-          delimiters). *)
+          both a file and a directory prefix.  A wide Merkle directory
+          is split into fan nodes: [Tree]s whose entries are named
+          ['\002'] plus one hex digit and point at [Tree]s holding the
+          directory's entries whose name digests have that digit (see
+          {!Repo}).  Names must not contain NUL or newline bytes (the
+          serialized form uses them as delimiters); {!Repo.commit}
+          enforces this for paths. *)
   | Commit of commit
 
 and commit = {

@@ -672,6 +672,21 @@ let pipeline_tests =
             [ "jobs/cache_job.cconf", "export nosuchthing" ]
         in
         Alcotest.(check string) "compile" "compile" (Pipeline.outcome_stage outcome));
+    Alcotest.test_case "a path the repository cannot hold is rejected at compile" `Quick
+      (fun () ->
+        let _, _, pipeline = pipeline_env () in
+        let head = Cm_vcs.Repo.head (Pipeline.repo pipeline) in
+        List.iter
+          (fun path ->
+            let outcome =
+              Pipeline.propose_sync pipeline ~author:"dana" ~skip_canary:true
+                [ "jobs/cache_job.cconf", cache_job_v2; path, "{}" ]
+            in
+            Alcotest.(check string) (String.escaped path) "compile"
+              (Pipeline.outcome_stage outcome))
+          [ "raw/bad\nname.json"; "raw/a\001b.json"; "raw//x.json"; "/raw/x.json" ];
+        Alcotest.(check bool) "nothing landed" true
+          (Cm_vcs.Repo.head (Pipeline.repo pipeline) = head));
     Alcotest.test_case "validator rejects at compile stage" `Quick (fun () ->
         let validators = Validator.create () in
         Validator.register validators ~type_name:"Job"

@@ -135,6 +135,11 @@ let store_tests =
 let commit repo changes =
   Repo.commit repo ~author:"test" ~message:"m" ~timestamp:0.0 changes
 
+(* NUL and newline delimit tree entries, '\001' the commit's change
+   record, '\002' marks a Merkle fan bucket; empty components have no
+   tree entry. *)
+let bad_paths = [ "a\nb"; "a\000b"; "a\001b"; "a\002b"; "d/\0020"; ""; "/a"; "a/"; "a//b" ]
+
 let repo_tests backend =
   let create () = Repo.create ~backend () in
   [
@@ -203,6 +208,20 @@ let repo_tests backend =
         match commit repo [ "ghost", None ] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected failure");
+    Alcotest.test_case "paths the object format cannot hold are rejected" `Quick
+      (fun () ->
+        let repo = create () in
+        ignore (commit repo [ "ok", Some "1" ]);
+        List.iter
+          (fun path ->
+            match commit repo [ "fine", Some "2"; path, Some "3" ] with
+            | exception Invalid_argument _ ->
+                Alcotest.(check bool) (String.escaped path ^ " has a reason") true
+                  (Repo.path_error path <> None)
+            | _ -> Alcotest.failf "committed %S" path)
+          bad_paths;
+        Alcotest.(check (list string)) "nothing landed" [ "ok" ] (Repo.ls repo);
+        Alcotest.(check int) "one commit" 1 (Repo.commit_count repo));
     Alcotest.test_case "empty commit fails" `Quick (fun () ->
         let repo = create () in
         match commit repo [] with
@@ -282,6 +301,35 @@ let repo_tests backend =
           (Repo.is_ancestor repo c2 ~of_:c1));
   ]
 
+(* Scratch pack directories, removed when the suite exits. *)
+let test_root = "_vcs_test"
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let fresh_dir =
+  let n = ref 0 in
+  fun name ->
+    incr n;
+    let d = Filename.concat test_root (Printf.sprintf "%s_%d" name !n) in
+    rm_rf d;
+    d
+
+let root_tree repo =
+  match Option.bind (Repo.head repo) (Repo.commit_info repo) with
+  | Some c -> c.Store.tree
+  | None -> Alcotest.fail "no head"
+
+(* The widest plain Merkle node (Repo's [width]). *)
+let node_width = 32
+
+let wide_dir n = List.init n (fun i -> Printf.sprintf "wide/cfg_%04d.json" i, Some (string_of_int i))
+
 let merkle_tests =
   [
     Alcotest.test_case "commit object growth is O(changed), not O(repo)" `Quick
@@ -298,6 +346,93 @@ let merkle_tests =
         (* 1 new blob + rewritten leaf dir + rewritten root + commit. *)
         Alcotest.(check bool) "at most 4 new objects" true
           (Store.object_count store - objs <= 4));
+    Alcotest.test_case "commit object growth is O(changed) in one 2,000-entry directory"
+      `Quick (fun () ->
+        let repo = Repo.create ~backend:Repo.Merkle () in
+        ignore (commit repo (wide_dir 2_000));
+        let store = Repo.store repo in
+        let objs = Store.object_count store and bytes = Store.total_bytes store in
+        ignore (commit repo [ "wide/cfg_0777.json", Some "updated" ]);
+        (* 1 blob + leaf bucket + two fan levels + root + commit; one
+           node holding the whole directory would be ~100 KB. *)
+        Alcotest.(check bool) "at most 6 new objects" true
+          (Store.object_count store - objs <= 6);
+        Alcotest.(check bool) "at most 4 KB of new objects" true
+          (Store.total_bytes store - bytes <= 4096));
+    Alcotest.test_case "a directory of at most width entries hashes as a plain node" `Quick
+      (fun () ->
+        (* Root tree oids of the same commit before fan nodes existed:
+           narrow directories keep their exact layout and bytes. *)
+        List.iter
+          (fun (n, expected) ->
+            let repo = Repo.create () in
+            ignore
+              (commit repo
+                 (("top.json", Some "top")
+                 :: List.init n (fun i ->
+                        Printf.sprintf "cfg/x_%03d.json" i, Some (Printf.sprintf "v%d" i))));
+            Alcotest.(check string) (Printf.sprintf "%d entries" n) expected (root_tree repo))
+          (List.filter
+             (fun (n, _) -> n <= node_width)
+             [
+               16, "22764e730e53d2402c660de1d53c9ae8";
+               32, "dbc4f98b16e422c51bf6bc51ce51d5ec";
+               64, "9722f7cfedb1ab8df742ef8da7f4d56e";
+             ]);
+        let repo = Repo.create () in
+        ignore (commit repo (wide_dir (node_width + 1)));
+        ignore (commit repo [ "wide/cfg_0000.json", None ]);
+        let narrow = Repo.create () in
+        ignore (commit narrow (List.tl (wide_dir (node_width + 1))));
+        Alcotest.(check string) "a fan collapses back at width" (root_tree narrow)
+          (root_tree repo));
+    Alcotest.test_case "a wide repository round-trips through a pack store" `Quick (fun () ->
+        let backend = Store.pack_backend (fresh_dir "wide") in
+        let repo = Repo.create ~store:backend () in
+        ignore (commit repo (("top.json", Some "t") :: wide_dir 2_000));
+        let base = Repo.head repo in
+        ignore
+          (commit repo
+             (List.init 40 (fun i -> Printf.sprintf "wide/cfg_%04d.json" (i * 7), None)
+             @ List.init 10 (fun i -> Printf.sprintf "wide/new_%d.json" i, Some "n")
+             @ [ "wide/cfg_0001.json/nested", Some "both a file and a directory" ]));
+        let head = Repo.head repo in
+        let paths = Repo.ls repo in
+        Store.close (Repo.store repo);
+        let reopened = Repo.of_store (Store.create ~backend ()) in
+        Alcotest.(check int) "nothing dropped" 0 (Repo.recovery_dropped reopened);
+        Alcotest.(check (option string)) "same head" head (Repo.head reopened);
+        Alcotest.(check (list string)) "same ls" paths (Repo.ls reopened);
+        Alcotest.(check (list string)) "same prefixed ls"
+          (List.filter (fun p -> String.length p > 10 && String.sub p 0 10 = "wide/cfg_1") paths)
+          (Repo.ls ~prefix:"wide/cfg_1" reopened);
+        List.iter
+          (fun path ->
+            Alcotest.(check (option string)) path (Repo.read_file repo path)
+              (Repo.read_file reopened path);
+            Alcotest.(check (option string)) (path ^ " at head") (Repo.read_file repo path)
+              (Repo.read_file ?rev:head reopened path))
+          paths;
+        Alcotest.(check int) "changed since base" 51
+          (List.length (Repo.changed_between reopened ~base ~head:(Option.get head)));
+        Store.close (Repo.store reopened));
+    Alcotest.test_case "a refused path never reaches the pack" `Quick (fun () ->
+        let backend = Store.pack_backend (fresh_dir "badpath") in
+        let repo = Repo.create ~store:backend () in
+        ignore (commit repo [ "a", Some "1" ]);
+        let head = Repo.head repo in
+        List.iter
+          (fun path ->
+            match commit repo [ path, Some "lost?" ] with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "committed %S" path)
+          bad_paths;
+        Store.close (Repo.store repo);
+        let reopened = Repo.of_store (Store.create ~backend ()) in
+        Alcotest.(check int) "nothing dropped" 0 (Repo.recovery_dropped reopened);
+        Alcotest.(check (option string)) "same head" head (Repo.head reopened);
+        Alcotest.(check (list string)) "ls" [ "a" ] (Repo.ls reopened);
+        Store.close (Repo.store reopened));
     Alcotest.test_case "generations count up from 1" `Quick (fun () ->
         let repo = Repo.create ~backend:Repo.Merkle () in
         let c1 = commit repo [ "a", Some "1" ] in
@@ -354,110 +489,175 @@ let gen_equiv_script =
     let change = pair path (option (string_size ~gen:(char_range '0' '9') (pure 2))) in
     list_size (int_range 1 12) (list_size (int_range 1 4) change))
 
+(* Dedup a change list by path (last write wins) and drop deletes of
+   paths absent from [model], so every backend gets an applicable
+   change list; then apply it to [model]. *)
+let applicable model changes =
+  let seen = Hashtbl.create 8 in
+  let changes =
+    List.rev
+      (List.filter
+         (fun (path, _) ->
+           if Hashtbl.mem seen path then false
+           else begin
+             Hashtbl.add seen path ();
+             true
+           end)
+         (List.rev changes))
+  in
+  let changes =
+    List.filter (fun (path, content) -> content <> None || Hashtbl.mem model path) changes
+  in
+  List.iter
+    (fun (path, content) ->
+      match content with
+      | Some data -> Hashtbl.replace model path data
+      | None -> Hashtbl.remove model path)
+    changes;
+  changes
+
+(* Run one commit script on both backends and compare every read,
+   listing (whole and under [prefixes]), diff and history answer. *)
+let backends_agree ~prefixes script =
+  let flat = Repo.create ~backend:Repo.Flat () in
+  let merkle = Repo.create ~backend:Repo.Merkle () in
+  let model = Hashtbl.create 16 in
+  let universe = List.sort_uniq String.compare (List.map fst (List.concat script)) in
+  let pairs = ref [] in
+  List.iteri
+    (fun i changes ->
+      match applicable model changes with
+      | [] -> ()
+      | changes ->
+          let message = string_of_int i and timestamp = float_of_int i in
+          let fo = Repo.commit flat ~author:"eq" ~message ~timestamp changes in
+          let mo = Repo.commit merkle ~author:"eq" ~message ~timestamp changes in
+          pairs := (fo, mo) :: !pairs)
+    script;
+  let pairs = List.rev !pairs in
+  let same_log =
+    let fl = Repo.log flat and ml = Repo.log merkle in
+    List.length fl = List.length ml
+    && List.for_all2
+         (fun (_, fc) (_, mc) ->
+           fc.Store.message = mc.Store.message
+           && fc.Store.timestamp = mc.Store.timestamp
+           && fc.Store.author = mc.Store.author)
+         fl ml
+  in
+  let same_reads =
+    List.for_all
+      (fun path ->
+        Repo.read_file flat path = Repo.read_file merkle path
+        && Repo.read_file flat path = Hashtbl.find_opt model path)
+      universe
+  in
+  let same_ls =
+    Repo.ls flat = Repo.ls merkle
+    && List.for_all
+         (fun prefix -> Repo.ls ~prefix flat = Repo.ls ~prefix merkle)
+         prefixes
+  in
+  let same_history =
+    match pairs with
+    | [] -> true
+    | _ ->
+        let fhead = Option.get (Repo.head flat) in
+        let mhead = Option.get (Repo.head merkle) in
+        Repo.changed_since flat ~base:None = Repo.changed_since merkle ~base:None
+        && Repo.changed_between flat ~base:None ~head:fhead
+           = Repo.changed_between merkle ~base:None ~head:mhead
+        && List.for_all
+             (fun (fo, mo) ->
+               Repo.changed_since flat ~base:(Some fo)
+               = Repo.changed_since merkle ~base:(Some mo)
+               && Repo.changed_between flat ~base:(Some fo) ~head:fhead
+                  = Repo.changed_between merkle ~base:(Some mo) ~head:mhead
+               && Repo.conflicts flat ~base:(Some fo) ~paths:universe
+                  = Repo.conflicts merkle ~base:(Some mo) ~paths:universe
+               && List.sort String.compare (Repo.changed_paths_of_commit flat fo)
+                  = List.sort String.compare (Repo.changed_paths_of_commit merkle mo)
+               && Repo.is_ancestor flat fo ~of_:fhead
+                  = Repo.is_ancestor merkle mo ~of_:mhead
+               && Repo.is_ancestor flat fhead ~of_:fo
+                  = Repo.is_ancestor merkle mhead ~of_:mo
+               && Repo.read_file ~rev:fo flat (List.hd universe)
+                  = Repo.read_file ~rev:mo merkle (List.hd universe))
+             pairs
+  in
+  let same_path_history =
+    List.for_all
+      (fun path ->
+        List.map
+          (fun (_, c) -> c.Store.message)
+          (Repo.path_history flat path)
+        = List.map (fun (_, c) -> c.Store.message) (Repo.path_history merkle path))
+      universe
+  in
+  same_log && same_reads && same_ls && same_history && same_path_history
+
 let backend_equivalence_property =
   QCheck2.Test.make ~name:"flat and merkle backends are observationally equivalent"
-    ~count:200 gen_equiv_script (fun script ->
-      let flat = Repo.create ~backend:Repo.Flat () in
-      let merkle = Repo.create ~backend:Repo.Merkle () in
-      let model = Hashtbl.create 16 in
-      let universe =
-        List.sort_uniq String.compare (List.map fst (List.concat script))
+    ~count:200 gen_equiv_script
+    (backends_agree ~prefixes:[ "a"; "a/"; "b/c" ])
+
+(* One directory of up to 3 x width names, a few of them also
+   directories, plus a subdirectory and a top-level file.  A commit
+   writes or deletes up to 1.5 x width of them, so the directory
+   crosses the width in both directions within a script. *)
+let wide_universe =
+  Array.of_list
+    ((("top" :: List.init (3 * node_width) (Printf.sprintf "w/n%03d"))
+     @ List.init 12 (Printf.sprintf "w/sub/m%02d"))
+    @ [ "w/n005/x"; "w/n077/x"; "w/n077/y/z" ])
+
+let gen_wide_changes write =
+  QCheck2.Gen.(
+    let content =
+      if write then string_size ~gen:(char_range '0' '9') (pure 2) >|= Option.some
+      else pure None
+    in
+    list_size (int_range 1 (3 * node_width / 2)) (pair (oneofa wide_universe) content))
+
+let gen_wide_commit = QCheck2.Gen.(bool >>= gen_wide_changes)
+
+let wide_equivalence_property =
+  QCheck2.Test.make
+    ~name:"flat and merkle backends agree across wide directories" ~count:60
+    QCheck2.Gen.(list_size (int_range 1 10) gen_wide_commit)
+    (backends_agree ~prefixes:[ "w/"; "w/n0"; "w/n07"; "w/n077/"; "w/sub/"; "t" ])
+
+(* Property: the Merkle root is a function of the file map alone.  One
+   commit of the final map, and a random wide history followed by the
+   commit that turns it into that map, give the same root tree. *)
+let canonical_root_property =
+  QCheck2.Test.make
+    ~name:"two histories that reach the same file map share a root tree" ~count:60
+    QCheck2.Gen.(pair (gen_wide_changes true) (list_size (int_range 1 10) gen_wide_commit))
+    (fun (final, history) ->
+      let target = Hashtbl.create 64 in
+      let final = applicable target final in
+      let direct = Repo.create () in
+      ignore (commit direct final);
+      let replayed = Repo.create () in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (fun changes ->
+          match applicable model changes with
+          | [] -> ()
+          | changes -> ignore (commit replayed changes))
+        history;
+      let fixup =
+        Hashtbl.fold
+          (fun path data acc ->
+            if Hashtbl.find_opt model path = Some data then acc else (path, Some data) :: acc)
+          target
+          (Hashtbl.fold
+             (fun path _ acc -> if Hashtbl.mem target path then acc else (path, None) :: acc)
+             model [])
       in
-      let pairs = ref [] in
-      List.iteri
-        (fun i changes ->
-          (* Dedup by path (last write wins) and drop deletes of paths
-             absent from the model, so both backends get an applicable
-             change list. *)
-          let seen = Hashtbl.create 8 in
-          let changes =
-            List.rev
-              (List.filter
-                 (fun (path, _) ->
-                   if Hashtbl.mem seen path then false
-                   else begin
-                     Hashtbl.add seen path ();
-                     true
-                   end)
-                 (List.rev changes))
-          in
-          let changes =
-            List.filter
-              (fun (path, content) -> content <> None || Hashtbl.mem model path)
-              changes
-          in
-          if changes <> [] then begin
-            List.iter
-              (fun (path, content) ->
-                match content with
-                | Some data -> Hashtbl.replace model path data
-                | None -> Hashtbl.remove model path)
-              changes;
-            let message = string_of_int i and timestamp = float_of_int i in
-            let fo = Repo.commit flat ~author:"eq" ~message ~timestamp changes in
-            let mo = Repo.commit merkle ~author:"eq" ~message ~timestamp changes in
-            pairs := (fo, mo) :: !pairs
-          end)
-        script;
-      let pairs = List.rev !pairs in
-      let same_log =
-        let fl = Repo.log flat and ml = Repo.log merkle in
-        List.length fl = List.length ml
-        && List.for_all2
-             (fun (_, fc) (_, mc) ->
-               fc.Store.message = mc.Store.message
-               && fc.Store.timestamp = mc.Store.timestamp
-               && fc.Store.author = mc.Store.author)
-             fl ml
-      in
-      let same_reads =
-        List.for_all
-          (fun path ->
-            Repo.read_file flat path = Repo.read_file merkle path
-            && Repo.read_file flat path = Hashtbl.find_opt model path)
-          universe
-      in
-      let same_ls =
-        Repo.ls flat = Repo.ls merkle
-        && Repo.ls ~prefix:"a" flat = Repo.ls ~prefix:"a" merkle
-        && Repo.ls ~prefix:"a/" flat = Repo.ls ~prefix:"a/" merkle
-        && Repo.ls ~prefix:"b/c" flat = Repo.ls ~prefix:"b/c" merkle
-      in
-      let same_history =
-        match pairs with
-        | [] -> true
-        | _ ->
-            let fhead = Option.get (Repo.head flat) in
-            let mhead = Option.get (Repo.head merkle) in
-            Repo.changed_since flat ~base:None = Repo.changed_since merkle ~base:None
-            && Repo.changed_between flat ~base:None ~head:fhead
-               = Repo.changed_between merkle ~base:None ~head:mhead
-            && List.for_all
-                 (fun (fo, mo) ->
-                   Repo.changed_since flat ~base:(Some fo)
-                   = Repo.changed_since merkle ~base:(Some mo)
-                   && Repo.changed_between flat ~base:(Some fo) ~head:fhead
-                      = Repo.changed_between merkle ~base:(Some mo) ~head:mhead
-                   && Repo.conflicts flat ~base:(Some fo) ~paths:universe
-                      = Repo.conflicts merkle ~base:(Some mo) ~paths:universe
-                   && List.sort String.compare (Repo.changed_paths_of_commit flat fo)
-                      = List.sort String.compare (Repo.changed_paths_of_commit merkle mo)
-                   && Repo.is_ancestor flat fo ~of_:fhead
-                      = Repo.is_ancestor merkle mo ~of_:mhead
-                   && Repo.is_ancestor flat fhead ~of_:fo
-                      = Repo.is_ancestor merkle mhead ~of_:mo)
-                 pairs
-      in
-      let same_path_history =
-        List.for_all
-          (fun path ->
-            List.map
-              (fun (_, c) -> c.Store.message)
-              (Repo.path_history flat path)
-            = List.map (fun (_, c) -> c.Store.message) (Repo.path_history merkle path))
-          universe
-      in
-      same_log && same_reads && same_ls && same_history && same_path_history)
+      if fixup <> [] then ignore (commit replayed fixup);
+      Repo.ls replayed = Repo.ls direct && root_tree replayed = root_tree direct)
 
 (* --- multirepo ------------------------------------------------------- *)
 
@@ -513,9 +713,13 @@ let properties =
       repo_model_property Repo.Flat;
       repo_model_property Repo.Merkle;
       backend_equivalence_property;
+      wide_equivalence_property;
+      canonical_root_property;
     ]
 
 let () =
+  (* [Alcotest.run] exits, so clean up in an exit hook. *)
+  at_exit (fun () -> rm_rf test_root);
   Alcotest.run "cm_vcs"
     [
       "diff", diff_tests;
