@@ -42,7 +42,21 @@
    tree: each 8000/500 ratio <= 2.0.  They read 0.8-1.6 on a 2-core
    host; a key that sorts the whole tree reads 26x and 23x.
 
-   --quick shrinks the workload. *)
+   Shared-module cost: [shared_configs] configs that each import one
+   module of [shared_k] bindings against the same configs without the
+   import (cold compile_all, [Sys.time]; the median ratio over
+   [eval_reps] interleaved pairs of reps): per config, the shared
+   module may cost at most 2x the module-free row.  Each module is evaluated once per compile, so the importers
+   only pay for copying its bindings in; evaluating it per importer
+   read about 25x.
+
+   Evaluation scaling: [Eval.run] of one file of K top-level bindings
+   [Bnnnn = j * 2 + 1] (parse included), per binding, at K = 1600
+   against K = 100 (the median ratio over interleaved pairs, as above)
+   <= 2.0: evaluation stays linear.  A re-export test
+   that scans the bindings once per environment entry read 4.1x.
+
+   --quick shrinks the workload (not the two evaluation gates). *)
 
 module Compiler = Core.Compiler
 module ST = Core.Source_tree
@@ -269,6 +283,71 @@ let sweep_row n =
   in
   { configs = n; affected_us = 1e6 *. median affected; bootstrap_us = 1e6 *. median bootstrap }
 
+(* --- evaluation cost -------------------------------------------------------- *)
+
+let shared_k = 100
+let shared_configs = 250
+let eval_reps = 15
+let shared_module = "modules/shared.cinc"
+
+let binding_source k =
+  String.concat "\n" (List.init k (fun j -> Printf.sprintf "B%04d = %d * 2 + 1" j j))
+
+(* [shared_configs] configs, each importing the [shared_k]-binding
+   module (and reading one of its bindings) or importing nothing. *)
+let shared_tree ~with_module =
+  ST.of_alist
+    ((if with_module then [ shared_module, binding_source shared_k ] else [])
+    @ List.init shared_configs (fun i ->
+          ( Printf.sprintf "svc/c%03d.cconf" i,
+            if with_module then
+              Printf.sprintf "import \"%s\"\nPORT = 7000 + %d\nexport { id: %d, port: PORT, b: B0000 }"
+                shared_module i i
+            else Printf.sprintf "PORT = 7000 + %d\nexport { id: %d, port: PORT, b: 1 }" i i )))
+
+(* A rep of CPU per config of a cold compile_all of [shared_tree]. *)
+let per_config_rep ~with_module =
+  let tree = shared_tree ~with_module in
+  let depgraph = Core.Depgraph.create () in
+  Core.Depgraph.scan depgraph tree;
+  fun () ->
+    let compiler = Compiler.create ~depgraph tree in
+    let (oks, errors), s = cpu (fun () -> Compiler.compile_all compiler) in
+    if errors <> [] || List.length oks <> shared_configs then
+      failwith "build: shared-module tree failed to compile";
+    s /. float_of_int shared_configs
+
+(* A rep of CPU per binding of [Eval.run] over a [k]-binding file;
+   each rep evaluates 1600 bindings' worth, so both sizes time the same
+   amount of work. *)
+let eval_rep k =
+  let source = binding_source k in
+  let runs = max 1 (1600 / k) in
+  let modules = Cm_lang.Eval.Modules.create ~loader:(fun _ -> None) in
+  fun () ->
+    let (), s =
+      cpu (fun () ->
+          for _ = 1 to runs do
+            match Cm_lang.Eval.run ~modules ~path:"bindings.cconf" ~source with
+            | Ok _ -> ()
+            | Error _ -> failwith "build: binding file failed to evaluate"
+          done)
+    in
+    s /. float_of_int (runs * k)
+
+(* [eval_reps] interleaved pairs of reps: the medians of each side and
+   of the pairs' [slow / fast] ratios.  Interleaving puts the host's
+   noise and the heap's growth on both sides of each ratio. *)
+let paired ~fast ~slow =
+  Gc.compact ();
+  let pairs =
+    List.init eval_reps (fun _ ->
+        let f = fast () in
+        let s = slow () in
+        f, s)
+  in
+  median (List.map fst pairs), median (List.map snd pairs), median (List.map (fun (f, s) -> s /. f) pairs)
+
 (* --- equivalence at bench scale ---------------------------------------- *)
 
 (* Everything observable about one landing round, a 1-domain vs a
@@ -347,6 +426,13 @@ let run () =
   let affected_ratio = sweep_ratio (fun r -> r.affected_us) in
   let bootstrap_ratio = sweep_ratio (fun r -> r.bootstrap_us) in
 
+  let module_free_us, shared_us, shared_ratio =
+    paired ~fast:(per_config_rep ~with_module:false) ~slow:(per_config_rep ~with_module:true)
+  in
+  let module_free_us = 1e6 *. module_free_us and shared_us = 1e6 *. shared_us in
+  let eval_small, eval_large, eval_ratio = paired ~fast:(eval_rep 100) ~slow:(eval_rep 1600) in
+  let eval_small = 1e9 *. eval_small and eval_large = 1e9 *. eval_large in
+
   Render.table
     ~header:[ "domains"; "wide cone s"; "configs/s" ]
     (List.map
@@ -382,6 +468,13 @@ let run () =
        sweep);
   Render.kv "per-config CPU, 8000 vs 500 configs"
     (Printf.sprintf "compile_affected %.2fx, compile_all %.2fx" affected_ratio bootstrap_ratio);
+  Render.kv
+    (Printf.sprintf "per-config CPU, %d configs sharing a %d-binding module" shared_configs
+       shared_k)
+    (Printf.sprintf "%.1f us vs %.1f us module-free (median ratio %.2fx)" shared_us
+       module_free_us shared_ratio);
+  Render.kv "Eval.run CPU per binding, K = 1600 vs 100"
+    (Printf.sprintf "%.0f ns vs %.0f ns (median ratio %.2fx)" eval_large eval_small eval_ratio);
 
   let row_json r =
     Json.obj
@@ -419,6 +512,12 @@ let run () =
                       "compile_all_us_per_config", Json.Float r.bootstrap_us;
                     ])
                 sweep) );
+         "shared_module_bindings", Json.Int shared_k;
+         "shared_module_configs", Json.Int shared_configs;
+         "shared_module_us_per_config", Json.Float shared_us;
+         "module_free_us_per_config", Json.Float module_free_us;
+         "eval_ns_per_binding_k100", Json.Float eval_small;
+         "eval_ns_per_binding_k1600", Json.Float eval_large;
        ])
     ~gates:
       [
@@ -432,5 +531,7 @@ let run () =
           (float_of_int cache_budget_bytes);
         Render.gate "compile_per_config_8000_over_500" affected_ratio Render.Le 2.0;
         Render.gate "bootstrap_per_config_8000_over_500" bootstrap_ratio Render.Le 2.0;
+        Render.gate "shared_module_per_config_over_module_free" shared_ratio Render.Le 2.0;
+        Render.gate "eval_per_binding_k1600_over_k100" eval_ratio Render.Le 2.0;
       ];
   Render.note "wrote BENCH_build.json"

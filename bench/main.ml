@@ -37,6 +37,24 @@ let experiments : (string * string * (unit -> unit)) list =
     "micro", "Bechamel microbenchmarks", Exp_micro.run;
   ]
 
+(* Run each experiment in turn; one that fails (a failed gate, or any
+   exception) does not stop the ones after it.  At the end every
+   failure is listed and the process exits non-zero. *)
+let run_all selected =
+  let failures =
+    List.filter_map
+      (fun (id, _, run) ->
+        match run () with
+        | () -> None
+        | exception e -> Some (id, Printexc.to_string e))
+      selected
+  in
+  if failures <> [] then begin
+    Printf.eprintf "\n%d experiment(s) failed:\n" (List.length failures);
+    List.iter (fun (id, reason) -> Printf.eprintf "  %s: %s\n" id reason) failures;
+    exit 1
+  end
+
 let () =
   let args = List.filter (( <> ) "--quick") (Array.to_list Sys.argv) in
   match args with
@@ -48,11 +66,9 @@ let () =
         Printf.eprintf "unknown experiment(s): %s\n" (String.concat ", " unknown);
         exit 1
       end;
-      List.iter
-        (fun (id, _, run) -> if List.mem id ids then run ())
-        experiments
+      run_all (List.filter (fun (id, _, _) -> List.mem id ids) experiments)
   | _ ->
       print_endline "Holistic Configuration Management (SOSP'15) - evaluation reproduction";
       print_endline "Paper values are quoted next to measured/simulated values.";
-      List.iter (fun (_, _, run) -> run ()) experiments;
+      run_all experiments;
       print_endline "\nAll experiments complete. See EXPERIMENTS.md for the index."

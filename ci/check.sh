@@ -20,7 +20,10 @@ echo "== ci/check: dune runtest =="
 dune runtest
 
 echo "== ci/check: bench/run.sh --quick =="
-bench/run.sh --quick
+# A failed gate fails the check, but only at the end: the steps below
+# still run, so one failure does not hide the others.
+bench_status=0
+bench/run.sh --quick || bench_status=$?
 
 echo "== ci/check: perfbench determinism =="
 # perfbench/cfgbench.ml replays Pipeline.propose stage by stage to time
@@ -52,4 +55,8 @@ if [ -z "$before" ] || [ -z "$after" ] || [ "$after" -le "$before" ]; then
 fi
 echo "CLI rollback: generation $before -> $after"
 
+if [ "$bench_status" -ne 0 ]; then
+  echo "ci/check: bench/run.sh --quick failed (exit $bench_status); its failed gates are listed above" >&2
+  exit 1
+fi
 echo "== ci/check: OK =="

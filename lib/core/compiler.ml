@@ -155,6 +155,7 @@ type t = {
   vals : Validator.t;
   dep : Depgraph.t;
   cache : Cache.t;
+  mutable evaluations : int;  (* modules evaluated by all collects *)
 }
 
 let create ?validators ?cache ?depgraph tree =
@@ -168,12 +169,13 @@ let create ?validators ?cache ?depgraph tree =
         dep
   in
   let cache = match cache with Some c -> c | None -> Cache.create () in
-  { tree; vals; dep; cache }
+  { tree; vals; dep; cache; evaluations = 0 }
 
 let validators t = t.vals
 let source_tree t = t.tree
 let depgraph t = t.dep
 let cache t = t.cache
+let module_evaluations t = t.evaluations
 
 let artifact_path_of path =
   match Source_tree.kind_of_path path with
@@ -185,15 +187,15 @@ let artifact_path_of path =
 let err at stage fmt = Printf.ksprintf (fun message -> Error { at; stage; message }) fmt
 
 (* What every key and every typed compile reads of the tree's
-   validators, built once per [collect] on the caller before the
-   fan-out; workers only read it.
+   validators, built on the caller before the fan-out; workers only
+   read it.
 
    - [closure]: every validator plus its transitive imports, sorted
      and unique -- a validator can constrain any typed config, so its
      text is part of every key;
-   - [rules]: type name -> the parsed source validator at the first
-     path, in sorted order, named "<Type>.thrift-cvalidator" (at the
-     root or under any directory). *)
+   - [rules]: type name -> the source validator at the first path, in
+     sorted order, named "<Type>.thrift-cvalidator" (at the root or
+     under any directory), evaluated once through the module table. *)
 type view = { closure : string list; rules : (Validator.rule, string) result Smap.t }
 
 let validator_closure t =
@@ -210,18 +212,30 @@ let guarded_type path =
     let start = match String.rindex_opt path '/' with Some i -> i + 1 | None -> 0 in
     Some (String.sub path start (String.length path - String.length suffix - start))
 
-let view t =
-  let rules =
-    List.fold_left
-      (fun rules path ->
-        match guarded_type path, Source_tree.read t.tree path with
-        | Some type_name, Some source when not (Smap.mem type_name rules) ->
-            Smap.add type_name (Validator.of_source ~type_name ~source) rules
-        | _ -> rules)
-      Smap.empty
-      (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
-  in
-  { closure = validator_closure t; rules }
+let validator_rules t modules =
+  List.fold_left
+    (fun rules path ->
+      match guarded_type path, Source_tree.read t.tree path with
+      | Some type_name, Some source when not (Smap.mem type_name rules) ->
+          Smap.add type_name (Validator.of_source ~modules ~type_name ~source) rules
+      | _ -> rules)
+    Smap.empty
+    (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
+
+(* Add to [modules] every import a config's source names, from the
+   outline its dependency-graph entry kept. *)
+let add_imports t modules path =
+  match Depgraph.outline t.dep path with
+  | Some (Depgraph.Parsed items) ->
+      List.iter
+        (function
+          | Depgraph.Import target -> Cm_lang.Eval.Modules.add modules target
+          | Depgraph.Import_thrift target -> Cm_lang.Eval.Modules.add_thrift modules target
+          | Depgraph.Bound _ -> ())
+        items
+  | Some Depgraph.Unparseable | None -> ()
+
+let new_modules t = Cm_lang.Eval.Modules.create ~loader:(Source_tree.loader t.tree)
 
 let run_validators t view ~path ~type_name value =
   match Validator.validate t.vals ~type_name value with
@@ -235,10 +249,8 @@ let run_validators t view ~path ~type_name value =
           | Validator.Pass -> Ok ()
           | Validator.Fail reason -> err path Validation "%s" reason))
 
-let compile_cconf t view path source =
-  match
-    Cm_lang.Eval.run ~loader:(Source_tree.loader t.tree) ~path ~source
-  with
+let compile_cconf t view modules path source =
+  match Cm_lang.Eval.run ~modules ~path ~source with
   | Error e -> err path Eval "line %d: %s" e.Cm_lang.Eval.line e.Cm_lang.Eval.message
   | Ok outcome -> (
       match outcome.Cm_lang.Eval.export with
@@ -325,71 +337,122 @@ let compile_raw path source =
           deps = [];
         }
 
-let compile_in t view path =
+let compile_in t view modules path =
   match Source_tree.read t.tree path with
   | None -> err path Parse "no such source file"
   | Some source -> (
       match Source_tree.kind_of_path path with
-      | Source_tree.Cconf -> compile_cconf t view path source
+      | Source_tree.Cconf -> compile_cconf t view modules path source
       | Source_tree.Raw -> compile_raw path source
       | Source_tree.Cinc | Source_tree.Thrift | Source_tree.Cvalidator ->
           err path Parse "not a config root (modules and schemas are not compiled directly)")
 
-let compile t path = compile_in t (view t) path
+(* Unmemoized, so it does not trust the index either: the imports come
+   from parsing the source as it is now. *)
+let compile t path =
+  let modules = new_modules t in
+  let view = { closure = validator_closure t; rules = validator_rules t modules } in
+  (match Source_tree.read t.tree path with
+  | Some source when Source_tree.kind_of_path path = Source_tree.Cconf ->
+      Result.iter (Cm_lang.Eval.Modules.add_imports modules) (Cm_lang.Parser.parse source)
+  | Some _ | None -> ());
+  let result = compile_in t view modules path in
+  t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;
+  result
 
 (* The content key of a config: its own source, its transitive import
-   closure, and the validator closure ([view.closure]).  Hashing the
-   closure rather than tracking timestamps makes the memo table
-   shareable across source trees: a development clone and the live
-   tree that agree on the closure bytes agree on the artifact. *)
-let closure_key t ~validators path =
+   closure, and the validator closure ([view.closure]), each file
+   entering as its path and the digest of its bytes.  [digests] memoizes
+   the file digests for one collect, so a module shared by many configs
+   is hashed once, not once per importer.  Hashing the closure rather
+   than tracking timestamps makes the memo table shareable across source
+   trees: a development clone and the live tree that agree on the
+   closure bytes agree on the artifact. *)
+let closure_key t ~digests ~validators path =
+  let digest p =
+    match Hashtbl.find_opt digests p with
+    | Some d -> d
+    | None ->
+        let d =
+          match Source_tree.read t.tree p with
+          | Some content -> Digest.string content
+          | None -> "\000<missing>"
+        in
+        Hashtbl.add digests p d;
+        d
+  in
   let closure =
     List.sort_uniq String.compare ((path :: Depgraph.transitive_deps t.dep path) @ validators)
   in
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create 256 in
   List.iter
     (fun p ->
       Buffer.add_string buf p;
       Buffer.add_char buf '\000';
-      (match Source_tree.read t.tree p with
-      | Some content -> Buffer.add_string buf content
-      | None -> Buffer.add_string buf "\000<missing>");
+      Buffer.add_string buf (digest p);
       Buffer.add_char buf '\000')
     closure;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let closure_hash t path = closure_key t ~validators:(validator_closure t) path
+let closure_hash t path =
+  closure_key t ~digests:(Hashtbl.create 16) ~validators:(validator_closure t) path
 
-(* What a pool worker hands back for one target. *)
+(* What a compile worker hands back for one target. *)
 type lookup = Hit of compiled | Compiled of (compiled, error) result
 
-(* The worker half of a memoized compile: hash the closure and look it
-   up in [snapshot], compiling only on a miss.  Reads the immutable
-   tree, view and snapshot, writes nothing shared. *)
-let lookup t view snapshot path =
-  let key = closure_key t ~validators:view.closure path in
-  match Smap.find_opt key snapshot with
-  | Some e -> key, Hit e.Cache.value
-  | None -> key, Compiled (compile_in t view path)
-
-(* Collect: build the validator [view] once, topologically level-order
-   the targets from the dependency graph and fan each level out to the
-   domain pool against a snapshot of the cache taken before the
-   fan-out.  At each level's join the caller counts, stamps and
-   publishes in level order, so the cache ends up identical --
-   entries, recency, evictions, hit/miss totals -- at any domain
-   count.  The results fold into ([oks], [errors]), both
+(* Collect: topologically level-order the targets from the dependency
+   graph.  Per level, the caller keys each target (hashing each file of
+   the collect once) and looks the keys up in the cache as it stands
+   before the level's compiles; for the misses it adds their imports to
+   the collect's one module table (building the validator rules at the
+   first miss).  The pool then compiles the misses, reading the tree,
+   the view, the table and the snapshot only.  At each level's join the
+   caller counts, stamps and publishes in level order, so the cache
+   ends up identical -- entries, recency, evictions, hit/miss totals --
+   at any domain count.  The results fold into ([oks], [errors]), both
    in [targets] order.  Without [pool], a 1-domain pool runs every
-   level inline on the caller. *)
+   level inline on the caller.  The module table and the digests are
+   dropped on return. *)
 let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
-  let view = view t in
+  let modules = new_modules t in
+  let digests = Hashtbl.create 64 in
+  let closure = validator_closure t in
+  let rules = ref None in
+  let view () =
+    match !rules with
+    | Some view -> view
+    | None ->
+        let view = { closure; rules = validator_rules t modules } in
+        rules := Some view;
+        view
+  in
   let results = Hashtbl.create (max 16 (List.length targets)) in
   List.iter
     (fun level ->
       let level = Array.of_list level in
-      let out = Cm_parallel.Pool.map_array pool (lookup t view t.cache.Cache.entries) level in
+      let keys = Array.map (closure_key t ~digests ~validators:closure) level in
+      let snapshot = t.cache.Cache.entries in
+      let jobs =
+        Array.mapi
+          (fun i key ->
+            match Smap.find_opt key snapshot with
+            | Some e -> `Hit e.Cache.value
+            | None ->
+                let view = view () in
+                add_imports t modules level.(i);
+                `Compile (view, level.(i)))
+          keys
+      in
+      let out =
+        Cm_parallel.Pool.map_array pool
+          (function
+            | `Hit compiled -> Hit compiled
+            | `Compile (view, path) -> Compiled (compile_in t view modules path))
+          jobs
+      in
       Array.iteri
-        (fun i (key, found) ->
+        (fun i found ->
+          let key = keys.(i) in
           let result =
             match found with
             | Hit compiled ->
@@ -402,6 +465,7 @@ let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
           Hashtbl.replace results level.(i) result)
         out)
     (Depgraph.levels t.dep targets);
+  t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;
   List.fold_left
     (fun (oks, errors) path ->
       match Hashtbl.find results path with

@@ -114,12 +114,20 @@ val source_tree : t -> Source_tree.t
 val depgraph : t -> Depgraph.t
 val cache : t -> Cache.t
 
+val module_evaluations : t -> int
+(** Module evaluations made by this compiler so far.  Every compile
+    call ({!compile}, {!compile_all}, {!compile_targets},
+    {!compile_affected}) builds one module table, evaluates in it each
+    module that its cache-missing targets and the tree's validators
+    import (transitively) once, and drops it on return. *)
+
 val compile : t -> string -> (compiled, error) result
 (** Compile one [*.cconf] or raw config by source path — always
     re-evaluates; no memoization.  Builds the same validator view as
-    {!compile_all} (the validator closure and each type's parsed
-    source validator), so it costs the config's closure plus the
-    tree's validators, never a walk of the tree. *)
+    {!compile_all} (the validator closure and each type's evaluated
+    source validator) and its own module table, so it costs the
+    config's closure plus the tree's validators, never a walk of the
+    tree. *)
 
 val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
@@ -127,8 +135,10 @@ val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
     level order ({!Depgraph.levels}); [pool] defaults to a 1-domain
     pool, which runs every level inline on the caller.  Before the
     fan-out the caller builds one immutable validator view (the
-    validator closure and each type's parsed source validator).
-    Workers only read (the tree, that view and a snapshot of the
+    validator closure and each type's evaluated source validator) and
+    one module table holding every module the cache-missing targets
+    import, each evaluated once ({!Cm_lang.Eval.Modules}).  Workers only
+    read (the tree, that view, the table and a snapshot of the
     {!Cache}); the caller updates the cache at each level's join.  The result — artifact
     list, error list and ordering, the cache's entries and counters —
     is identical at any domain count. *)
@@ -157,10 +167,12 @@ val compile_affected :
 val closure_hash : t -> string -> string
 (** Content hash of a config's transitive source closure (its own
     source, its import closure, and every validator source with the
-    validators' own imports) — the memo key.  The validator part comes
+    validators' own imports), each file as its path and the digest
+    of its content — the memo key.  The validator part comes
     from {!Source_tree}'s validator index, so a key costs its closure
-    plus the validators, independent of tree size; a pooled compile
-    computes the validator closure once per call, not once per key. *)
+    plus the validators, independent of tree size; a compile call
+    computes the validator closure once, not once per key, and hashes
+    each file once, not once per key that contains it. *)
 
 val artifact_path_of : string -> string
 (** ["a/b.cconf" -> "a/b.json"]; raw paths map to themselves. *)

@@ -1,5 +1,19 @@
+type item = Import of string | Import_thrift of string | Bound of string
+type outline = Parsed of item list | Unparseable
+
+(* What extraction keeps of one file: its outline and its edges (its
+   imports normalized to tree paths), packed into one string, since
+   every file of the tree holds one.  [""] is a file that is not a CSL
+   source, ["U"] one that does not parse, and ["P<n>:"] followed by its
+   items one that parses, where the first [n] bytes of the items hold
+   every import (so reading the edges of a module that binds many names
+   after its imports skips the names).  An item is a tag, the length of
+   its string in decimal, [':'] and the string: ['b'] a bound name, ['i']
+   an [import] and ['t'] an [import_thrift] whose edge is the target as
+   written, ['j'] and ['u'] the same with the edge the target less its
+   leading ['/']. *)
 type t = {
-  deps : (string, string list) Hashtbl.t;      (* file -> imports *)
+  deps : (string, string) Hashtbl.t;           (* file -> packed outline *)
   rdeps : (string, string list ref) Hashtbl.t; (* file -> importers *)
 }
 
@@ -11,51 +25,103 @@ let copy t =
   { deps = Hashtbl.copy t.deps; rdeps }
 
 (* Unresolvable targets keep an edge under their literal spelling, so
-   that creating the missing file later still invalidates importers. *)
-let normalize tree target =
-  if Source_tree.mem tree target then target
-  else if String.length target > 0 && target.[0] = '/' then begin
-    let stripped = String.sub target 1 (String.length target - 1) in
-    if Source_tree.mem tree stripped then stripped else target
-  end
-  else target
+   that creating the missing file later still invalidates importers.
+   True when the edge is the target less its leading '/'. *)
+let strips_slash tree target =
+  (not (Source_tree.mem tree target))
+  && String.length target > 0
+  && target.[0] = '/'
+  && Source_tree.mem tree (String.sub target 1 (String.length target - 1))
+
+let pack tree (file : Cm_lang.Ast.file) =
+  let items = Buffer.create 64 in
+  let edges_end = ref 0 in
+  let add tag name =
+    Buffer.add_char items tag;
+    Buffer.add_string items (string_of_int (String.length name));
+    Buffer.add_char items ':';
+    Buffer.add_string items name
+  in
+  let add_import tag target =
+    add (if strips_slash tree target then Char.chr (Char.code tag + 1) else tag) target;
+    edges_end := Buffer.length items
+  in
+  List.iter
+    (fun (stmt, _) ->
+      match stmt with
+      | Cm_lang.Ast.Import target -> add_import 'i' target
+      | Cm_lang.Ast.Import_thrift target -> add_import 't' target
+      | Cm_lang.Ast.Bind (name, _) | Cm_lang.Ast.Def (name, _, _) -> add 'b' name
+      | Cm_lang.Ast.Export _ -> ())
+    file.Cm_lang.Ast.stmts;
+  "P" ^ string_of_int !edges_end ^ ":" ^ Buffer.contents items
+
+(* A decimal length and the index after its ':'. *)
+let read_length packed i =
+  let len = ref 0 and j = ref i in
+  while packed.[!j] <> ':' do
+    len := (10 * !len) + Char.code packed.[!j] - Char.code '0';
+    incr j
+  done;
+  !len, !j + 1
+
+(* Fold [f] over the items of a packed outline, or over its first
+   [edges_end] bytes of items with [~edges:true]: [f acc tag start len],
+   the item's string being [String.sub packed start len]. *)
+let fold_packed ~edges f acc packed =
+  if String.length packed = 0 || packed.[0] <> 'P' then acc
+  else
+    let edges_end, first = read_length packed 1 in
+    let stop = if edges then first + edges_end else String.length packed in
+    let rec go acc i =
+      if i >= stop then acc
+      else
+        let len, start = read_length packed (i + 1) in
+        go (f acc packed.[i] start len) (start + len)
+    in
+    go acc first
+
+let edges packed =
+  List.rev
+    (fold_packed ~edges:true
+       (fun acc tag start len ->
+         match tag with
+         | 'i' | 't' -> String.sub packed start len :: acc
+         | 'j' | 'u' -> String.sub packed (start + 1) (len - 1) :: acc
+         | _ -> acc)
+       [] packed)
 
 let extract tree path =
   match Source_tree.read tree path with
-  | None -> []
+  | None -> ""
   | Some source -> (
       match Source_tree.kind_of_path path with
-      | Source_tree.Thrift | Source_tree.Raw -> []
+      | Source_tree.Thrift | Source_tree.Raw -> ""
       | Source_tree.Cconf | Source_tree.Cinc | Source_tree.Cvalidator -> (
           match Cm_lang.Parser.parse source with
-          | Error _ -> []
-          | Ok file ->
-              List.map
-                (fun import ->
-                  match import with
-                  | `Csl target | `Thrift target -> normalize tree target)
-                (Cm_lang.Ast.imports file)))
+          | Error _ -> "U"
+          | Ok file -> pack tree file))
 
 let unlink t path =
   match Hashtbl.find_opt t.deps path with
   | None -> ()
-  | Some old ->
+  | Some packed ->
       List.iter
         (fun dep ->
           match Hashtbl.find_opt t.rdeps dep with
           | Some importers -> importers := List.filter (fun p -> p <> path) !importers
           | None -> ())
-        old;
+        (edges packed);
       Hashtbl.remove t.deps path
 
-let link t path imports =
-  Hashtbl.replace t.deps path imports;
+let link t path packed =
+  Hashtbl.replace t.deps path packed;
   List.iter
     (fun dep ->
       match Hashtbl.find_opt t.rdeps dep with
       | Some importers -> if not (List.mem path !importers) then importers := path :: !importers
       | None -> Hashtbl.replace t.rdeps dep (ref [ path ]))
-    imports
+    (edges packed)
 
 let update_file t tree path =
   unlink t path;
@@ -67,7 +133,21 @@ let scan t tree =
   List.iter (fun path -> link t path (extract tree path)) (Source_tree.paths tree)
 
 let direct_deps t path =
-  match Hashtbl.find_opt t.deps path with Some imports -> imports | None -> []
+  match Hashtbl.find_opt t.deps path with Some packed -> edges packed | None -> []
+
+let outline t path =
+  match Hashtbl.find_opt t.deps path with
+  | None | Some "" -> None
+  | Some "U" -> Some Unparseable
+  | Some packed ->
+      let item acc tag start len =
+        let s = String.sub packed start len in
+        match tag with
+        | 'b' -> Bound s :: acc
+        | 'i' | 'j' -> Import s :: acc
+        | _ -> Import_thrift s :: acc
+      in
+      Some (Parsed (List.rev (fold_packed ~edges:false item [] packed)))
 
 let dependents t path =
   match Hashtbl.find_opt t.rdeps path with

@@ -8,6 +8,14 @@
 
 type t
 
+(** One entry of a CSL source's outline: an import statement, or a
+    top-level [Bind]/[Def] name.  Targets are as written. *)
+type item = Import of string | Import_thrift of string | Bound of string
+
+type outline =
+  | Parsed of item list  (** the file's items in statement order *)
+  | Unparseable
+
 val create : unit -> t
 
 val copy : t -> t
@@ -16,14 +24,20 @@ val copy : t -> t
     O(edges), no re-parsing. *)
 
 val scan : t -> Source_tree.t -> unit
-(** (Re)index the whole tree.  Unparseable files get no edges (the
-    compiler will surface their errors). *)
+(** (Re)index the whole tree.  Unparseable files get no edges and an
+    [Unparseable] outline (the compiler will surface their errors). *)
 
 val update_file : t -> Source_tree.t -> string -> unit
 (** Re-extract one file's imports after an edit. *)
 
 val direct_deps : t -> string -> string list
-(** Imports of one file (normalized to tree paths). *)
+(** Imports of one file (normalized to tree paths), from its outline. *)
+
+val outline : t -> string -> outline option
+(** The outline of an indexed [.cconf], [.cinc] or validator source,
+    kept from the parse that indexed it, so readers of a file's
+    imports and names need not parse it again; [None] for other
+    kinds and for paths not in the index. *)
 
 val dependents : t -> string -> string list
 (** Files that directly import the given path. *)

@@ -79,7 +79,7 @@ let register t ~type_name r =
   | Some rules -> rules := !rules @ [ r ]
   | None -> Hashtbl.replace t.by_type type_name (ref [ r ])
 
-let of_source ~type_name ~source =
+let of_source ~modules ~type_name ~source =
   match Cm_lang.Parser.parse source with
   | Error e ->
       Error (Printf.sprintf "validator parse error at line %d: %s" e.Cm_lang.Parser.line
@@ -95,37 +95,42 @@ let of_source ~type_name ~source =
           file.Cm_lang.Ast.stmts
       in
       if not has_validate then Error "validator source must define validate(cfg)"
-      else
-        let call = Cm_lang.Parser.parse_expr_exn "validate(cfg)" in
-        let check v =
-          (* Re-run the validator file, then apply its [validate]. *)
+      else begin
+        (* Evaluate the validator file once; each check only applies
+           its [validate]. *)
+        Cm_lang.Eval.Modules.add_imports modules file;
+        let validate =
           match
-            Cm_lang.Eval.run
-              ~loader:(fun _ -> None)
-              ~path:(type_name ^ ".thrift-cvalidator") ~source
+            Cm_lang.Eval.run ~modules ~path:(type_name ^ ".thrift-cvalidator") ~source
           with
-          | Error e -> Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)
+          | Error e -> Error (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)
           | Ok outcome -> (
               match List.assoc_opt "validate" outcome.Cm_lang.Eval.bindings with
-              | None -> Fail "validator did not produce a validate function"
-              | Some fn -> (
-                  let arg = Cm_lang.Eval.of_thrift v in
-                  match
-                    Cm_lang.Eval.eval_expr_standalone
-                      ~bindings:[ "validate", fn; "cfg", arg ] call
-                  with
-                  | Ok (Cm_lang.Eval.V_bool true) -> Pass
-                  | Ok (Cm_lang.Eval.V_bool false) -> Fail "validate(cfg) returned false"
-                  | Ok (Cm_lang.Eval.V_str "") -> Pass
-                  | Ok (Cm_lang.Eval.V_str message) -> Fail message
-                  | Ok _ -> Fail "validate(cfg) must return bool or string"
-                  | Error e ->
-                      Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message)))
+              | None -> Error "validator did not produce a validate function"
+              | Some fn -> Ok fn)
+        in
+        let call = Cm_lang.Parser.parse_expr_exn "validate(cfg)" in
+        let check v =
+          match validate with
+          | Error reason -> Fail reason
+          | Ok fn -> (
+              let arg = Cm_lang.Eval.of_thrift v in
+              match
+                Cm_lang.Eval.eval_expr_standalone ~bindings:[ "validate", fn; "cfg", arg ] call
+              with
+              | Ok (Cm_lang.Eval.V_bool true) -> Pass
+              | Ok (Cm_lang.Eval.V_bool false) -> Fail "validate(cfg) returned false"
+              | Ok (Cm_lang.Eval.V_str "") -> Pass
+              | Ok (Cm_lang.Eval.V_str message) -> Fail message
+              | Ok _ -> Fail "validate(cfg) must return bool or string"
+              | Error e -> Fail (Printf.sprintf "validator error: %s" e.Cm_lang.Eval.message))
         in
         Ok (rule (type_name ^ " source validator") check)
+      end
 
 let register_source t ~type_name ~source =
-  match of_source ~type_name ~source with
+  let modules = Cm_lang.Eval.Modules.create ~loader:(fun _ -> None) in
+  match of_source ~modules ~type_name ~source with
   | Ok r ->
       register t ~type_name r;
       Ok ()

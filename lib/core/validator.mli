@@ -52,12 +52,15 @@ val register : t -> type_name:string -> rule -> unit
 (** Attach a combinator rule to a struct type.  Multiple rules per
     type accumulate. *)
 
-val of_source : type_name:string -> source:string -> (rule, string) result
+val of_source :
+  modules:Cm_lang.Eval.Modules.t -> type_name:string -> source:string -> (rule, string) result
 (** Compile a CSL validator source: must define [validate] taking the
     config and returning a bool (or a string, interpreted as a
-    failure message; empty string = pass). *)
+    failure message; empty string = pass).  The file is evaluated
+    once, here; its imports are added to and read from [modules]. *)
 
 val register_source : t -> type_name:string -> source:string -> (unit, string) result
+(** {!of_source} over no files: the source can import nothing. *)
 
 val validate : t -> type_name:string -> Cm_thrift.Value.t -> check_result
 (** Runs every rule registered for the type; [Pass] when none is

@@ -9,7 +9,7 @@ type value =
   | V_struct of string * (string * value) list
   | V_enum of string * string
   | V_closure of closure
-  | V_builtin of string * (Ast.pos -> value list -> value)
+  | V_builtin of string * ((value -> value list -> value) -> Ast.pos -> value list -> value)
 
 and closure = {
   cname : string;
@@ -18,7 +18,12 @@ and closure = {
   cenv : env;
 }
 
-and env = { table : (string, value) Hashtbl.t; parent : env option }
+and env = {
+  table : (string, value) Hashtbl.t;
+  mutable imports : (string, value) Hashtbl.t list;
+      (** exports of the modules a file imported, latest first *)
+  parent : env option;
+}
 
 type error = { line : int; message : string }
 
@@ -68,6 +73,9 @@ let type_name = function
 
 let no_pos = { Ast.line = 0 }
 
+module Smap = Map.Make (String)
+module Sset = Set.Make (String)
+
 let rec value_equal a b =
   match a, b with
   | V_null, V_null -> true
@@ -96,16 +104,47 @@ let rec value_equal a b =
       false
 
 (* Environments: a mutable table per scope, chained.  Mutability gives
-   Python-like visibility (a def can call a later def at call time). *)
+   Python-like visibility (a def can call a later def at call time).
+   A file's scope also holds, by reference, the export table of each
+   module it imported: a name resolves to the file's own table, then to
+   the latest import that exports it.  The latest binding of a name wins:
+   a file's own binding made after an import shadows it, and an import
+   copies into the file's table only the names it rebinds there.  A
+   file's table is written only while the file evaluates; a loaded
+   module's tables are read-only from then on, so importers on any
+   domain may share them. *)
 
-let env_create parent = { table = Hashtbl.create 16; parent }
+let env_create parent = { table = Hashtbl.create 16; imports = []; parent }
+
+let rec find_import layers name =
+  match layers with
+  | [] -> None
+  | layer :: rest -> (
+      match Hashtbl.find_opt layer name with
+      | Some _ as found -> found
+      | None -> find_import rest name)
 
 let rec env_lookup env name =
   match Hashtbl.find_opt env.table name with
-  | Some v -> Some v
-  | None -> ( match env.parent with Some p -> env_lookup p name | None -> None)
+  | Some _ as found -> found
+  | None -> (
+      match find_import env.imports name with
+      | Some _ as found -> found
+      | None -> ( match env.parent with Some p -> env_lookup p name | None -> None))
 
 let env_bind env name v = Hashtbl.replace env.table name v
+
+(* Import a module's [exports] into a file's scope: the names already
+   bound in the file that the module rebinds take its values. *)
+let env_import env exports =
+  let shadowed =
+    Hashtbl.fold
+      (fun name _ acc ->
+        match Hashtbl.find_opt exports name with Some v -> (name, v) :: acc | None -> acc)
+      env.table []
+  in
+  List.iter (fun (name, v) -> env_bind env name v) shadowed;
+  env.imports <- exports :: env.imports
 
 (* ------------------------------------------------------------------ *)
 (* Builtins *)
@@ -141,14 +180,17 @@ let rec to_display = function
   | V_closure { cname; _ } -> "<function " ^ cname ^ ">"
   | V_builtin (name, _) -> "<builtin " ^ name ^ ">"
 
-let builtins ~call =
+(* Each builtin takes [call], the running evaluation's way to apply a
+   function value, when it is called -- not when it is bound -- so one
+   builtin environment serves every file of every run. *)
+let builtins =
   let arity name n pos args =
     if List.length args <> n then
       fail pos "%s expects %d argument(s), got %d" name n (List.length args)
   in
   [
     ("len",
-     fun pos args ->
+     fun _ pos args ->
        arity "len" 1 pos args;
        match args with
        | [ V_list items ] -> V_int (List.length items)
@@ -156,9 +198,9 @@ let builtins ~call =
        | [ V_map pairs ] -> V_int (List.length pairs)
        | [ v ] -> fail pos "len: unsupported type %s" (type_name v)
        | _ -> assert false);
-    ("str", fun pos args -> arity "str" 1 pos args; V_str (to_display (List.hd args)));
+    ("str", fun _ pos args -> arity "str" 1 pos args; V_str (to_display (List.hd args)));
     ("int",
-     fun pos args ->
+     fun _ pos args ->
        arity "int" 1 pos args;
        match args with
        | [ V_int n ] -> V_int n
@@ -171,7 +213,7 @@ let builtins ~call =
        | [ v ] -> fail pos "int: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("float",
-     fun pos args ->
+     fun _ pos args ->
        arity "float" 1 pos args;
        match args with
        | [ V_int n ] -> V_float (float_of_int n)
@@ -183,7 +225,7 @@ let builtins ~call =
        | [ v ] -> fail pos "float: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("keys",
-     fun pos args ->
+     fun _ pos args ->
        arity "keys" 1 pos args;
        match args with
        | [ V_map pairs ] -> V_list (List.map fst pairs)
@@ -191,7 +233,7 @@ let builtins ~call =
        | [ v ] -> fail pos "keys: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("values",
-     fun pos args ->
+     fun _ pos args ->
        arity "values" 1 pos args;
        match args with
        | [ V_map pairs ] -> V_list (List.map snd pairs)
@@ -199,7 +241,7 @@ let builtins ~call =
        | [ v ] -> fail pos "values: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("get",
-     fun pos args ->
+     fun _ pos args ->
        arity "get" 3 pos args;
        match args with
        | [ V_map pairs; key; default ] -> (
@@ -209,7 +251,7 @@ let builtins ~call =
        | [ v; _; _ ] -> fail pos "get: expected map, got %s" (type_name v)
        | _ -> assert false);
     ("range",
-     fun pos args ->
+     fun _ pos args ->
        match args with
        | [ n ] ->
            let n = want_int pos n in
@@ -219,14 +261,14 @@ let builtins ~call =
            V_list (List.init (max 0 (hi - lo)) (fun i -> V_int (lo + i)))
        | _ -> fail pos "range expects 1 or 2 arguments");
     ("map",
-     fun pos args ->
+     fun call pos args ->
        arity "map" 2 pos args;
        match args with
        | [ f; V_list items ] -> V_list (List.map (fun item -> call f [ item ]) items)
        | [ _; v ] -> fail pos "map: expected list, got %s" (type_name v)
        | _ -> assert false);
     ("filter",
-     fun pos args ->
+     fun call pos args ->
        arity "filter" 2 pos args;
        match args with
        | [ f; V_list items ] ->
@@ -240,7 +282,7 @@ let builtins ~call =
        | [ _; v ] -> fail pos "filter: expected list, got %s" (type_name v)
        | _ -> assert false);
     ("sorted",
-     fun pos args ->
+     fun _ pos args ->
        arity "sorted" 1 pos args;
        let items = want_list pos (List.hd args) in
        let cmp a b =
@@ -254,7 +296,7 @@ let builtins ~call =
        in
        V_list (List.sort cmp items));
     ("sum",
-     fun pos args ->
+     fun _ pos args ->
        arity "sum" 1 pos args;
        let items = want_list pos (List.hd args) in
        let total =
@@ -270,7 +312,7 @@ let builtins ~call =
        in
        total);
     ("min",
-     fun pos args ->
+     fun _ pos args ->
        match args with
        | [ V_int a; V_int b ] -> V_int (min a b)
        | [ a; b ] -> (
@@ -282,7 +324,7 @@ let builtins ~call =
            | _ -> fail pos "min: non-numeric arguments")
        | _ -> fail pos "min expects 2 arguments");
     ("max",
-     fun pos args ->
+     fun _ pos args ->
        match args with
        | [ V_int a; V_int b ] -> V_int (max a b)
        | [ a; b ] -> (
@@ -294,7 +336,7 @@ let builtins ~call =
            | _ -> fail pos "max: non-numeric arguments")
        | _ -> fail pos "max expects 2 arguments");
     ("abs",
-     fun pos args ->
+     fun _ pos args ->
        arity "abs" 1 pos args;
        match args with
        | [ V_int n ] -> V_int (abs n)
@@ -302,7 +344,7 @@ let builtins ~call =
        | [ v ] -> fail pos "abs: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("contains",
-     fun pos args ->
+     fun _ pos args ->
        arity "contains" 2 pos args;
        match args with
        | [ V_list items; v ] -> V_bool (List.exists (value_equal v) items)
@@ -314,29 +356,29 @@ let builtins ~call =
        | [ a; _ ] -> fail pos "contains: unsupported container %s" (type_name a)
        | _ -> assert false);
     ("join",
-     fun pos args ->
+     fun _ pos args ->
        arity "join" 2 pos args;
        match args with
        | [ V_str sep; V_list items ] ->
            V_str (String.concat sep (List.map (fun v -> want_str pos v) items))
        | _ -> fail pos "join expects (separator, list of strings)");
     ("split",
-     fun pos args ->
+     fun _ pos args ->
        arity "split" 2 pos args;
        match args with
        | [ V_str s; V_str sep ] when String.length sep = 1 ->
            V_list (List.map (fun part -> V_str part) (String.split_on_char sep.[0] s))
        | _ -> fail pos "split expects (string, single-char separator)");
     ("upper",
-     fun pos args ->
+     fun _ pos args ->
        arity "upper" 1 pos args;
        V_str (String.uppercase_ascii (want_str pos (List.hd args))));
     ("lower",
-     fun pos args ->
+     fun _ pos args ->
        arity "lower" 1 pos args;
        V_str (String.lowercase_ascii (want_str pos (List.hd args))));
     ("merge",
-     fun pos args ->
+     fun _ pos args ->
        arity "merge" 2 pos args;
        match args with
        | [ V_map a; V_map b ] ->
@@ -345,7 +387,7 @@ let builtins ~call =
            V_map (List.filter not_in_b a @ b)
        | _ -> fail pos "merge expects two maps");
     ("format",
-     fun pos args ->
+     fun _ pos args ->
        (* format("%s listens on %d", name, port): %s any value,
           %d integers, %f floats, %% a literal percent. *)
        match args with
@@ -388,7 +430,7 @@ let builtins ~call =
            V_str (Buffer.contents buf)
        | _ -> fail pos "format: first argument must be a string");
     ("override",
-     fun pos args ->
+     fun _ pos args ->
        (* Config inheritance (the paper's §8 "introducing config
           inheritance"): a derived config is a base struct/map with a
           map of field overrides applied on top.  Nested maps merge
@@ -397,27 +439,30 @@ let builtins ~call =
        let rec apply base over =
          match base, over with
          | V_struct (name, fields), V_map over_pairs ->
-             let get_override fname =
-               List.find_map
-                 (fun (k, v) ->
+             (* The first override of each field name wins; one pass
+                over each side, not one scan of the other per entry. *)
+             let overrides =
+               List.fold_left
+                 (fun acc (k, v) ->
                    match k with
-                   | V_str key when key = fname -> Some v
-                   | _ -> None)
-                 over_pairs
+                   | V_str key when not (Smap.mem key acc) -> Smap.add key v acc
+                   | _ -> acc)
+                 Smap.empty over_pairs
              in
              let replaced =
                List.map
                  (fun (fname, old) ->
-                   match get_override fname with
+                   match Smap.find_opt fname overrides with
                    | Some v -> fname, apply old v
                    | None -> fname, old)
                  fields
              in
+             let field_names = List.fold_left (fun acc (k, _) -> Sset.add k acc) Sset.empty fields in
              let added =
                List.filter_map
                  (fun (k, v) ->
                    match k with
-                   | V_str key when not (List.mem_assoc key fields) -> Some (key, v)
+                   | V_str key when not (Sset.mem key field_names) -> Some (key, v)
                    | _ -> None)
                  over_pairs
              in
@@ -445,7 +490,7 @@ let builtins ~call =
        | [ _; v ] -> fail pos "override: second argument must be a map, got %s" (type_name v)
        | _ -> assert false);
     ("with_field",
-     fun pos args ->
+     fun _ pos args ->
        arity "with_field" 3 pos args;
        match args with
        | [ V_struct (name, fields); V_str fname; v ] ->
@@ -467,12 +512,55 @@ let builtins ~call =
 (* ------------------------------------------------------------------ *)
 (* Evaluation *)
 
-type run_ctx = {
+(* The module table.  One table serves every run of one compile: each
+   module is parsed and evaluated once, by itself, into an entry that
+   runs then only replay.  A module's value depends only on its own
+   closure -- its source, the modules and Thrift files it imports -- so
+   the same closure bytes give the same bindings whoever imports it.
+
+   An entry records what loading the module does to a run: the import
+   statements it executes, in order ([events]), and how it ends -- its
+   top-level bindings, a runtime error of its own, or the failure of its
+   last import.  A run replays the events against its own import stack,
+   loaded set, load order and schema, so cycle reports, first-load
+   order and the merge order of Thrift schemas come out as if each run
+   had loaded every module itself.  Entries are written only by
+   {!Modules.add}, on the domain that builds the table; runs only read. *)
+
+type idl_entry = Idl_missing | Idl of Cm_thrift.Schema.t | Idl_error of Cm_thrift.Idl.error
+
+type event = Import_module of string * Ast.pos | Import_idl of string * Ast.pos
+
+type module_entry =
+  | Missing
+  | Unparsable of string  (** "parse error at line N: ..." *)
+  | Evaluated of { events : event list; result : ((string, value) Hashtbl.t, stop) result }
+      (** [result]: the module's exports *)
+
+and stop =
+  | Own_error of error  (** a statement other than an import failed *)
+  | Failed_import  (** the last event failed; a replay fails there too *)
+
+type modules = {
   loader : string -> string option;
-  module_cache : (string, (string * value) list) Hashtbl.t;
+  entries : (string, module_entry) Hashtbl.t;
+  idls : (string, idl_entry) Hashtbl.t;
+  mutable building : string list;  (** entries under construction, innermost first *)
+  mutable evaluations : int;
+}
+
+(* Raised when a module under construction imports one that is itself
+   under construction: an import cycle, which fails every run that
+   reaches it, so the importing statement is recorded as failed. *)
+exception Building
+
+type run_ctx = {
+  modules : modules;
   mutable loading : string list;  (** stack for cycle detection *)
+  mutable loaded_modules : (string, value) Hashtbl.t Smap.t;  (** exports of modules loaded *)
   mutable schema : Cm_thrift.Schema.t;
   mutable loaded_order : string list;  (** reversed *)
+  call : value -> value list -> value;  (** what builtins apply functions with *)
 }
 
 let rec eval ctx env (expr : Ast.expr) =
@@ -635,7 +723,7 @@ and eval_binop pos op left right =
 
 and apply ctx pos callee args =
   match callee with
-  | V_builtin (_, fn) -> fn pos args
+  | V_builtin (_, fn) -> fn ctx.call pos args
   | V_closure { cname; cparams; cbody; cenv } ->
       let scope = env_create (Some cenv) in
       let nparams = List.length cparams and nargs = List.length args in
@@ -655,89 +743,197 @@ and apply ctx pos callee args =
 (* ------------------------------------------------------------------ *)
 (* Files and imports *)
 
-let root_env ctx =
+let new_ctx modules ~loading =
+  let rec ctx =
+    {
+      modules;
+      loading;
+      loaded_modules = Smap.empty;
+      schema = Cm_thrift.Schema.empty;
+      loaded_order = [];
+      call = (fun callee args -> apply ctx no_pos callee args);
+    }
+  in
+  ctx
+
+(* The parent of every file's environment. *)
+let builtins_env =
   let env = env_create None in
-  let call callee args = apply ctx no_pos callee args in
-  List.iter (fun (name, fn) -> env_bind env name (V_builtin (name, fn))) (builtins ~call);
+  List.iter (fun (name, fn) -> env_bind env name (V_builtin (name, fn))) builtins;
   env
 
-let rec eval_file ctx path (file : Ast.file) =
-  let env = root_env ctx in
-  let export = ref None in
-  List.iter
-    (fun (stmt, pos) ->
+(* The top-level [Bind]/[Def] bindings of an evaluated file, in
+   statement order, with their final values. *)
+let own_bindings env (file : Ast.file) =
+  List.filter_map
+    (fun (stmt, _) ->
       match stmt with
-      | Ast.Import target ->
-          let bindings = load_module ctx pos target in
-          List.iter (fun (name, v) -> env_bind env name v) bindings
-      | Ast.Import_thrift target -> load_thrift ctx pos target
-      | Ast.Bind (name, expr) -> env_bind env name (eval ctx env expr)
-      | Ast.Def (name, params, body) ->
-          env_bind env name
-            (V_closure { cname = name; cparams = params; cbody = body; cenv = env })
-      | Ast.Export expr -> export := Some (eval ctx env expr))
-    file.Ast.stmts;
-  let bindings =
-    (* Top-level bindings in statement order, builtins excluded. *)
-    List.filter_map
-      (fun (stmt, _) ->
-        match stmt with
-        | Ast.Bind (name, _) | Ast.Def (name, _, _) ->
-            (match Hashtbl.find_opt env.table name with
-            | Some v -> Some (name, v)
-            | None -> None)
-        | Ast.Import _ | Ast.Import_thrift _ | Ast.Export _ -> None)
-      file.Ast.stmts
+      | Ast.Bind (name, _) | Ast.Def (name, _, _) ->
+          Option.map (fun v -> name, v) (Hashtbl.find_opt env.table name)
+      | Ast.Import _ | Ast.Import_thrift _ | Ast.Export _ -> None)
+    file.Ast.stmts
+
+(* What importing an evaluated module binds: its own bindings and the
+   names it imported (the paper's [import_python("x.cinc", "*")]), each
+   at its final value -- except imported builtins. *)
+let file_exports env (file : Ast.file) =
+  let exports = Hashtbl.create 16 in
+  List.iter
+    (fun layer -> Hashtbl.iter (fun name v -> Hashtbl.replace exports name v) layer)
+    (List.rev env.imports);
+  Hashtbl.iter (fun name v -> Hashtbl.replace exports name v) env.table;
+  let locals =
+    List.fold_left (fun acc (name, _) -> Sset.add name acc) Sset.empty (own_bindings env file)
   in
-  (* Imported bindings are also re-exported, matching the paper's
-     [import_python("x.cinc", "*")]. *)
-  let imported =
-    Hashtbl.fold
-      (fun name v acc ->
-        match v with
-        | V_builtin _ -> acc
-        | _ when List.mem_assoc name bindings -> acc
-        | _ -> (name, v) :: acc)
-      env.table []
-  in
-  ignore path;
-  imported @ bindings, !export
+  Hashtbl.filter_map_inplace
+    (fun name v ->
+      match v with V_builtin _ when not (Sset.mem name locals) -> None | _ -> Some v)
+    exports;
+  exports
+
+let rec exec ctx env export (stmt, pos) =
+  match stmt with
+  | Ast.Import target -> env_import env (load_module ctx pos target)
+  | Ast.Import_thrift target -> load_thrift ctx pos target
+  | Ast.Bind (name, expr) -> env_bind env name (eval ctx env expr)
+  | Ast.Def (name, params, body) ->
+      env_bind env name (V_closure { cname = name; cparams = params; cbody = body; cenv = env })
+  | Ast.Export expr -> export := Some (eval ctx env expr)
 
 and load_module ctx pos target =
-  match Hashtbl.find_opt ctx.module_cache target with
-  | Some bindings -> bindings
-  | None ->
+  match Smap.find_opt target ctx.loaded_modules with
+  | Some exports -> exports
+  | None -> (
       if List.mem target ctx.loading then
         fail pos "import cycle: %s" (String.concat " -> " (List.rev (target :: ctx.loading)));
-      (match ctx.loader target with
-      | None -> fail pos "cannot find import %s" target
-      | Some source ->
+      match module_entry ctx.modules pos target with
+      | Missing -> fail pos "cannot find import %s" target
+      | Unparsable message -> fail pos "in %s: %s" target message
+      | Evaluated { events; result } -> (
           ctx.loading <- target :: ctx.loading;
           ctx.loaded_order <- target :: ctx.loaded_order;
-          let file =
-            try Parser.parse_exn source with
-            | Parser.Parse_error e ->
-                fail pos "in %s: parse error at line %d: %s" target e.Parser.line
-                  e.Parser.message
-            | Lexer.Lex_error e ->
-                fail pos "in %s: lex error at line %d: %s" target e.Lexer.line e.Lexer.message
-          in
-          let bindings, _export = eval_file ctx target file in
-          ctx.loading <- List.tl ctx.loading;
-          Hashtbl.replace ctx.module_cache target bindings;
-          bindings)
+          List.iter (replay ctx) events;
+          match result with
+          | Ok exports ->
+              ctx.loading <- List.tl ctx.loading;
+              ctx.loaded_modules <- Smap.add target exports ctx.loaded_modules;
+              exports
+          | Error (Own_error e) -> raise (Runtime_error e)
+          | Error Failed_import ->
+              fail pos "import of %s succeeded where its module entry failed" target))
+
+and replay ctx = function
+  | Import_module (target, pos) -> ignore (load_module ctx pos target)
+  | Import_idl (target, pos) -> load_thrift ctx pos target
 
 and load_thrift ctx pos target =
-  match ctx.loader target with
-  | None -> fail pos "cannot find thrift import %s" target
-  | Some source -> (
-      if not (List.mem target ctx.loaded_order) then
-        ctx.loaded_order <- target :: ctx.loaded_order;
-      match Cm_thrift.Idl.parse source with
-      | Ok schema -> ctx.schema <- Cm_thrift.Schema.merge ctx.schema schema
-      | Error e ->
-          fail pos "in %s: IDL error at line %d: %s" target e.Cm_thrift.Idl.line
-            e.Cm_thrift.Idl.message)
+  let parsed =
+    match idl_entry ctx.modules pos target with
+    | Idl_missing -> fail pos "cannot find thrift import %s" target
+    | Idl schema -> Ok schema
+    | Idl_error e -> Error e
+  in
+  if not (List.mem target ctx.loaded_order) then ctx.loaded_order <- target :: ctx.loaded_order;
+  match parsed with
+  | Ok schema -> ctx.schema <- Cm_thrift.Schema.merge ctx.schema schema
+  | Error e ->
+      fail pos "in %s: IDL error at line %d: %s" target e.Cm_thrift.Idl.line
+        e.Cm_thrift.Idl.message
+
+(* Outside {!Modules.add} ([building] empty) a run only reads the
+   table; a target it lacks was never added, a caller's bug. *)
+and module_entry modules pos target =
+  match Hashtbl.find_opt modules.entries target with
+  | Some entry -> entry
+  | None ->
+      if modules.building = [] then fail pos "import %s was not added to the module table" target
+      else if List.mem target modules.building then raise Building
+      else build modules target
+
+and idl_entry modules pos target =
+  match Hashtbl.find_opt modules.idls target with
+  | Some entry -> entry
+  | None ->
+      if modules.building = [] then
+        fail pos "thrift import %s was not added to the module table" target
+      else parse_idl modules target
+
+and parse_idl modules target =
+  let entry =
+    match modules.loader target with
+    | None -> Idl_missing
+    | Some source -> (
+        match Cm_thrift.Idl.parse source with
+        | Ok schema -> Idl schema
+        | Error e -> Idl_error e)
+  in
+  Hashtbl.replace modules.idls target entry;
+  entry
+
+and build modules target =
+  modules.building <- target :: modules.building;
+  let entry =
+    Fun.protect
+      ~finally:(fun () -> modules.building <- List.tl modules.building)
+      (fun () ->
+        match modules.loader target with
+        | None -> Missing
+        | Some source -> (
+            match Parser.parse_exn source with
+            | exception Parser.Parse_error e ->
+                Unparsable
+                  (Printf.sprintf "parse error at line %d: %s" e.Parser.line e.Parser.message)
+            | exception Lexer.Lex_error e ->
+                Unparsable (Printf.sprintf "lex error at line %d: %s" e.Lexer.line e.Lexer.message)
+            | file ->
+                modules.evaluations <- modules.evaluations + 1;
+                evaluate_module modules target file))
+  in
+  Hashtbl.replace modules.entries target entry;
+  entry
+
+(* A module evaluates as the root of its own run, recording each
+   import statement it reaches. *)
+and evaluate_module modules target (file : Ast.file) =
+  let ctx = new_ctx modules ~loading:[ target ] in
+  let env = env_create (Some builtins_env) in
+  let export = ref None in
+  let events = ref [] in
+  let rec go = function
+    | [] -> Ok (file_exports env file)
+    | ((stmt, pos) as s) :: rest -> (
+        let import =
+          match stmt with
+          | Ast.Import t -> Some (Import_module (t, pos))
+          | Ast.Import_thrift t -> Some (Import_idl (t, pos))
+          | Ast.Bind _ | Ast.Def _ | Ast.Export _ -> None
+        in
+        Option.iter (fun ev -> events := ev :: !events) import;
+        match exec ctx env export s with
+        | () -> go rest
+        | exception Building -> Error Failed_import
+        | exception Runtime_error e ->
+            Error (if Option.is_some import then Failed_import else Own_error e))
+  in
+  let result = go file.Ast.stmts in
+  Evaluated { events = List.rev !events; result }
+
+module Modules = struct
+  type t = modules
+
+  let create ~loader =
+    { loader; entries = Hashtbl.create 16; idls = Hashtbl.create 8; building = []; evaluations = 0 }
+
+  let add t target = if not (Hashtbl.mem t.entries target) then ignore (build t target)
+  let add_thrift t target = if not (Hashtbl.mem t.idls target) then ignore (parse_idl t target)
+
+  let add_imports t file =
+    List.iter
+      (function `Csl target -> add t target | `Thrift target -> add_thrift t target)
+      (Ast.imports file)
+
+  let evaluations t = t.evaluations
+end
 
 type outcome = {
   bindings : (string * value) list;
@@ -746,20 +942,19 @@ type outcome = {
   loaded : string list;
 }
 
-let run ~loader ~path ~source =
-  let ctx =
-    {
-      loader;
-      module_cache = Hashtbl.create 16;
-      loading = [ path ];
-      schema = Cm_thrift.Schema.empty;
-      loaded_order = [];
-    }
-  in
+let run ~modules ~path ~source =
+  let ctx = new_ctx modules ~loading:[ path ] in
   match
     let file = Parser.parse_exn source in
-    let bindings, export = eval_file ctx path file in
-    { bindings; export; schema = ctx.schema; loaded = List.rev ctx.loaded_order }
+    let env = env_create (Some builtins_env) in
+    let export = ref None in
+    List.iter (exec ctx env export) file.Ast.stmts;
+    {
+      bindings = own_bindings env file;
+      export = !export;
+      schema = ctx.schema;
+      loaded = List.rev ctx.loaded_order;
+    }
   with
   | outcome -> Ok outcome
   | exception Runtime_error e -> Error e
@@ -819,17 +1014,12 @@ let rec of_thrift = function
       V_struct (name, List.map (fun (k, v) -> k, of_thrift v) fields)
   | Cm_thrift.Value.Enum (ty, member) -> V_enum (ty, member)
 
+(* Never written: an expression has no imports to add. *)
+let no_modules = Modules.create ~loader:(fun _ -> None)
+
 let eval_expr_standalone ?(bindings = []) expr =
-  let ctx =
-    {
-      loader = (fun _ -> None);
-      module_cache = Hashtbl.create 1;
-      loading = [];
-      schema = Cm_thrift.Schema.empty;
-      loaded_order = [];
-    }
-  in
-  let env = root_env ctx in
+  let ctx = new_ctx no_modules ~loading:[] in
+  let env = env_create (Some builtins_env) in
   List.iter (fun (name, v) -> env_bind env name v) bindings;
   match eval ctx env expr with
   | v -> Ok v

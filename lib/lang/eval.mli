@@ -16,7 +16,9 @@ type value =
   | V_struct of string * (string * value) list
   | V_enum of string * string
   | V_closure of closure
-  | V_builtin of string * (Ast.pos -> value list -> value)
+  | V_builtin of string * ((value -> value list -> value) -> Ast.pos -> value list -> value)
+      (** a builtin receives, at each call, the running evaluation's
+          way to apply a function value ([map], [filter] use it) *)
 
 and closure
 
@@ -32,7 +34,9 @@ val value_equal : value -> value -> bool
 
 type outcome = {
   bindings : (string * value) list;
-      (** top-level bindings of the root file, in definition order *)
+      (** top-level [Bind]/[Def] bindings of the root file, in
+          definition order, each at its final value (an import after
+          a binding may rebind it); imported names are not listed *)
   export : value option;
       (** last [export] of the root file; imported files' exports are
           ignored — the paper's "export_if_last" semantics *)
@@ -43,15 +47,51 @@ type outcome = {
           material of the Dependency Service *)
 }
 
-val run :
-  loader:(string -> string option) ->
-  path:string ->
-  source:string ->
-  (outcome, error) result
-(** [run ~loader ~path ~source] evaluates a root file.  [loader] is
-    consulted for [import]/[import_thrift] targets ([None] = missing
-    file, a compile error).  Import cycles are detected and reported.
-    Each imported module is evaluated at most once per run. *)
+(** The module table: every [import]ed module parsed and evaluated
+    once, shared by all the runs of one compile.
+
+    A module evaluates by itself, as the root of its own run: its value
+    depends only on its source and what it imports, never on who
+    imports it.  So a module's top-level statements resolve [Enum.X]
+    against the Thrift schemas the module itself imports (directly or
+    through its own imports), not against its importer's; a function
+    it defines still runs, when called, in the caller's run.  What each
+    run still does itself -- cycle detection on its own import stack,
+    first-load order, the merge order of Thrift schemas -- is replayed
+    from the entry, so an outcome is the same whichever configs share
+    the table and in whatever order they run.
+
+    {!add} and {!add_thrift} write the table, on one domain;
+    {!run} only reads it, so any number of domains may run over a
+    table once it holds every import their roots name. *)
+module Modules : sig
+  type t
+
+  val create : loader:(string -> string option) -> t
+  (** An empty table over [loader] ([None] = missing file). *)
+
+  val add : t -> string -> unit
+  (** Loads the [import] target and everything it reaches, unless
+      already present.  Never raises on bad sources: a missing,
+      unparseable, failing or cyclic module is recorded, and reported
+      by each run that imports it. *)
+
+  val add_thrift : t -> string -> unit
+  (** Loads an [import_thrift] target, unless already present. *)
+
+  val add_imports : t -> Ast.file -> unit
+  (** {!add} or {!add_thrift} for each import statement of a file. *)
+
+  val evaluations : t -> int
+  (** Modules this table has evaluated: at most one per target. *)
+end
+
+val run : modules:Modules.t -> path:string -> source:string -> (outcome, error) result
+(** [run ~modules ~path ~source] evaluates a root file.  Its
+    [import]/[import_thrift] targets are read from [modules], which
+    must hold every target the file names ({!Modules.add_imports});
+    a missing file is a compile error.  Import cycles are detected and
+    reported.  Reads [modules] only. *)
 
 val to_thrift : value -> (Cm_thrift.Value.t, string) result
 (** Converts a runtime value to a serializable Thrift value; fails on

@@ -22,9 +22,16 @@ let pp_token ppf = function
   | Op s -> Format.fprintf ppf "%s" s
   | Eof -> Format.fprintf ppf "<eof>"
 
-let keywords =
-  [ "import"; "import_thrift"; "def"; "export"; "if"; "then"; "else"; "let"; "in";
-    "and"; "or"; "not"; "true"; "false"; "null" ]
+let is_keyword = function
+  | "import" | "import_thrift" | "def" | "export" | "if" | "then" | "else" | "let" | "in"
+  | "and" | "or" | "not" | "true" | "false" | "null" ->
+      true
+  | _ -> false
+
+(* One preallocated token per single-character operator, indexed by
+   the character, so emitting one allocates no string. *)
+let single_ops =
+  Array.init 256 (fun code -> Op (String.make 1 (Char.chr code)))
 
 let is_ident_start c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
@@ -41,7 +48,9 @@ let tokenize input =
   let line = ref 1 in
   let fail message = raise (Lex_error { line = !line; message }) in
   let emit tok = tokens := (tok, !line) :: !tokens in
-  let peek_at off = if !pos + off < len then Some input.[!pos + off] else None in
+  (* The byte after the current one, or ['\000'] at the end of input
+     (which no two-character token continues with). *)
+  let next () = if !pos + 1 < len then String.unsafe_get input (!pos + 1) else '\000' in
   while !pos < len do
     let c = input.[!pos] in
     match c with
@@ -53,7 +62,7 @@ let tokenize input =
         while !pos < len && input.[!pos] <> '\n' do
           incr pos
         done
-    | '/' when peek_at 1 = Some '/' ->
+    | '/' when next () = '/' ->
         while !pos < len && input.[!pos] <> '\n' do
           incr pos
         done
@@ -69,13 +78,11 @@ let tokenize input =
                 incr pos;
                 closed := true
             | '\\' ->
-                (match peek_at 1 with
-                | Some 'n' -> Buffer.add_char buf '\n'
-                | Some 't' -> Buffer.add_char buf '\t'
-                | Some '"' -> Buffer.add_char buf '"'
-                | Some '\\' -> Buffer.add_char buf '\\'
-                | Some c -> Buffer.add_char buf c
-                | None -> fail "unterminated escape");
+                if !pos + 1 >= len then fail "unterminated escape";
+                (match input.[!pos + 1] with
+                | 'n' -> Buffer.add_char buf '\n'
+                | 't' -> Buffer.add_char buf '\t'
+                | c -> Buffer.add_char buf c);
                 pos := !pos + 2
             | '\n' -> fail "newline in string literal"
             | c ->
@@ -114,23 +121,23 @@ let tokenize input =
           incr pos
         done;
         let text = String.sub input start (!pos - start) in
-        if List.mem text keywords then emit (Keyword text) else emit (Ident text)
-    | '=' when peek_at 1 = Some '=' ->
+        if is_keyword text then emit (Keyword text) else emit (Ident text)
+    | '=' when next () = '=' ->
         pos := !pos + 2;
         emit (Op "==")
-    | '!' when peek_at 1 = Some '=' ->
+    | '!' when next () = '=' ->
         pos := !pos + 2;
         emit (Op "!=")
-    | '<' when peek_at 1 = Some '=' ->
+    | '<' when next () = '=' ->
         pos := !pos + 2;
         emit (Op "<=")
-    | '>' when peek_at 1 = Some '=' ->
+    | '>' when next () = '=' ->
         pos := !pos + 2;
         emit (Op ">=")
     | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' | '.' | ',' | ':'
     | '(' | ')' | '[' | ']' | '{' | '}' ->
         incr pos;
-        emit (Op (String.make 1 c))
+        emit single_ops.(Char.code c)
     | c -> fail (Printf.sprintf "unexpected character %c" c)
   done;
   emit Eof;

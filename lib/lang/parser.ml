@@ -16,12 +16,12 @@ let mk pos desc = { Ast.desc; pos }
 
 let expect_op ps op =
   match current ps with
-  | Lexer.Op found when found = op -> advance ps
+  | Lexer.Op found when String.equal found op -> advance ps
   | tok -> fail ps (Format.asprintf "expected %s, found %a" op Lexer.pp_token tok)
 
 let expect_keyword ps kw =
   match current ps with
-  | Lexer.Keyword found when found = kw -> advance ps
+  | Lexer.Keyword found when String.equal found kw -> advance ps
   | tok -> fail ps (Format.asprintf "expected %s, found %a" kw Lexer.pp_token tok)
 
 let expect_ident ps =
@@ -38,8 +38,9 @@ let expect_string ps =
       s
   | tok -> fail ps (Format.asprintf "expected string literal, found %a" Lexer.pp_token tok)
 
-let is_op ps op = match current ps with Lexer.Op found -> found = op | _ -> false
-let is_keyword ps kw = match current ps with Lexer.Keyword found -> found = kw | _ -> false
+let is_op ps op = match current ps with Lexer.Op found -> String.equal found op | _ -> false
+let is_keyword ps kw =
+  match current ps with Lexer.Keyword found -> String.equal found kw | _ -> false
 
 let starts_uppercase name = name <> "" && name.[0] >= 'A' && name.[0] <= 'Z'
 

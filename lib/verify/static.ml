@@ -1,11 +1,10 @@
-module ST = Core.Source_tree
 module Defense = Core.Defense
-module Ast = Cm_lang.Ast
+module Depgraph = Core.Depgraph
 
 type check = {
   check_name : string;
   run :
-    files:(string * Ast.file) list ->
+    outlines:(string * Depgraph.item list) list ->
     compiled:Core.Compiler.compiled list ->
     Defense.finding list;
 }
@@ -17,39 +16,25 @@ let reachable compiled =
        (fun c -> c.Core.Compiler.config_path :: c.Core.Compiler.deps)
        compiled)
 
-let is_csl path =
-  match ST.kind_of_path path with
-  | ST.Cconf | ST.Cinc | ST.Cvalidator -> true
-  | ST.Thrift | ST.Raw -> false
-
-let cone_files tree compiled =
+let cone_outlines dep compiled =
   List.filter_map
     (fun path ->
-      if not (is_csl path) then None
-      else
-        match ST.read tree path with
-        | None -> None
-        | Some source -> (
-            (* Unparseable sources are the compiler's problem, not ours. *)
-            match Cm_lang.Parser.parse source with
-            | Error _ -> None
-            | Ok file -> Some (path, file)))
+      match Depgraph.outline dep path with
+      | Some (Depgraph.Parsed items) -> Some (path, items)
+      (* Unparseable sources are the compiler's problem, not ours. *)
+      | Some Depgraph.Unparseable | None -> None)
     (reachable compiled)
 
-let csl_imports file =
-  List.filter_map
-    (function `Csl p -> Some p | `Thrift _ -> None)
-    (Ast.imports file)
+let csl_imports items =
+  List.filter_map (function Depgraph.Import p -> Some p | _ -> None) items
 
 let cycles =
   {
     check_name = "dep-cycle";
     run =
-      (fun ~files ~compiled:_ ->
+      (fun ~outlines ~compiled:_ ->
         let adj = Hashtbl.create 16 in
-        List.iter
-          (fun (path, file) -> Hashtbl.replace adj path (csl_imports file))
-          files;
+        List.iter (fun (path, items) -> Hashtbl.replace adj path (csl_imports items)) outlines;
         let state = Hashtbl.create 16 in
         let found = ref [] in
         let rec dfs stack path =
@@ -70,7 +55,7 @@ let cycles =
                 (Option.value ~default:[] (Hashtbl.find_opt adj path));
               Hashtbl.replace state path `Done
         in
-        List.iter (fun (path, _) -> dfs [] path) files;
+        List.iter (fun (path, _) -> dfs [] path) outlines;
         List.rev_map
           (fun cycle ->
             Defense.finding ~ok:false ~at:(List.hd cycle)
@@ -78,35 +63,29 @@ let cycles =
           !found);
   }
 
-let bound_names file =
-  List.filter_map
-    (fun (stmt, _) ->
-      match stmt with
-      | Ast.Bind (name, _) | Ast.Def (name, _, _) -> Some name
-      | Ast.Import _ | Ast.Import_thrift _ | Ast.Export _ -> None)
-    file.Ast.stmts
+let bound_names items =
+  List.filter_map (function Depgraph.Bound name -> Some name | _ -> None) items
 
 let shadowed_exports =
   {
     check_name = "shadowed-export";
     run =
-      (fun ~files ~compiled:_ ->
+      (fun ~outlines ~compiled:_ ->
         let exports_of =
           let table = Hashtbl.create 16 in
-          List.iter (fun (path, file) -> Hashtbl.replace table path (bound_names file)) files;
+          List.iter (fun (path, items) -> Hashtbl.replace table path (bound_names items)) outlines;
           fun path -> Option.value ~default:[] (Hashtbl.find_opt table path)
         in
         List.concat_map
-          (fun (path, file) ->
+          (fun (path, items) ->
             (* Walk the statements in evaluation order, tracking where
                each name last came from. *)
             let env = Hashtbl.create 16 in
             let findings = ref [] in
             let flag note = findings := Defense.finding ~ok:false ~at:path note :: !findings in
             List.iter
-              (fun (stmt, _) ->
-                match stmt with
-                | Ast.Import dep ->
+              (function
+                | Depgraph.Import dep ->
                     List.iter
                       (fun name ->
                         (match Hashtbl.find_opt env name with
@@ -118,7 +97,7 @@ let shadowed_exports =
                         | Some (`Import _) | Some `Local | None -> ());
                         Hashtbl.replace env name (`Import dep))
                       (exports_of dep)
-                | Ast.Bind (name, _) | Ast.Def (name, _, _) ->
+                | Depgraph.Bound name ->
                     (match Hashtbl.find_opt env name with
                     | Some (`Import dep) ->
                         flag
@@ -126,17 +105,17 @@ let shadowed_exports =
                              path name dep)
                     | Some `Local | None -> ());
                     Hashtbl.replace env name `Local
-                | Ast.Import_thrift _ | Ast.Export _ -> ())
-              file.Ast.stmts;
+                | Depgraph.Import_thrift _ -> ())
+              items;
             List.rev !findings)
-          files);
+          outlines);
   }
 
 let artifact_collisions =
   {
     check_name = "artifact-collision";
     run =
-      (fun ~files:_ ~compiled ->
+      (fun ~outlines:_ ~compiled ->
         let by_artifact = Hashtbl.create 16 in
         List.iter
           (fun c ->

@@ -10,27 +10,28 @@
     Checks are scoped to the change's cone (the compiled configs plus
     their transitive import closures), so a pre-existing oddity in an
     untouched corner of the tree cannot bounce an unrelated change.
-    The cone is parsed once per change ({!cone_files}) and every check
-    reads the same parsed files, so no check re-reads the tree. *)
+    No check parses: they read the outlines ({!Core.Depgraph.outline})
+    that the dependency graph kept when it indexed each source. *)
 
 type check = {
   check_name : string;
   run :
-    files:(string * Cm_lang.Ast.file) list ->
+    outlines:(string * Core.Depgraph.item list) list ->
     compiled:Core.Compiler.compiled list ->
     Core.Defense.finding list;
-      (** [files] is the cone's parsed sources, from {!cone_files};
+      (** [outlines] is the cone's CSL sources, from {!cone_outlines};
           returns failure findings only — an empty list means the
           check passed *)
 }
 
-val cone_files :
-  Core.Source_tree.t -> Core.Compiler.compiled list -> (string * Cm_lang.Ast.file) list
-(** The cone's CSL sources ([.cconf], [.cinc], validators), each
-    parsed once: every compiled config and everything it imports, in
-    sorted path order.  Sources that are missing or do not parse are
-    left out — they are the compiler's to report.  {!Verify.run}
-    builds this list once per change and hands it to every check. *)
+val cone_outlines :
+  Core.Depgraph.t -> Core.Compiler.compiled list -> (string * Core.Depgraph.item list) list
+(** The outlines of the cone's CSL sources ([.cconf], [.cinc],
+    validators): every compiled config and everything it imports, in
+    sorted path order, as the dependency graph over the proposed tree
+    indexed them.  Sources that are missing or do not parse are left
+    out — they are the compiler's to report.  {!Verify.run} builds
+    this list once per change and hands it to every check. *)
 
 val cycles : check
 (** Import cycles among the cone's CSL sources.  The evaluator aborts

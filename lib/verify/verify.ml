@@ -77,11 +77,12 @@ let run t (input : Pipeline.verify_input) =
       ~repo:input.Pipeline.verify_repo ~compiled:target ~accepts ()
   in
   let no_repair () = None in
-  let files =
-    if t.static_checks = [] then [] else Static.cone_files input.Pipeline.verify_tree compiled
+  let outlines =
+    if t.static_checks = [] then []
+    else Static.cone_outlines input.Pipeline.verify_depgraph compiled
   in
   let static_job check () =
-    match check.Static.run ~files ~compiled with
+    match check.Static.run ~outlines ~compiled with
     | [] ->
         [ Defense.pass ~stage:"verify" ~rule:check.Static.check_name "clean", no_repair ]
     | findings ->

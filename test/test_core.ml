@@ -116,6 +116,9 @@ let source_tree_tests =
           (ST.paths_of_kind clone ST.Cvalidator));
   ]
 
+(* A module table over no files, for validators that import nothing. *)
+let no_modules () = Cm_lang.Eval.Modules.create ~loader:(fun _ -> None)
+
 let validator_tests =
   [
     Alcotest.test_case "field_int_range" `Quick (fun () ->
@@ -162,7 +165,7 @@ let validator_tests =
           | Validator.Pass -> false));
     Alcotest.test_case "CSL source validator" `Quick (fun () ->
         let source = "def validate(cfg) = cfg.memory_mb >= 64" in
-        match Validator.of_source ~type_name:"Job" ~source with
+        match Validator.of_source ~modules:(no_modules ()) ~type_name:"Job" ~source with
         | Error e -> Alcotest.fail e
         | Ok rule ->
             Alcotest.(check bool) "pass" true
@@ -178,7 +181,7 @@ let validator_tests =
         let source =
           {|def validate(cfg) = if cfg.memory_mb < 64 then "too little memory" else ""|}
         in
-        match Validator.of_source ~type_name:"Job" ~source with
+        match Validator.of_source ~modules:(no_modules ()) ~type_name:"Job" ~source with
         | Error e -> Alcotest.fail e
         | Ok rule -> (
             match
@@ -188,7 +191,7 @@ let validator_tests =
             | Validator.Fail other -> Alcotest.failf "wrong message %s" other
             | Validator.Pass -> Alcotest.fail "expected failure"));
     Alcotest.test_case "validator source without validate rejected" `Quick (fun () ->
-        match Validator.of_source ~type_name:"J" ~source:"x = 1" with
+        match Validator.of_source ~modules:(no_modules ()) ~type_name:"J" ~source:"x = 1" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected error");
   ]
@@ -277,6 +280,49 @@ export create_job("huge", 999999)
             Alcotest.(check (option string)) "no type" None compiled.Compiler.type_name;
             Alcotest.(check string) "json" {|{"a":1,"b":[2,3]}|} compiled.Compiler.json_text
         | Error e -> Alcotest.failf "compile: %a" Compiler.pp_error e);
+    Alcotest.test_case "each module is evaluated once per collect" `Quick (fun () ->
+        (* Five configs share one module over a base module; a sixth
+           and the validator import the base alone. *)
+        let tree =
+          ST.of_alist
+            ([
+               "modules/base.cinc", "BASE = 10";
+               "modules/shared.cinc", "import \"modules/base.cinc\"\nSHARED = BASE + 1";
+               "jobs/base_only.cconf", "import \"modules/base.cinc\"\nexport { b: BASE }";
+               "Cfg.thrift-cvalidator", "import \"modules/base.cinc\"\ndef validate(cfg) = BASE > 0";
+             ]
+            @ List.init 5 (fun i ->
+                  ( Printf.sprintf "jobs/c%d.cconf" i,
+                    Printf.sprintf "import \"modules/shared.cinc\"\nexport { v: SHARED + %d }" i )))
+        in
+        let compiler = Compiler.create tree in
+        let evaluations () = Compiler.module_evaluations compiler in
+        let oks, errors = Compiler.compile_all compiler in
+        Alcotest.(check (pair int int)) "all compiled" (6, 0) (List.length oks, List.length errors);
+        Alcotest.(check int) "base and shared, once each" 2 (evaluations ());
+        ignore (Compiler.compile_all compiler);
+        Alcotest.(check int) "all hits evaluate nothing" 2 (evaluations ());
+        ST.write tree "modules/shared.cinc" "import \"modules/base.cinc\"\nSHARED = BASE + 2";
+        let oks, _ = Compiler.compile_affected compiler ~changed:[ "modules/shared.cinc" ] in
+        Alcotest.(check int) "the five importers recompile" 5 (List.length oks);
+        Alcotest.(check int) "base and shared again, once each" 4 (evaluations ()));
+    Alcotest.test_case "a source validator can import a module" `Quick (fun () ->
+        let tree = figure2_tree () in
+        ST.write tree "modules/limits.cinc" "MIN_MEMORY = 1536";
+        ST.write tree "schemas/Job.thrift-cvalidator"
+          "import \"modules/limits.cinc\"\n\
+           def validate(cfg) = if cfg.memory_mb < MIN_MEMORY then \"below MIN_MEMORY\" else \"\"";
+        let compiler = Compiler.create tree in
+        (match Compiler.compile compiler "jobs/cache_job.cconf" with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "cache_job: %a" Compiler.pp_error e);
+        (match Compiler.compile compiler "jobs/security_job.cconf" with
+        | Error { Compiler.stage = Compiler.Validation; message = "below MIN_MEMORY"; _ } -> ()
+        | Error e -> Alcotest.failf "security_job: wrong error %a" Compiler.pp_error e
+        | Ok _ -> Alcotest.fail "security_job (1024 MB) should fail the validator");
+        let _, errors = Compiler.compile_all compiler in
+        Alcotest.(check (list string)) "compile_all agrees" [ "jobs/security_job.cconf" ]
+          (List.map (fun e -> e.Compiler.at) errors));
   ]
 
 let depgraph_tests =
@@ -1504,7 +1550,7 @@ let reference_closure_hash compiler path =
       Buffer.add_string buf p;
       Buffer.add_char buf '\000';
       (match ST.read tree p with
-      | Some content -> Buffer.add_string buf content
+      | Some content -> Buffer.add_string buf (Digest.string content)
       | None -> Buffer.add_string buf "\000<missing>");
       Buffer.add_char buf '\000')
     closure;
@@ -1513,9 +1559,9 @@ let reference_closure_hash compiler path =
 (* Files a random keyed tree may hold, each parameterized by a small
    int: typed and untyped configs, a config with a missing import,
    source validators at the root and nested (two for Svc, so the
-   first in sorted order must win), one that imports a [.cinc] (and so
-   fails when run, with a Validation error), one with a missing
-   import, one that does not parse, and a path ending in [cvalidator]
+   first in sorted order must win), one that imports a [.cinc], one
+   with a missing import (which fails when run, with a Validation
+   error), one that does not parse, and a path ending in [cvalidator]
    without [.thrift-], which [kind_of_path] also counts as a
    validator. *)
 let keyed_files =
@@ -1634,11 +1680,149 @@ let clone_compile_property =
       in
       collected = each fresh && each edited = each fresh && each pruned = each fresh)
 
+(* Random trees of shared CSL modules: nested and cyclic imports,
+   missing and unparseable modules, [import_thrift] of good, clashing,
+   broken and missing schemas, enum references at a module's top level
+   and inside its closures, closures run through [map]/[filter], a name
+   that modules bind before and after their imports, and a source
+   validator that imports a module. *)
+let modgen_thrift =
+  [
+    ( "s/a.thrift",
+      "enum Color { RED = 0, GREEN = 1 }\n\
+       struct Box { 1: required i32 v; 2: optional Color c = Color.RED; }" );
+    "s/b.thrift", "enum Color { BLUE = 5 }\nenum Size { S = 0, L = 1 }";
+    "s/bad.thrift", "struct {";
+  ]
+
+let modgen_module_path j = Printf.sprintf "mods/m%d.cinc" j
+
+let modgen_tree =
+  let open QCheck2.Gen in
+  let p = Printf.sprintf in
+  let* k = int_range 1 5 in
+  let index = int_range 0 (k - 1) in
+  let rare = 1 and usual = 12 in
+  let name = map2 (fun j s -> p "N%d_%d" j s) index (frequency [ 4, pure 0; 1, pure 1 ]) in
+  let enum_ref = oneofl [ "Color.RED"; "Color.GREEN"; "Color.BLUE"; "Size.L" ] in
+  let plain_expr =
+    frequency
+      [
+        usual, map string_of_int (int_range 0 9);
+        4, map (p "%s + 1") name;
+        3, map (p "len(map(F%d, [1, 2]))") index;
+        3, map (p "sum(filter(G%d, range(4)))") index;
+        2, pure "SHARED";
+        rare, pure "1 / 0";
+      ]
+  in
+  let any_expr =
+    frequency [ 4, plain_expr; 1, enum_ref; 1, map (p "H%d(3)") index ]
+  in
+  let import =
+    frequency [ 3 * usual, map modgen_module_path index; rare, pure "mods/gone.cinc" ]
+  in
+  let lines gens = map (String.concat "\n") (map List.concat (flatten_l gens)) in
+  let maybe ratio gen = map Option.to_list (opt ~ratio gen) in
+  (* Module [j] imports lower-numbered modules, and now and then any
+     module (a cycle, when it points back up) or a missing one. *)
+  let module_imports j =
+    let* lower =
+      if j = 0 then pure []
+      else list_size (int_range 0 2) (map modgen_module_path (int_range 0 (j - 1)))
+    in
+    let* odd = maybe 0.1 (oneof [ map modgen_module_path index; pure "mods/gone.cinc" ]) in
+    pure (lower @ odd)
+  in
+  let thrift =
+    frequency
+      [ usual, pure "s/a.thrift"; 3, pure "s/b.thrift"; rare, pure "s/bad.thrift";
+        rare, pure "s/none.thrift" ]
+  in
+  let module_source j =
+    frequency
+      [
+        rare, pure "Z = = 1";
+        ( usual,
+          lines
+            [
+              maybe 0.3 (pure (p "SHARED = %d" j));
+              map (List.map (p "import \"%s\"")) (module_imports j);
+              maybe 0.3 (pure (p "SHARED = %d" (10 + j)));
+              maybe 0.5 (map (p "import_thrift \"%s\"") thrift);
+              maybe 0.8 (map (p "def F%d(x) = x * 2 + %d" j) (int_range 0 9));
+              maybe 0.8 (map (p "def G%d(x) = x > %d" j) (int_range 0 3));
+              maybe 0.8 (map (p "def H%d(x) = if x > %d then Color.GREEN else Size.S" j) (int_range 0 5));
+              map (List.mapi (fun s e -> p "N%d_%d = %s" j s e))
+                (list_size (int_range 1 2) any_expr);
+              maybe 0.2 (map (p "export %s") plain_expr);
+            ] );
+      ]
+  in
+  let config_source =
+    let* imports = list_size (int_range 0 3) import in
+    let* thrift = opt ~ratio:0.7 thrift in
+    let* a = any_expr in
+    let* b = any_expr in
+    let* typed = bool in
+    pure
+      (String.concat "\n"
+         (List.map (p "import \"%s\"") imports
+         @ Option.to_list (Option.map (p "import_thrift \"%s\"") thrift)
+         @ [
+             (if typed then p "export Box { v = %s, c = %s }" a b
+              else p "export { a: %s, b: %s }" a b);
+           ]))
+  in
+  let* modules =
+    flatten_l (List.init k (fun j -> map (fun s -> modgen_module_path j, s) (module_source j)))
+  in
+  let* configs = list_size (int_range 1 6) config_source in
+  let* validator = bool in
+  pure
+    (modgen_thrift @ modules
+    @ List.mapi (fun i s -> p "c/c%d.cconf" i, s) configs
+    @
+    if validator then
+      [ "s/Box.thrift-cvalidator", "import \"mods/m0.cinc\"\ndef validate(cfg) = cfg.v >= 0" ]
+    else [])
+
+(* Compiling the configs of a tree together, through one module table,
+   equals compiling each alone (through a table of its own), in
+   artifact bytes, error message, [deps] order and schema hash -- in
+   either target order, so that the order in which the shared table
+   fills does not matter. *)
+let module_table_property =
+  QCheck2.Test.make ~name:"one module table per collect equals compiling each config alone"
+    ~count:300 ~print:(fun files -> String.concat "\n" (List.map (fun (p, s) -> "-- " ^ p ^ "\n" ^ s) files))
+    modgen_tree (fun files ->
+      let tree = ST.of_alist files in
+      let render = function
+        | Ok c ->
+            Printf.sprintf "ok %s deps=[%s] schema=%s" c.Compiler.json_text
+              (String.concat "," c.Compiler.deps)
+              (Option.value ~default:"-" c.Compiler.schema_hash)
+        | Error e -> Compiler.stage_name e.Compiler.stage ^ " " ^ e.Compiler.message
+      in
+      let collected targets =
+        let oks, errors = Compiler.compile_targets (Compiler.create tree) targets in
+        List.sort compare
+          (List.map (fun c -> c.Compiler.config_path, render (Ok c)) oks
+          @ List.map (fun e -> e.Compiler.at, render (Error e)) errors)
+      in
+      let configs = ST.paths_of_kind tree ST.Cconf in
+      let alone =
+        let compiler = Compiler.create tree in
+        List.sort compare (List.map (fun p -> p, render (Compiler.compile compiler p)) configs)
+      in
+      collected configs = alone && collected (List.rev configs) = alone)
+
 let core_properties =
   List.map QCheck_alcotest.to_alcotest
     [
       spec_roundtrip_property; ui_source_roundtrip_property; risk_monotone_property;
       incr_equivalence_property; closure_key_property; clone_compile_property;
+      module_table_property;
     ]
 
 let () =

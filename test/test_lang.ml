@@ -3,10 +3,12 @@ module Eval = Cm_lang.Eval
 module Ast = Cm_lang.Ast
 module Lexer = Cm_lang.Lexer
 
-(* Evaluate a single root file with an optional module environment. *)
+(* Evaluate a single root file with an optional module environment:
+   its own module table, holding what the file imports. *)
 let run ?(files = []) source =
-  let loader target = List.assoc_opt target files in
-  Eval.run ~loader ~path:"main.cconf" ~source
+  let modules = Eval.Modules.create ~loader:(fun target -> List.assoc_opt target files) in
+  (match Parser.parse source with Ok file -> Eval.Modules.add_imports modules file | Error _ -> ());
+  Eval.run ~modules ~path:"main.cconf" ~source
 
 let export_of source ~files =
   match run ~files source with
@@ -340,6 +342,23 @@ export cfg.size
 |}
         in
         Alcotest.(check bool) "10" true (Eval.value_equal (Eval.V_int 10) v));
+    Alcotest.test_case "the latest binding of a name wins across imports" `Quick (fun () ->
+        (* X is bound, then rebound by the import; Y is imported, then
+           rebound locally; [f] reads both when called, after both. *)
+        let files = [ "m.cinc", "X = 1\nY = 2"; "n.cinc", "import \"m.cinc\"\nY = 3" ] in
+        let v =
+          export_of ~files
+            {|
+X = 10
+def f() = [X, Y]
+import "n.cinc"
+Y = 20
+export f() + [X, Y]
+|}
+        in
+        let ints = List.map (fun n -> Eval.V_int n) in
+        Alcotest.(check bool) "[1, 20, 1, 20]" true
+          (Eval.value_equal (Eval.V_list (ints [ 1; 20; 1; 20 ])) v));
   ]
 
 let dep_tests =
@@ -440,7 +459,186 @@ let sorted_property =
           ints = List.sort Int.compare xs
       | _ -> false)
 
-let properties = List.map QCheck_alcotest.to_alcotest [ arith_property; sorted_property ]
+(* The lexer as it was before it stopped allocating per character
+   (keywords by [List.mem], two-character operators by [peek_at],
+   a fresh string per single-character operator): the oracle of the
+   differential property below. *)
+module Reference_lexer = struct
+  open Lexer
+
+  let keywords =
+    [ "import"; "import_thrift"; "def"; "export"; "if"; "then"; "else"; "let"; "in";
+      "and"; "or"; "not"; "true"; "false"; "null" ]
+
+  let is_ident_start c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
+
+  let is_ident_char c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+
+  let is_digit c = match c with '0' .. '9' -> true | _ -> false
+
+  let tokenize input =
+    let len = String.length input in
+    let tokens = ref [] in
+    let pos = ref 0 in
+    let line = ref 1 in
+    let fail message = raise (Lexer.Lex_error { Lexer.line = !line; message }) in
+    let emit tok = tokens := (tok, !line) :: !tokens in
+    let peek_at off = if !pos + off < len then Some input.[!pos + off] else None in
+    while !pos < len do
+      let c = input.[!pos] in
+      match c with
+      | ' ' | '\t' | '\r' -> incr pos
+      | '\n' ->
+          incr pos;
+          incr line
+      | '#' ->
+          while !pos < len && input.[!pos] <> '\n' do
+            incr pos
+          done
+      | '/' when peek_at 1 = Some '/' ->
+          while !pos < len && input.[!pos] <> '\n' do
+            incr pos
+          done
+      | '"' ->
+          incr pos;
+          let buf = Buffer.create 16 in
+          let closed = ref false in
+          while not !closed do
+            if !pos >= len then fail "unterminated string"
+            else
+              match input.[!pos] with
+              | '"' ->
+                  incr pos;
+                  closed := true
+              | '\\' ->
+                  (match peek_at 1 with
+                  | Some 'n' -> Buffer.add_char buf '\n'
+                  | Some 't' -> Buffer.add_char buf '\t'
+                  | Some '"' -> Buffer.add_char buf '"'
+                  | Some '\\' -> Buffer.add_char buf '\\'
+                  | Some c -> Buffer.add_char buf c
+                  | None -> fail "unterminated escape");
+                  pos := !pos + 2
+              | '\n' -> fail "newline in string literal"
+              | c ->
+                  Buffer.add_char buf c;
+                  incr pos
+          done;
+          emit (Str (Buffer.contents buf))
+      | c when is_digit c ->
+          let start = !pos in
+          while !pos < len && is_digit input.[!pos] do
+            incr pos
+          done;
+          let is_float = ref false in
+          if !pos < len && input.[!pos] = '.' && !pos + 1 < len && is_digit input.[!pos + 1]
+          then begin
+            is_float := true;
+            incr pos;
+            while !pos < len && is_digit input.[!pos] do
+              incr pos
+            done
+          end;
+          if !pos < len && (input.[!pos] = 'e' || input.[!pos] = 'E') then begin
+            is_float := true;
+            incr pos;
+            if !pos < len && (input.[!pos] = '+' || input.[!pos] = '-') then incr pos;
+            while !pos < len && is_digit input.[!pos] do
+              incr pos
+            done
+          end;
+          let text = String.sub input start (!pos - start) in
+          if !is_float then emit (Float (float_of_string text))
+          else emit (Int (int_of_string text))
+      | c when is_ident_start c ->
+          let start = !pos in
+          while !pos < len && is_ident_char input.[!pos] do
+            incr pos
+          done;
+          let text = String.sub input start (!pos - start) in
+          if List.mem text keywords then emit (Keyword text) else emit (Ident text)
+      | '=' when peek_at 1 = Some '=' ->
+          pos := !pos + 2;
+          emit (Op "==")
+      | '!' when peek_at 1 = Some '=' ->
+          pos := !pos + 2;
+          emit (Op "!=")
+      | '<' when peek_at 1 = Some '=' ->
+          pos := !pos + 2;
+          emit (Op "<=")
+      | '>' when peek_at 1 = Some '=' ->
+          pos := !pos + 2;
+          emit (Op ">=")
+      | '=' | '<' | '>' | '+' | '-' | '*' | '/' | '%' | '.' | ',' | ':'
+      | '(' | ')' | '[' | ']' | '{' | '}' ->
+          incr pos;
+          emit (Op (String.make 1 c))
+      | c -> fail (Printf.sprintf "unexpected character %c" c)
+    done;
+    emit Eof;
+    Array.of_list (List.rev !tokens)
+end
+
+(* What a tokenization ends in: its tokens and lines, its [Lex_error],
+   or any other exception (an integer literal too large raises
+   [Failure]). *)
+let lex_outcome tokenize input =
+  match tokenize input with
+  | tokens -> Ok tokens
+  | exception Lexer.Lex_error e -> Error (Printf.sprintf "lex error %d: %s" e.Lexer.line e.Lexer.message)
+  | exception exn -> Error (Printexc.to_string exn)
+
+let valid_csl =
+  [|
+    "import \"modules/a.cinc\"\nimport_thrift \"s.thrift\"\nX = 1 + 2 * 3 % 4\nexport { a: X }";
+    "def f(a, b = 1) = if a >= b and not (a == b) then a - b else b / 2 // note\nY = f(3)";
+    "Z = [1.5, 2e3, 7E-2, \"s\\n\\t\\\"q\\\\\"]\n# comment\nW = Z[0] != Z[1] or Z[2] <= 1";
+    "export Job { name = \"x\", memory_mb = 64, kind = JobKind.SERVICE }\nlet = in true false null";
+    "M = {k: 1, \"j\": [], }\nN = M.k < 3 > 1\nO = -x.y(1)[2]";
+  |]
+
+(* Random bytes drawn mostly from the characters CSL gives meaning to,
+   valid sources with a few bytes overwritten, inserted or cut, and
+   runs of CSL fragments. *)
+let lexer_input_gen =
+  let open QCheck2.Gen in
+  let alphabet = "abzAZ_09.eE+-*/%=!<>(),:[]{}\"\\#\n\t\r ~&\000\255" in
+  let csl_char = frequency [ 6, map (String.get alphabet) (int_bound (String.length alphabet - 1)); 1, char ] in
+  let noise = string_size ~gen:csl_char (int_range 0 60) in
+  let mutated =
+    let* source = oneofa valid_csl in
+    let* edits = list_size (int_range 1 4) (triple (int_bound 2) nat csl_char) in
+    pure
+      (List.fold_left
+         (fun s (kind, at, c) ->
+           let n = String.length s in
+           let i = if n = 0 then 0 else at mod n in
+           match kind with
+           | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+           | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+           | _ -> if n = 0 then s else String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
+         source edits)
+  in
+  (* Fragments run together with no separator, so every operator and
+     literal also meets every other one and the end of input. *)
+  let fragments =
+    [| "="; "=="; "!"; "!="; "<"; "<="; ">"; ">="; "/"; "//"; "#"; "*"; "%"; "."; "\"";
+       "\\"; "\\n"; "1"; "07"; "2.5"; "1e3"; "3E"; "1.x"; "x"; "_a1"; "import"; "in";
+       "nullx"; "\n"; " "; "\r"; "("; "]"; "{"; ":"; "," |]
+  in
+  let soup = map (String.concat "") (list_size (int_range 0 12) (oneofa fragments)) in
+  frequency [ 1, noise; 2, mutated; 1, oneofa valid_csl; 2, soup ]
+
+let lexer_differential_property =
+  QCheck2.Test.make ~name:"lexer tokens, lines and errors equal the reference lexer" ~count:2000
+    ~print:(Printf.sprintf "%S") lexer_input_gen (fun input ->
+      compare (lex_outcome Lexer.tokenize input) (lex_outcome Reference_lexer.tokenize input) = 0)
+
+let properties =
+  List.map QCheck_alcotest.to_alcotest
+    [ arith_property; sorted_property; lexer_differential_property ]
 
 let () =
   Alcotest.run "cm_lang"

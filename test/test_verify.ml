@@ -106,10 +106,12 @@ let defense_tests =
 
 (* --- static cross-artifact checks ------------------------------------- *)
 
-(* A static check as [Verify.run] runs it: over the cone's sources,
-   parsed once. *)
+(* A static check as [Verify.run] runs it: over the outlines of the
+   cone's sources, as a dependency graph over the tree indexed them. *)
 let run_static check tree compiled =
-  check.Static.run ~files:(Static.cone_files tree compiled) ~compiled
+  let dep = Core.Depgraph.create () in
+  Core.Depgraph.scan dep tree;
+  check.Static.run ~outlines:(Static.cone_outlines dep compiled) ~compiled
 
 let static_tests =
   [
@@ -572,8 +574,188 @@ let empty_registry_property =
           run plain = run hooked)
         proposals)
 
+(* The static checks as they were when each change parsed its cone
+   again ([cone_files]): the oracle of the outline property below. *)
+module Reference_static = struct
+  module Ast = Cm_lang.Ast
+
+  let is_csl path =
+    match Core.Source_tree.kind_of_path path with
+    | Core.Source_tree.Cconf | Core.Source_tree.Cinc | Core.Source_tree.Cvalidator -> true
+    | Core.Source_tree.Thrift | Core.Source_tree.Raw -> false
+
+  let cone_files tree compiled =
+    let reachable compiled =
+      List.sort_uniq String.compare
+        (List.concat_map (fun c -> c.Compiler.config_path :: c.Compiler.deps) compiled)
+    in
+    List.filter_map
+      (fun path ->
+        if not (is_csl path) then None
+        else
+          match Core.Source_tree.read tree path with
+          | None -> None
+          | Some source -> (
+              (* Unparseable sources are the compiler's problem, not ours. *)
+              match Cm_lang.Parser.parse source with
+              | Error _ -> None
+              | Ok file -> Some (path, file)))
+      (reachable compiled)
+
+  let csl_imports file =
+    List.filter_map
+      (function `Csl p -> Some p | `Thrift _ -> None)
+      (Ast.imports file)
+
+  let cycles =
+    ( "dep-cycle",
+        (fun ~files ->
+          let adj = Hashtbl.create 16 in
+          List.iter
+            (fun (path, file) -> Hashtbl.replace adj path (csl_imports file))
+            files;
+          let state = Hashtbl.create 16 in
+          let found = ref [] in
+          let rec dfs stack path =
+            match Hashtbl.find_opt state path with
+            | Some `Done -> ()
+            | Some `Active ->
+                (* Back edge: the cycle is the stack suffix from [path],
+                   closed by repeating [path] at the end. *)
+                let rec take acc = function
+                  | [] -> acc
+                  | p :: rest -> if p = path then p :: acc else take (p :: acc) rest
+                in
+                found := (take [] stack @ [ path ]) :: !found
+            | None ->
+                Hashtbl.replace state path `Active;
+                List.iter
+                  (fun dep -> if Hashtbl.mem adj dep then dfs (path :: stack) dep)
+                  (Option.value ~default:[] (Hashtbl.find_opt adj path));
+                Hashtbl.replace state path `Done
+          in
+          List.iter (fun (path, _) -> dfs [] path) files;
+          List.rev_map
+            (fun cycle ->
+              Core.Defense.finding ~ok:false ~at:(List.hd cycle)
+                (Printf.sprintf "import cycle: %s" (String.concat " -> " cycle)))
+            !found) )
+
+  let bound_names file =
+    List.filter_map
+      (fun (stmt, _) ->
+        match stmt with
+        | Ast.Bind (name, _) | Ast.Def (name, _, _) -> Some name
+        | Ast.Import _ | Ast.Import_thrift _ | Ast.Export _ -> None)
+      file.Ast.stmts
+
+  let shadowed_exports =
+    ( "shadowed-export",
+        (fun ~files ->
+          let exports_of =
+            let table = Hashtbl.create 16 in
+            List.iter (fun (path, file) -> Hashtbl.replace table path (bound_names file)) files;
+            fun path -> Option.value ~default:[] (Hashtbl.find_opt table path)
+          in
+          List.concat_map
+            (fun (path, file) ->
+              (* Walk the statements in evaluation order, tracking where
+                 each name last came from. *)
+              let env = Hashtbl.create 16 in
+              let findings = ref [] in
+              let flag note = findings := Core.Defense.finding ~ok:false ~at:path note :: !findings in
+              List.iter
+                (fun (stmt, _) ->
+                  match stmt with
+                  | Ast.Import dep ->
+                      List.iter
+                        (fun name ->
+                          (match Hashtbl.find_opt env name with
+                          | Some (`Import other) when other <> dep ->
+                              flag
+                                (Printf.sprintf
+                                   "%s: import of %S shadows %S already imported from %S"
+                                   path name name other)
+                          | Some (`Import _) | Some `Local | None -> ());
+                          Hashtbl.replace env name (`Import dep))
+                        (exports_of dep)
+                  | Ast.Bind (name, _) | Ast.Def (name, _, _) ->
+                      (match Hashtbl.find_opt env name with
+                      | Some (`Import dep) ->
+                          flag
+                            (Printf.sprintf "%s: local binding %S shadows the export of %S"
+                               path name dep)
+                      | Some `Local | None -> ());
+                      Hashtbl.replace env name `Local
+                  | Ast.Import_thrift _ | Ast.Export _ -> ())
+                file.Ast.stmts;
+              List.rev !findings)
+            files) )
+end
+
+(* Random trees for the static checks: modules that import each other
+   (cycles included, some by a repo-absolute "/" path), import Thrift,
+   rebind and shadow a small pool of names, and sometimes fail to
+   parse; configs over them. *)
+let static_tree_gen =
+  let open QCheck2.Gen in
+  let p = Printf.sprintf in
+  let modules = [| "m/a.cinc"; "m/b.cinc"; "m/c.cinc"; "m/d.cinc" |] in
+  let target =
+    let* m = oneofa modules in
+    frequency [ 6, pure m; 1, pure ("/" ^ m); 1, pure "m/gone.cinc" ]
+  in
+  let name = oneofl [ "X"; "Y"; "Z" ] in
+  let stmt =
+    frequency
+      [
+        3, map (p "import \"%s\"") target;
+        1, pure "import_thrift \"s.thrift\"";
+        3, map (p "%s = 1") name;
+        1, map (p "def %s(a) = a") name;
+        1, pure "export 1";
+      ]
+  in
+  let source =
+    frequency [ 1, pure "X = = 1"; 8, map (String.concat "\n") (list_size (int_range 0 5) stmt) ]
+  in
+  let* module_sources = flatten_a (Array.map (fun _ -> source) modules) in
+  let* configs = list_size (int_range 1 4) source in
+  pure
+    (("s.thrift", "struct S { 1: i32 f; }")
+    :: Array.to_list (Array.map2 (fun m s -> m, s) modules module_sources)
+    @ List.mapi (fun i s -> p "c/c%d.cconf" i, s) configs)
+
+(* Each check reads over a dependency graph's outlines what it read
+   over the cone's parsed files, for the cone as compiled and for a
+   cone that reaches every module. *)
+let static_outline_property =
+  QCheck2.Test.make ~name:"static checks over outlines equal checks over parsed files"
+    ~count:300 static_tree_gen (fun files ->
+      let tree = ST.of_alist files in
+      let compiler = Compiler.create tree in
+      let compiled, _ = Compiler.compile_all compiler in
+      let everything =
+        List.map
+          (fun c -> { c with Compiler.deps = List.map fst files @ [ "/m/a.cinc" ] })
+          compiled
+      in
+      let findings = List.map (fun f -> f.Defense.ok, f.Defense.at, f.Defense.note) in
+      List.for_all
+        (fun cone ->
+          let outlines = Static.cone_outlines (Compiler.depgraph compiler) cone in
+          let parsed = Reference_static.cone_files tree cone in
+          List.for_all2
+            (fun check (name, reference) ->
+              String.equal check.Static.check_name name
+              && findings (check.Static.run ~outlines ~compiled:cone)
+                 = findings (reference ~files:parsed))
+            [ Static.cycles; Static.shadowed_exports ]
+            [ Reference_static.cycles; Reference_static.shadowed_exports ])
+        [ compiled; everything ])
+
 let verify_properties =
-  List.map QCheck_alcotest.to_alcotest [ empty_registry_property ]
+  List.map QCheck_alcotest.to_alcotest [ empty_registry_property; static_outline_property ]
 
 let () =
   Alcotest.run "verify"
