@@ -259,8 +259,7 @@ type sweep_row = { configs : int; affected_us : float; bootstrap_us : float }
 let sweep_row n =
   Gc.compact ();
   let tree = sweep_tree n in
-  let depgraph = Core.Depgraph.create () in
-  Core.Depgraph.scan depgraph tree;
+  let depgraph = Core.Depgraph.of_tree tree in
   let bootstrap =
     List.init sweep_reps (fun _ ->
         (* A fresh cache each rep; compile_all only reads the graph. *)
@@ -308,8 +307,7 @@ let shared_tree ~with_module =
 (* A rep of CPU per config of a cold compile_all of [shared_tree]. *)
 let per_config_rep ~with_module =
   let tree = shared_tree ~with_module in
-  let depgraph = Core.Depgraph.create () in
-  Core.Depgraph.scan depgraph tree;
+  let depgraph = Core.Depgraph.of_tree tree in
   fun () ->
     let compiler = Compiler.create ~depgraph tree in
     let (oks, errors), s = cpu (fun () -> Compiler.compile_all compiler) in

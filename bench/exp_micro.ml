@@ -28,8 +28,7 @@ let tests () =
   let json_value = Cm_json.Parser.parse_exn sample_json in
   let tree = figure2_tree () in
   let compiler = Core.Compiler.create tree in
-  let dep = Core.Depgraph.create () in
-  Core.Depgraph.scan dep tree;
+  let dep = Core.Depgraph.of_tree tree in
   let runtime = Cm_gatekeeper.Runtime.create () in
   Cm_gatekeeper.Runtime.load runtime
     (Cm_gatekeeper.Project.staged ~name:"P" ~employee_prob:1.0 ~world_prob:0.01);

@@ -168,10 +168,7 @@ let with_depgraph tree_dir f =
   | Error message ->
       Printf.eprintf "error: %s\n" message;
       1
-  | Ok tree ->
-      let dep = Core.Depgraph.create () in
-      Core.Depgraph.scan dep tree;
-      f tree dep
+  | Ok tree -> f tree (Core.Depgraph.of_tree tree)
 
 let run_deps tree_dir path =
   with_depgraph tree_dir (fun tree dep ->

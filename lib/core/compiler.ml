@@ -160,14 +160,7 @@ type t = {
 
 let create ?validators ?cache ?depgraph tree =
   let vals = match validators with Some v -> v | None -> Validator.create () in
-  let dep =
-    match depgraph with
-    | Some dep -> dep
-    | None ->
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
-        dep
-  in
+  let dep = match depgraph with Some dep -> dep | None -> Depgraph.of_tree tree in
   let cache = match cache with Some c -> c | None -> Cache.create () in
   { tree; vals; dep; cache; evaluations = 0 }
 

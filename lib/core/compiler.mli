@@ -104,10 +104,11 @@ val create :
   ?depgraph:Depgraph.t ->
   Source_tree.t ->
   t
-(** [depgraph], when given, must already index [tree] (used by clones
-    that {!Depgraph.copy} a live index instead of re-scanning);
-    otherwise a fresh scan is performed.  [cache] defaults to a fresh
-    empty table. *)
+(** [depgraph], when given, must already index [tree]: a proposal's
+    clone passes an O(1) {!Depgraph.copy} of the live index, sharing
+    its maps, instead of re-indexing.  Without it the compiler indexes
+    [tree] with {!Depgraph.of_tree}.  [cache] defaults to a fresh empty
+    table. *)
 
 val validators : t -> Validator.t
 val source_tree : t -> Source_tree.t

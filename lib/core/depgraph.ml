@@ -1,6 +1,9 @@
 type item = Import of string | Import_thrift of string | Bound of string
 type outline = Parsed of item list | Unparseable
 
+module Smap = Map.Make (String)
+module Sset = Set.Make (String)
+
 (* What extraction keeps of one file: its outline and its edges (its
    imports normalized to tree paths), packed into one string, since
    every file of the tree holds one.  [""] is a file that is not a CSL
@@ -11,18 +14,16 @@ type outline = Parsed of item list | Unparseable
    its string in decimal, [':'] and the string: ['b'] a bound name, ['i']
    an [import] and ['t'] an [import_thrift] whose edge is the target as
    written, ['j'] and ['u'] the same with the edge the target less its
-   leading ['/']. *)
+   leading ['/'].
+
+   [t] is a handle on persistent maps: [copy] shares them, and an
+   update rebinds only the updated handle's fields. *)
 type t = {
-  deps : (string, string) Hashtbl.t;           (* file -> packed outline *)
-  rdeps : (string, string list ref) Hashtbl.t; (* file -> importers *)
+  mutable deps : string Smap.t;   (* file -> packed outline *)
+  mutable rdeps : Sset.t Smap.t;  (* file -> importers *)
 }
 
-let create () = { deps = Hashtbl.create 64; rdeps = Hashtbl.create 64 }
-
-let copy t =
-  let rdeps = Hashtbl.create (max 64 (Hashtbl.length t.rdeps)) in
-  Hashtbl.iter (fun path importers -> Hashtbl.replace rdeps path (ref !importers)) t.rdeps;
-  { deps = Hashtbl.copy t.deps; rdeps }
+let copy t = { deps = t.deps; rdeps = t.rdeps }
 
 (* Unresolvable targets keep an edge under their literal spelling, so
    that creating the missing file later still invalidates importers.
@@ -35,7 +36,6 @@ let strips_slash tree target =
 
 let pack tree (file : Cm_lang.Ast.file) =
   let items = Buffer.create 64 in
-  let edges_end = ref 0 in
   let add tag name =
     Buffer.add_char items tag;
     Buffer.add_string items (string_of_int (String.length name));
@@ -44,26 +44,29 @@ let pack tree (file : Cm_lang.Ast.file) =
   in
   let add_import tag target =
     add (if strips_slash tree target then Char.chr (Char.code tag + 1) else tag) target;
-    edges_end := Buffer.length items
+    Buffer.length items
   in
-  List.iter
-    (fun (stmt, _) ->
-      match stmt with
-      | Cm_lang.Ast.Import target -> add_import 'i' target
-      | Cm_lang.Ast.Import_thrift target -> add_import 't' target
-      | Cm_lang.Ast.Bind (name, _) | Cm_lang.Ast.Def (name, _, _) -> add 'b' name
-      | Cm_lang.Ast.Export _ -> ())
-    file.Cm_lang.Ast.stmts;
-  "P" ^ string_of_int !edges_end ^ ":" ^ Buffer.contents items
+  let edges_end =
+    List.fold_left
+      (fun edges_end (stmt, _) ->
+        match stmt with
+        | Cm_lang.Ast.Import target -> add_import 'i' target
+        | Cm_lang.Ast.Import_thrift target -> add_import 't' target
+        | Cm_lang.Ast.Bind (name, _) | Cm_lang.Ast.Def (name, _, _) ->
+            add 'b' name;
+            edges_end
+        | Cm_lang.Ast.Export _ -> edges_end)
+      0 file.Cm_lang.Ast.stmts
+  in
+  "P" ^ string_of_int edges_end ^ ":" ^ Buffer.contents items
 
 (* A decimal length and the index after its ':'. *)
 let read_length packed i =
-  let len = ref 0 and j = ref i in
-  while packed.[!j] <> ':' do
-    len := (10 * !len) + Char.code packed.[!j] - Char.code '0';
-    incr j
-  done;
-  !len, !j + 1
+  let rec go len j =
+    if packed.[j] = ':' then len, j + 1
+    else go ((10 * len) + Char.code packed.[j] - Char.code '0') (j + 1)
+  in
+  go 0 i
 
 (* Fold [f] over the items of a packed outline, or over its first
    [edges_end] bytes of items with [~edges:true]: [f acc tag start len],
@@ -103,40 +106,39 @@ let extract tree path =
           | Ok file -> pack tree file))
 
 let unlink t path =
-  match Hashtbl.find_opt t.deps path with
+  match Smap.find_opt path t.deps with
   | None -> ()
   | Some packed ->
-      List.iter
-        (fun dep ->
-          match Hashtbl.find_opt t.rdeps dep with
-          | Some importers -> importers := List.filter (fun p -> p <> path) !importers
-          | None -> ())
-        (edges packed);
-      Hashtbl.remove t.deps path
+      t.rdeps <-
+        List.fold_left
+          (fun rdeps dep -> Smap.update dep (Option.map (Sset.remove path)) rdeps)
+          t.rdeps (edges packed);
+      t.deps <- Smap.remove path t.deps
 
 let link t path packed =
-  Hashtbl.replace t.deps path packed;
-  List.iter
-    (fun dep ->
-      match Hashtbl.find_opt t.rdeps dep with
-      | Some importers -> if not (List.mem path !importers) then importers := path :: !importers
-      | None -> Hashtbl.replace t.rdeps dep (ref [ path ]))
-    (edges packed)
+  t.deps <- Smap.add path packed t.deps;
+  t.rdeps <-
+    List.fold_left
+      (fun rdeps dep ->
+        Smap.update dep
+          (fun importers -> Some (Sset.add path (Option.value importers ~default:Sset.empty)))
+          rdeps)
+      t.rdeps (edges packed)
 
 let update_file t tree path =
   unlink t path;
   if Source_tree.mem tree path then link t path (extract tree path)
 
-let scan t tree =
-  Hashtbl.reset t.deps;
-  Hashtbl.reset t.rdeps;
-  List.iter (fun path -> link t path (extract tree path)) (Source_tree.paths tree)
+let of_tree tree =
+  let t = { deps = Smap.empty; rdeps = Smap.empty } in
+  List.iter (fun path -> link t path (extract tree path)) (Source_tree.paths tree);
+  t
 
 let direct_deps t path =
-  match Hashtbl.find_opt t.deps path with Some packed -> edges packed | None -> []
+  match Smap.find_opt path t.deps with Some packed -> edges packed | None -> []
 
 let outline t path =
-  match Hashtbl.find_opt t.deps path with
+  match Smap.find_opt path t.deps with
   | None | Some "" -> None
   | Some "U" -> Some Unparseable
   | Some packed ->
@@ -149,10 +151,8 @@ let outline t path =
       in
       Some (Parsed (List.rev (fold_packed ~edges:false item [] packed)))
 
-let dependents t path =
-  match Hashtbl.find_opt t.rdeps path with
-  | Some importers -> List.sort String.compare !importers
-  | None -> []
+let importers t path = Option.value (Smap.find_opt path t.rdeps) ~default:Sset.empty
+let dependents t path = Sset.elements (importers t path)
 
 let is_config path =
   match Source_tree.kind_of_path path with
@@ -160,47 +160,35 @@ let is_config path =
   | Source_tree.Cinc | Source_tree.Thrift | Source_tree.Cvalidator -> false
 
 let affected_configs t changed =
-  let visited = Hashtbl.create 32 in
-  let configs = Hashtbl.create 32 in
-  let rec walk path =
-    if not (Hashtbl.mem visited path) then begin
-      Hashtbl.replace visited path ();
-      if is_config path then Hashtbl.replace configs path ();
-      List.iter walk (dependents t path)
-    end
+  let rec walk visited path =
+    if Sset.mem path visited then visited
+    else Sset.fold (fun p visited -> walk visited p) (importers t path) (Sset.add path visited)
   in
-  List.iter walk changed;
+  let visited = List.fold_left walk Sset.empty changed in
+  let configs = Sset.filter is_config visited in
   (* Validators guard every config of their type, not just their static
      importers, and the type binding is only known post-compile — so a
      change reaching any validator conservatively dirties every compiled
      config. *)
   let validator_touched =
-    Hashtbl.fold
-      (fun path () acc ->
-        acc || Source_tree.kind_of_path path = Source_tree.Cvalidator)
-      visited false
+    Sset.exists (fun path -> Source_tree.kind_of_path path = Source_tree.Cvalidator) visited
   in
-  if validator_touched then
-    Hashtbl.iter
-      (fun path _ ->
-        if Source_tree.kind_of_path path = Source_tree.Cconf then
-          Hashtbl.replace configs path ())
-      t.deps;
-  List.sort String.compare (Hashtbl.fold (fun path () acc -> path :: acc) configs [])
+  Sset.elements
+    (if validator_touched then
+       Smap.fold
+         (fun path _ configs ->
+           if Source_tree.kind_of_path path = Source_tree.Cconf then Sset.add path configs
+           else configs)
+         t.deps configs
+     else configs)
 
 let transitive_deps t path =
-  let visited = Hashtbl.create 32 in
-  let rec walk current =
-    List.iter
-      (fun dep ->
-        if not (Hashtbl.mem visited dep) then begin
-          Hashtbl.replace visited dep ();
-          walk dep
-        end)
-      (direct_deps t current)
+  let rec walk visited current =
+    List.fold_left
+      (fun visited dep -> if Sset.mem dep visited then visited else walk (Sset.add dep visited) dep)
+      visited (direct_deps t current)
   in
-  walk path;
-  List.sort String.compare (Hashtbl.fold (fun dep () acc -> dep :: acc) visited [])
+  Sset.elements (walk Sset.empty path)
 
 (* Level-order scheduling for the parallel compile plane: partition a
    set of paths so that a path lands strictly after every member of
@@ -211,37 +199,35 @@ let transitive_deps t path =
    the common case — configs that only share [.cinc]/[.thrift]
    modules, never import each other — this is a single level. *)
 let levels t paths =
-  let paths = List.sort_uniq String.compare paths in
-  match paths with
-  | [] -> []
-  | _ ->
-      let in_set = Hashtbl.create (List.length paths) in
-      List.iter (fun p -> Hashtbl.replace in_set p ()) paths;
-      let depth = Hashtbl.create (List.length paths) in
-      let rec depth_of p =
-        match Hashtbl.find_opt depth p with
-        | Some d -> d
-        | None ->
-            (* Pre-mark so an import cycle (possible in unparseable or
-               adversarial trees) terminates at depth 0 instead of
-               recursing forever. *)
-            Hashtbl.replace depth p 0;
-            let d =
-              List.fold_left
-                (fun acc dep ->
-                  if Hashtbl.mem in_set dep && not (String.equal dep p) then
-                    max acc (1 + depth_of dep)
-                  else acc)
-                0 (transitive_deps t p)
-            in
-            Hashtbl.replace depth p d;
-            d
-      in
-      let max_depth = List.fold_left (fun acc p -> max acc (depth_of p)) 0 paths in
-      let buckets = Array.make (max_depth + 1) [] in
-      (* [paths] is sorted ascending; consing reverses, so reverse once
-         per bucket below to keep each level sorted. *)
-      List.iter (fun p -> buckets.(depth_of p) <- p :: buckets.(depth_of p)) paths;
-      Array.to_list (Array.map List.rev buckets)
-
-let file_count t = Hashtbl.length t.deps
+  let in_set = Sset.of_list paths in
+  (* [depth_of depths p] is [p]'s depth and [depths] with it memoized. *)
+  let rec depth_of depths p =
+    match Smap.find_opt p depths with
+    | Some d -> d, depths
+    | None ->
+        (* Pre-mark so an import cycle (possible in unparseable or
+           adversarial trees) terminates at depth 0 instead of
+           recursing forever. *)
+        let d, depths =
+          List.fold_left
+            (fun (acc, depths) dep ->
+              if Sset.mem dep in_set && not (String.equal dep p) then
+                let d, depths = depth_of depths dep in
+                max acc (1 + d), depths
+              else acc, depths)
+            (0, Smap.add p 0 depths)
+            (transitive_deps t p)
+        in
+        d, Smap.add p d depths
+  in
+  if Sset.is_empty in_set then []
+  else
+    let depths = Sset.fold (fun p depths -> snd (depth_of depths p)) in_set Smap.empty in
+    let buckets = Array.make (1 + Smap.fold (fun _ d acc -> max d acc) depths 0) [] in
+    (* Consing in descending order leaves each level sorted. *)
+    Seq.iter
+      (fun p ->
+        let d = Smap.find p depths in
+        buckets.(d) <- p :: buckets.(d))
+      (Sset.to_rev_seq in_set);
+    Array.to_list buckets

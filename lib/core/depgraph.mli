@@ -16,16 +16,15 @@ type outline =
   | Parsed of item list  (** the file's items in statement order *)
   | Unparseable
 
-val create : unit -> t
+val of_tree : Source_tree.t -> t
+(** Index the whole tree.  Unparseable files get no edges and an
+    [Unparseable] outline (the compiler will surface their errors). *)
 
 val copy : t -> t
-(** Independent snapshot of the index — what a proposal's development
-    clone starts from before {!update_file} is applied to its edits.
-    O(edges), no re-parsing. *)
-
-val scan : t -> Source_tree.t -> unit
-(** (Re)index the whole tree.  Unparseable files get no edges and an
-    [Unparseable] outline (the compiler will surface their errors). *)
+(** O(1): the copy shares the original's persistent maps, so
+    {!update_file} on either never reaches the other.  What a
+    proposal's development clone starts from before its edits are
+    re-indexed. *)
 
 val update_file : t -> Source_tree.t -> string -> unit
 (** Re-extract one file's imports after an edit. *)
@@ -40,7 +39,7 @@ val outline : t -> string -> outline option
     kinds and for paths not in the index. *)
 
 val dependents : t -> string -> string list
-(** Files that directly import the given path. *)
+(** Files that directly import the given path, sorted. *)
 
 val affected_configs : t -> string list -> string list
 (** Given changed source paths, every [*.cconf] (or raw config) that
@@ -55,7 +54,7 @@ val affected_configs : t -> string list -> string list
     is only known after compiling each config. *)
 
 val transitive_deps : t -> string -> string list
-(** Full import closure of a file. *)
+(** Full import closure of a file, sorted. *)
 
 val levels : t -> string list -> string list list
 (** Topological level order over the given set: each returned level
@@ -66,5 +65,3 @@ val levels : t -> string list -> string list list
     schedule a pure function of the graph (duplicates dropped).
     Configs that only share modules, never importing each other, form
     a single level. *)
-
-val file_count : t -> int

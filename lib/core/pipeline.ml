@@ -26,9 +26,7 @@ type verify_stage = verify_input -> Defense.verdict list
 type t = {
   net : Cm_sim.Net.t;
   pzeus : Cm_zeus.Service.t;
-  ptree : Source_tree.t;
-  pcompiler : Compiler.t;
-  pdep : Depgraph.t;
+  pcompiler : Compiler.t;  (* owns the live tree and its dependency index *)
   preview : Review.t;
   psandcastle : Sandcastle.t;
   planding : Landing_strip.t;
@@ -53,14 +51,12 @@ let create ?validators ?verify ?(jobs = 1) net zeus tree =
   (* One compiler for the live tree; it owns the dependency index and
      the content-addressed artifact cache.  Proposal clones share the
      cache (keys are closure hashes, so sharing across trees is sound)
-     and copy the index instead of re-scanning. *)
+     and an O(1) copy of the index instead of re-indexing. *)
   let compiler = Compiler.create ?validators tree in
   {
     net;
     pzeus = zeus;
-    ptree = tree;
     pcompiler = compiler;
-    pdep = Compiler.depgraph compiler;
     preview = Review.create ();
     psandcastle = Sandcastle.create ();
     planding = Landing_strip.create engine repo;
@@ -71,9 +67,9 @@ let create ?validators ?verify ?(jobs = 1) net zeus tree =
     nlanded = 0;
   }
 
-let tree t = t.ptree
+let tree t = Compiler.source_tree t.pcompiler
 let compiler t = t.pcompiler
-let depgraph t = t.pdep
+let depgraph t = Compiler.depgraph t.pcompiler
 let review t = t.preview
 let sandcastle t = t.psandcastle
 let landing t = t.planding
@@ -91,7 +87,7 @@ let bootstrap t =
       invalid_arg (Format.asprintf "Pipeline.bootstrap: tree does not compile: %a"
                      Compiler.pp_error e));
   let sources =
-    List.map (fun (path, content) -> path, Some content) (Source_tree.snapshot t.ptree)
+    List.map (fun (path, content) -> path, Some content) (Source_tree.snapshot (tree t))
   in
   let artifacts =
     List.filter_map
@@ -186,19 +182,19 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
   in
   let ( let* ) m k = m k in
   (* 1. The author edits a development clone of the tree. *)
-  let clone = Source_tree.copy t.ptree in
+  let clone = Source_tree.copy (tree t) in
   List.iter (fun (path, content) -> Source_tree.write clone path content) changes;
   let changed_paths = List.map fst changes in
   let source_changes = List.map (fun (path, content) -> path, Some content) changes in
   (* 2. Compile only the affected cone, incrementally (validators run
-     inside).  The clone copies the live dependency index and shares
+     inside).  The clone shares the live dependency index's maps and
      the live compiler's content-addressed artifact cache, so cone
      members whose closure bytes did not change are cache hits. *)
   let clone_compiler =
     Compiler.create
       ~validators:(Compiler.validators t.pcompiler)
       ~cache:(Compiler.cache t.pcompiler)
-      ~depgraph:(Depgraph.copy t.pdep)
+      ~depgraph:(Depgraph.copy (depgraph t))
       clone
   in
   let* compiled, canary_spec =
@@ -289,15 +285,15 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
         let diff_id = Review.submit t.preview ~author ~title ~base repo_changes in
         Sandcastle.post_to_review t.preview diff_id report;
         List.iter (Review.post_verdict t.preview diff_id) verify_report;
-        List.iter (post_schema_compat t.preview diff_id ~live:t.ptree) changes;
+        List.iter (post_schema_compat t.preview diff_id ~live:(tree t)) changes;
         (* §8 future work, implemented: flag high-risk updates on the
            diff from historical data.  Informational — reviewers decide. *)
         let now_days = Engine.now eng /. 86400.0 in
         List.iter
           (fun (path, content) ->
-            let history = Risk.history_of_repo t.prepo t.pdep ~path ~now:now_days in
+            let history = Risk.history_of_repo t.prepo (depgraph t) ~path ~now:now_days in
             let assessment =
-              Risk.assess ~history ~now:now_days ~old_text:(Source_tree.read t.ptree path)
+              Risk.assess ~history ~now:now_days ~old_text:(Source_tree.read (tree t) path)
                 ~new_text:content ~author ()
             in
             if assessment.Risk.level <> Risk.Low then
@@ -350,7 +346,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
      tailer distributes.  Park the trace context with the tailer so
      distribution lands in the same trace. *)
   List.iter (fun (path, _) -> Tailer.note_ctx t.ptailer ~path !ctx) repo_changes;
-  List.iter (fun (path, content) -> Source_tree.write t.ptree path content) changes;
+  List.iter (fun (path, content) -> Source_tree.write (tree t) path content) changes;
   Compiler.note_changed t.pcompiler changed_paths;
   t.nlanded <- t.nlanded + 1;
   on_done (Landed oid)

@@ -11,19 +11,20 @@ let kind_of_path path =
   else if ends_with ".thrift" then Thrift
   else Raw
 
+module Smap = Map.Make (String)
 module Sset = Set.Make (String)
 
-(* [validators] indexes the [Cvalidator] paths of [files], kept up to
-   date by every mutator, so the per-compile validator lookups cost
-   the number of validators, not the size of the tree.  A persistent
-   set: [copy] shares it, and a write to the copy rebinds only the
-   copy's field. *)
-type t = { files : (string, string) Hashtbl.t; mutable validators : Sset.t }
+(* A handle on one snapshot: [files] maps each path to its contents and
+   [validators] indexes its [Cvalidator] paths, so the per-compile
+   validator lookups cost the number of validators, not the size of the
+   tree.  Both are persistent, so [copy] shares them and a write rebinds
+   only the written handle's fields. *)
+type t = { mutable files : string Smap.t; mutable validators : Sset.t }
 
-let create () = { files = Hashtbl.create 64; validators = Sset.empty }
+let create () = { files = Smap.empty; validators = Sset.empty }
 
 let write t path content =
-  Hashtbl.replace t.files path content;
+  t.files <- Smap.add path content t.files;
   if kind_of_path path = Cvalidator then t.validators <- Sset.add path t.validators
 
 let of_alist entries =
@@ -31,23 +32,28 @@ let of_alist entries =
   List.iter (fun (path, content) -> write t path content) entries;
   t
 
-let copy t = { files = Hashtbl.copy t.files; validators = t.validators }
+let copy t = { files = t.files; validators = t.validators }
 
 let remove t path =
-  Hashtbl.remove t.files path;
+  t.files <- Smap.remove path t.files;
   t.validators <- Sset.remove path t.validators
 
-let read t path = Hashtbl.find_opt t.files path
-let mem t path = Hashtbl.mem t.files path
+let read t path = Smap.find_opt path t.files
+let mem t path = Smap.mem path t.files
 
-let paths t =
-  List.sort String.compare (Hashtbl.fold (fun path _ acc -> path :: acc) t.files [])
+(* Keys in ascending order, those failing [keep] left out. *)
+let keys ~keep t =
+  Seq.fold_left
+    (fun acc (path, _) -> if keep path then path :: acc else acc)
+    [] (Smap.to_rev_seq t.files)
+
+let paths t = keys ~keep:(fun _ -> true) t
 
 let paths_of_kind t = function
   | Cvalidator -> Sset.elements t.validators
-  | kind -> List.filter (fun path -> kind_of_path path = kind) (paths t)
+  | kind -> keys ~keep:(fun path -> kind_of_path path = kind) t
 
-let count t = Hashtbl.length t.files
+let count t = Smap.cardinal t.files
 
 let loader t target =
   match read t target with
@@ -58,7 +64,4 @@ let loader t target =
         read t (String.sub target 1 (String.length target - 1))
       else None
 
-let snapshot t =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun path content acc -> (path, content) :: acc) t.files [])
+let snapshot t = Smap.bindings t.files

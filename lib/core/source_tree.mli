@@ -18,24 +18,24 @@ val create : unit -> t
 val of_alist : (string * string) list -> t
 
 val copy : t -> t
-(** O(files) shallow copy — contents are immutable strings, so the
-    copy is independent for write/remove purposes (its validator index
-    included).  Cheaper than [of_alist (snapshot t)], which also
-    sorts. *)
+(** O(1): a tree is a handle on persistent maps, and the copy shares
+    them.  A {!write} or {!remove} on either rebinds only that handle,
+    so the copy is independent of the original (its validator index
+    included). *)
 
 val write : t -> string -> string -> unit
 val remove : t -> string -> unit
 val read : t -> string -> string option
 val mem : t -> string -> bool
 val paths : t -> string list
-(** Sorted. *)
+(** Sorted by construction: read off the map in key order. *)
 
 val paths_of_kind : t -> kind -> string list
 (** Sorted: [List.filter (fun p -> kind_of_path p = kind) (paths t)].
     [Cvalidator] paths come from an index that {!write}, {!remove},
     {!of_alist} and {!copy} keep current, so they cost the number of
-    validators and never walk the tree; every other kind filters and
-    sorts the whole tree. *)
+    validators and never walk the tree; every other kind filters the
+    whole tree. *)
 
 val count : t -> int
 
@@ -44,4 +44,5 @@ val loader : t -> string -> string option
     relative siblings and absolute repository paths. *)
 
 val snapshot : t -> (string * string) list
-(** Sorted [(path, content)] pairs — what gets committed. *)
+(** [(path, content)] pairs, sorted by construction — what gets
+    committed. *)

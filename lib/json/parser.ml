@@ -155,11 +155,12 @@ let parse_number st =
   | Some _ | None -> ());
   let text = String.sub st.input start (st.pos - start) in
   if text = "" || text = "-" then fail st "invalid number";
-  if !is_float then Value.Float (float_of_string text)
-  else
-    match int_of_string_opt text with
-    | Some n -> Value.Int n
-    | None -> Value.Float (float_of_string text)
+  match (if !is_float then None else int_of_string_opt text) with
+  | Some n -> Value.Int n
+  | None -> (
+      match float_of_string_opt text with
+      | Some f -> Value.Float f
+      | None -> fail st "invalid number")
 
 let rec parse_value st =
   skip_ws st;

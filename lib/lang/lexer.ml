@@ -113,8 +113,13 @@ let tokenize input =
           done
         end;
         let text = String.sub input start (!pos - start) in
-        if !is_float then emit (Float (float_of_string text))
-        else emit (Int (int_of_string text))
+        let number =
+          if !is_float then Option.map (fun f -> Float f) (float_of_string_opt text)
+          else Option.map (fun n -> Int n) (int_of_string_opt text)
+        in
+        (match number with
+        | Some tok -> emit tok
+        | None -> fail (Printf.sprintf "invalid number %s" text))
     | c when is_ident_start c ->
         let start = !pos in
         while !pos < len && is_ident_char input.[!pos] do

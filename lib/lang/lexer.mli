@@ -23,4 +23,6 @@ val tokenize : string -> (token * int) array
 (** Whole-input tokenization; each token is paired with its 1-based
     line.  The final element is always [(Eof, line)].
     Comments start with [#] or [//] and run to end of line.
-    @raise Lex_error on an invalid character or unterminated string. *)
+    @raise Lex_error on an invalid character, an unterminated string or
+    a malformed number (an integer beyond [max_int], an exponent with
+    no digits). *)

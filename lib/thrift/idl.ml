@@ -151,9 +151,10 @@ let rec parse_const ps =
   match ps.tok with
   | Number text ->
       advance ps;
-      (match int_of_string_opt text with
-      | Some n -> Value.Int n
-      | None -> Value.Double (float_of_string text))
+      (match int_of_string_opt text, float_of_string_opt text with
+      | Some n, _ -> Value.Int n
+      | None, Some f -> Value.Double f
+      | None, None -> fail ps ("invalid number " ^ text))
   | Strlit s ->
       advance ps;
       Value.Str s

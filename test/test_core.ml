@@ -337,8 +337,7 @@ let depgraph_tests =
               "unrelated.cconf", "export { x: 1 }";
             ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         Alcotest.(check (list string)) "both recompiled"
           [ "app.cconf"; "firewall.cconf" ]
           (Depgraph.affected_configs dep [ "app_port.cinc" ]);
@@ -347,8 +346,7 @@ let depgraph_tests =
           (Depgraph.dependents dep "app_port.cinc"));
     Alcotest.test_case "changed config recompiles itself" `Quick (fun () ->
         let tree = ST.of_alist [ "a.cconf", "export { x: 1 }" ] in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         Alcotest.(check (list string)) "self" [ "a.cconf" ]
           (Depgraph.affected_configs dep [ "a.cconf" ]));
     Alcotest.test_case "transitive chains" `Quick (fun () ->
@@ -360,8 +358,7 @@ let depgraph_tests =
               "top.cconf", "import \"mid.cinc\"\nexport { m: M }";
             ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         Alcotest.(check (list string)) "base affects top" [ "top.cconf" ]
           (Depgraph.affected_configs dep [ "base.cinc" ]);
         Alcotest.(check (list string)) "closure"
@@ -372,8 +369,7 @@ let depgraph_tests =
           ST.of_alist
             [ "a.cinc", "A = 1"; "b.cinc", "B = 2"; "c.cconf", "import \"a.cinc\"\nexport { a: A }" ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         ST.write tree "c.cconf" "import \"b.cinc\"\nexport { b: B }";
         Depgraph.update_file dep tree "c.cconf";
         Alcotest.(check (list string)) "a no longer affects" []
@@ -390,8 +386,7 @@ let depgraph_tests =
               "top.cconf", "import \"left.cinc\"\nimport \"right.cinc\"\nexport { s: L + R }";
             ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         Alcotest.(check (list string)) "no duplicates" [ "top.cconf" ]
           (Depgraph.affected_configs dep [ "base.cinc" ]));
     Alcotest.test_case "cinc shared with a validator affects every config" `Quick (fun () ->
@@ -408,8 +403,7 @@ let depgraph_tests =
               "b.cconf", "export { x: 1 }";
             ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         Alcotest.(check (list string)) "all configs affected" [ "a.cconf"; "b.cconf" ]
           (Depgraph.affected_configs dep [ "limits.cinc" ]);
         Alcotest.(check (list string)) "validator edit affects all"
@@ -420,8 +414,7 @@ let depgraph_tests =
           ST.of_alist
             [ "a.cinc", "A = 1"; "c.cconf", "import \"a.cinc\"\nexport { a: A }" ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         ST.remove tree "a.cinc";
         Depgraph.update_file dep tree "a.cinc";
         Alcotest.(check (list string)) "dependent must recompile" [ "c.cconf" ]
@@ -431,8 +424,7 @@ let depgraph_tests =
           ST.of_alist
             [ "a.cinc", "A = 1"; "c.cconf", "import \"a.cinc\"\nexport { a: A }" ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         let clone = Depgraph.copy dep in
         ST.write tree "c.cconf" "export { x: 2 }";
         Depgraph.update_file clone tree "c.cconf";
@@ -733,6 +725,22 @@ let pipeline_tests =
           [ "raw/bad\nname.json"; "raw/a\001b.json"; "raw//x.json"; "/raw/x.json" ];
         Alcotest.(check bool) "nothing landed" true
           (Cm_vcs.Repo.head (Pipeline.repo pipeline) = head));
+    Alcotest.test_case "a malformed number is a compile error, not an exception" `Quick
+      (fun () ->
+        let tree = figure2_tree () in
+        ST.write tree "jobs/big.cconf" "export 99999999999999999999";
+        ST.write tree "raw/bad.json" "[1e+]";
+        let _, errors = Compiler.compile_all (Compiler.create tree) in
+        Alcotest.(check (list (pair string string))) "errors"
+          [ "jobs/big.cconf", "eval"; "raw/bad.json", "parse" ]
+          (List.map (fun e -> e.Compiler.at, Compiler.stage_name e.Compiler.stage) errors);
+        let _, _, pipeline = pipeline_env () in
+        List.iter
+          (fun (path, source) ->
+            Alcotest.(check string) path "compile"
+              (Pipeline.outcome_stage
+                 (Pipeline.propose_sync pipeline ~author:"dana" [ path, source ])))
+          [ "raw/bad.json", "[1e+]"; "jobs/cache_job.cconf", "export 1.5e+" ]);
     Alcotest.test_case "validator rejects at compile stage" `Quick (fun () ->
         let validators = Validator.create () in
         Validator.register validators ~type_name:"Job"
@@ -1207,8 +1215,7 @@ let risk_tests =
           ST.of_alist
             [ "base.cinc", "B = 2"; "top.cconf", "import \"base.cinc\"\nexport { b: B }" ]
         in
-        let dep = Depgraph.create () in
-        Depgraph.scan dep tree;
+        let dep = Depgraph.of_tree tree in
         let history = Core.Risk.history_of_repo repo dep ~path:"base.cinc" ~now:10.0 in
         Alcotest.(check int) "two writes" 2 (List.length history.Core.Risk.write_days);
         Alcotest.(check (list string)) "authors" [ "a"; "b" ] history.Core.Risk.authors;
@@ -1680,6 +1687,117 @@ let clone_compile_property =
       in
       collected = each fresh && each edited = each fresh && each pruned = each fresh)
 
+(* --- snapshots: a copy is independent by construction ---------------- *)
+
+module Smap = Map.Make (String)
+
+let model_paths =
+  [| "a.cconf"; "d/b.cconf"; "m.cinc"; "s.thrift"; "Job.thrift-cvalidator";
+     "d/Job.thrift-cvalidator"; "notes.cvalidator"; "r.json"; "raw/x" |]
+
+(* Random interleavings of [write] (0), [remove] (1) and [copy] (2), each
+   on one of the handles made so far (the first is an empty tree). *)
+let tree_ops_gen =
+  let open QCheck2.Gen in
+  list_size (int_range 0 30)
+    (triple (int_range 0 2) nat (pair (int_bound (Array.length model_paths - 1)) (int_bound 3)))
+
+let source_tree_model_property =
+  QCheck2.Test.make ~name:"every source tree copy equals its map model" ~count:300 tree_ops_gen
+    (fun ops ->
+      let agrees (tree, model) =
+        let paths = List.map fst (Smap.bindings model) in
+        ST.paths tree = paths
+        && ST.snapshot tree = Smap.bindings model
+        && Array.for_all
+             (fun p -> ST.read tree p = Smap.find_opt p model && ST.mem tree p = Smap.mem p model)
+             model_paths
+        && List.for_all
+             (fun kind ->
+               ST.paths_of_kind tree kind = List.filter (fun p -> ST.kind_of_path p = kind) paths)
+             all_kinds
+      in
+      let step handles (op, h, (i, v)) =
+        let k = h mod List.length handles in
+        let tree, model = List.nth handles k in
+        let path = model_paths.(i) and content = string_of_int v in
+        let set f = List.mapi (fun j (t, m) -> t, if j = k then f m else m) handles in
+        let handles =
+          match op with
+          | 0 ->
+              ST.write tree path content;
+              set (Smap.add path content)
+          | 1 ->
+              ST.remove tree path;
+              set (Smap.remove path)
+          | _ -> handles @ [ ST.copy tree, model ]
+        in
+        if List.for_all agrees handles then Some handles else None
+      in
+      List.fold_left (fun acc op -> Option.bind acc (fun hs -> step hs op))
+        (Some [ ST.create (), Smap.empty ]) ops
+      <> None)
+
+(* Files of a random dependency graph: cyclic, missing, config-to-config
+   and thrift imports, an unparseable source, a validator.  "base.cinc"
+   is in every tree and never edited, so its absolute import always
+   resolves. *)
+let graph_paths =
+  [| "a.cconf"; "b.cconf"; "d/c.cconf"; "m.cinc"; "n.cinc"; "Job.thrift-cvalidator";
+     "s.thrift"; "r.json" |]
+
+let graph_source = function
+  | 0 -> "X = 1"
+  | 1 -> "import \"m.cinc\"\nX = M"
+  | 2 -> "import \"n.cinc\"\nimport \"/base.cinc\"\nX = 2"
+  | 3 -> "import \"m.cinc\"\nimport \"n.cinc\"\nimport_thrift \"s.thrift\"\nX = 3"
+  | 4 -> "import \"gone.cinc\"\nimport \"d/c.cconf\"\nX = 4"
+  | _ -> "X = = 5"
+
+let graph_probes = "base.cinc" :: "/base.cinc" :: "gone.cinc" :: Array.to_list graph_paths
+
+let depgraph_copy_property =
+  let gen =
+    let open QCheck2.Gen in
+    let n = Array.length graph_paths in
+    pair
+      (list_repeat n (opt (int_bound 5)))
+      (list_size (int_range 1 8) (pair (int_bound (n - 1)) (opt (int_bound 5))))
+  in
+  QCheck2.Test.make ~name:"an edited depgraph copy equals a fresh index, the original is kept"
+    ~count:300 gen (fun (present, edits) ->
+      let tree =
+        ST.of_alist
+          (("base.cinc", "B = 0")
+          :: List.concat
+               (List.mapi
+                  (fun i -> function Some v -> [ graph_paths.(i), graph_source v ] | None -> [])
+                  present))
+      in
+      let dep = Depgraph.of_tree tree in
+      let edited = ST.copy tree and clone = Depgraph.copy dep in
+      List.iter
+        (fun (i, v) ->
+          let path = graph_paths.(i) in
+          (match v with
+          | Some v -> ST.write edited path (graph_source v)
+          | None -> ST.remove edited path);
+          Depgraph.update_file clone edited path)
+        edits;
+      let agree dep fresh =
+        List.for_all
+          (fun p ->
+            Depgraph.direct_deps dep p = Depgraph.direct_deps fresh p
+            && Depgraph.dependents dep p = Depgraph.dependents fresh p
+            && Depgraph.outline dep p = Depgraph.outline fresh p
+            && Depgraph.affected_configs dep [ p ] = Depgraph.affected_configs fresh [ p ])
+          graph_probes
+        &&
+        let changed = List.map (fun (i, _) -> graph_paths.(i)) edits in
+        Depgraph.affected_configs dep changed = Depgraph.affected_configs fresh changed
+      in
+      agree clone (Depgraph.of_tree edited) && agree dep (Depgraph.of_tree tree))
+
 (* Random trees of shared CSL modules: nested and cyclic imports,
    missing and unparseable modules, [import_thrift] of good, clashing,
    broken and missing schemas, enum references at a module's top level
@@ -1822,7 +1940,7 @@ let core_properties =
     [
       spec_roundtrip_property; ui_source_roundtrip_property; risk_monotone_property;
       incr_equivalence_property; closure_key_property; clone_compile_property;
-      module_table_property;
+      module_table_property; source_tree_model_property; depgraph_copy_property;
     ]
 
 let () =

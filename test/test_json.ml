@@ -53,6 +53,10 @@ let errors =
     Alcotest.test_case "bare word" `Quick (check_error "nope");
     Alcotest.test_case "missing colon" `Quick (check_error {|{"a" 1}|});
     Alcotest.test_case "empty input" `Quick (check_error "");
+    Alcotest.test_case "malformed numbers" `Quick (fun () ->
+        List.iter
+          (fun input -> check_error input ())
+          [ "1e"; "[1e+]"; "-"; "1.5E-"; {|{"a": 2e}|} ]);
     Alcotest.test_case "error position" `Quick (fun () ->
         match Parser.parse "{\n  \"a\": ?\n}" with
         | Error e ->

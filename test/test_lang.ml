@@ -400,6 +400,17 @@ let error_tests =
         match Parser.parse "x = 1 ~ 2" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected error");
+    Alcotest.test_case "malformed numbers" `Quick (fun () ->
+        List.iter
+          (fun literal ->
+            let source = "x = 1\nexport " ^ literal in
+            (match Parser.parse source with
+            | Error e -> Alcotest.(check int) ("parse line of " ^ literal) 2 e.Parser.line
+            | Ok _ -> Alcotest.failf "expected parse error for %s" literal);
+            match run source with
+            | Error e -> Alcotest.(check int) ("eval line of " ^ literal) 2 e.Eval.line
+            | Ok _ -> Alcotest.failf "expected eval error for %s" literal)
+          [ "99999999999999999999"; "1e"; "1.5e+"; "2E-" ]);
     Alcotest.test_case "comments ignored" `Quick
       (check_value (Eval.V_int 3) "1 + 2 # trailing\n// whole line\n");
   ]
@@ -550,8 +561,13 @@ module Reference_lexer = struct
             done
           end;
           let text = String.sub input start (!pos - start) in
-          if !is_float then emit (Float (float_of_string text))
-          else emit (Int (int_of_string text))
+          let number =
+            if !is_float then Option.map (fun f -> Float f) (float_of_string_opt text)
+            else Option.map (fun n -> Int n) (int_of_string_opt text)
+          in
+          (match number with
+          | Some tok -> emit tok
+          | None -> fail (Printf.sprintf "invalid number %s" text))
       | c when is_ident_start c ->
           let start = !pos in
           while !pos < len && is_ident_char input.[!pos] do
@@ -582,8 +598,7 @@ module Reference_lexer = struct
 end
 
 (* What a tokenization ends in: its tokens and lines, its [Lex_error],
-   or any other exception (an integer literal too large raises
-   [Failure]). *)
+   or any other exception. *)
 let lex_outcome tokenize input =
   match tokenize input with
   | tokens -> Ok tokens

@@ -61,6 +61,13 @@ let idl_tests =
         match Idl.parse "struct S {\n 1: wonky;\n}" with
         | Error e -> Alcotest.(check bool) "line >= 2" true (e.Idl.line >= 2)
         | Ok _ -> Alcotest.fail "expected error");
+    Alcotest.test_case "malformed numeric defaults rejected" `Quick (fun () ->
+        List.iter
+          (fun default ->
+            match Idl.parse (Printf.sprintf "struct S {\n 1: double x = %s;\n}" default) with
+            | Error e -> Alcotest.(check int) ("line of " ^ default) 2 e.Idl.line
+            | Ok _ -> Alcotest.failf "expected error for default %s" default)
+          [ "1e"; "1.5e+"; "-"; "1-2"; "[1, 2E]" ]);
     Alcotest.test_case "nested containers" `Quick (fun () ->
         let schema = Idl.parse_exn "struct S { 1: map<string, list<i32>> m; }" in
         let s = Option.get (Schema.find_struct schema "S") in

@@ -109,8 +109,7 @@ let defense_tests =
 (* A static check as [Verify.run] runs it: over the outlines of the
    cone's sources, as a dependency graph over the tree indexed them. *)
 let run_static check tree compiled =
-  let dep = Core.Depgraph.create () in
-  Core.Depgraph.scan dep tree;
+  let dep = Core.Depgraph.of_tree tree in
   check.Static.run ~outlines:(Static.cone_outlines dep compiled) ~compiled
 
 let static_tests =
