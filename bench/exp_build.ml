@@ -2,17 +2,21 @@
    incremental compile + verify plane + sandcastle CI — across OCaml 5
    domains, with results and gates in BENCH_build.json.
 
-   Two adversarial cone shapes:
+   A pool never runs more domains than the host has cores, so a
+   "4-domain" row runs min(4, cores) domains.  Two adversarial cone
+   shapes:
 
    - wide: [nwide] configs importing [nmods] shared modules.  Each
-     timed round edits one module, dirtying a 1/nmods cone; the cone is
-     a single dependency level, so the pool can fan the whole batch
-     out.  Verify (statics + an invariant + a per-artifact consumer
-     test) and the sandcastle checks run inside the timed loop — this
-     is the full check plane a landing pays for, not just compilation;
-   - deep: an [nchain]-long import chain.  Every level has exactly one
-     member, so the pool cannot help at any core count — the chain
-     isolates pure scheduling overhead, which must stay bounded.
+     timed round edits one module, dirtying a 1/nmods cone, which the
+     compile fans out in one call.  Verify (statics + an invariant + a
+     per-artifact consumer test) and the sandcastle checks run inside
+     the timed loop — this is the full check plane a landing pays for,
+     not just compilation;
+   - deep: an [nchain]-long import chain.  Editing its tail dirties
+     every link, and the compile fans the whole chain out in one call
+     (no compile reads another's artifact), but each link is tiny:
+     per round the chain is a small fan-out, so it measures what a
+     pool call costs beyond its work, which must stay bounded.
 
    Gates:
    - equivalence: the 4-domain run's artifact digests, error list,
@@ -20,8 +24,9 @@
      bounded cell's byte budget), verify verdicts and sandcastle
      report are bit-identical to the 1-domain run's (the QCheck
      property from test_parallel, re-run at bench scale);
-   - chain overhead (4 domains vs 1) <= 1.50: size-one levels execute
-     inline on the caller, so extra idle domains must stay cheap;
+   - chain overhead (4 domains vs 1) <= 1.50: a small fan-out must not
+     pay a domain spawn per call (warm helper domains) or more domains
+     than cores (the clamp);
    - scaling >= 1.8x at 4 domains vs 1 — gated only in "measured" mode
      (host with >= 4 cores, per the acceptance criterion).  Unlike
      exp_gk's allocation-free read path, compilation allocates heavily,
@@ -202,7 +207,7 @@ let chain_cell ~domains () =
     time (fun () ->
         for r = 1 to chain_rounds do
           (* Editing the deepest dependency dirties every link: the
-             cone compiles as [nchain] levels of exactly one config. *)
+             cone is all [nchain] configs, compiled in one fan-out. *)
           ST.write tree tail (chain_source ~v:r (nchain - 1));
           let oks, errors = Compiler.compile_affected ~pool compiler ~changed:[ tail ] in
           if errors <> [] || List.length oks <> nchain then

@@ -69,8 +69,8 @@ let tree_arg =
 let jobs_arg =
   let doc =
     "Compile and verify across $(docv) domains (0 = one per core, 1 = \
-     sequential).  Output is identical at any setting; only wall-clock \
-     changes."
+     sequential), capped at the host's cores.  Output is identical at any \
+     setting; only wall-clock changes."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -35,11 +35,10 @@ let verdict_of_error { at; stage; message } =
 (* Content-addressed artifact memo table, owned by one domain.
 
    Keys are closure hashes.  The table is a persistent map, so
-   [collect] hands pool workers the map as it stands before a fan-out
-   -- an immutable snapshot they can only read -- and makes every
-   write (hit/miss counts, recency stamps, publishing) itself, on the
-   caller's domain, at the join.  Workers read an entry's [value]
-   only; its [stamp] changes only at the join.
+   [collect] looks its keys up in the map as it stands before the
+   fan-out -- an immutable snapshot -- and makes every write (hit/miss
+   counts, recency stamps, publishing) itself, on the caller's domain,
+   at the join.  Pool workers never touch the table.
 
    An optional byte budget bounds the table by exact LRU: every use
    stamps its entry from one clock, and a publish that overflows the
@@ -390,78 +389,61 @@ let closure_key t ~digests ~validators path =
 let closure_hash t path =
   closure_key t ~digests:(Hashtbl.create 16) ~validators:(validator_closure t) path
 
-(* What a compile worker hands back for one target. *)
-type lookup = Hit of compiled | Compiled of (compiled, error) result
-
-(* Collect: topologically level-order the targets from the dependency
-   graph.  Per level, the caller keys each target (hashing each file of
-   the collect once) and looks the keys up in the cache as it stands
-   before the level's compiles; for the misses it adds their imports to
-   the collect's one module table (building the validator rules at the
-   first miss).  The pool then compiles the misses, reading the tree,
-   the view, the table and the snapshot only.  At each level's join the
-   caller counts, stamps and publishes in level order, so the cache
-   ends up identical -- entries, recency, evictions, hit/miss totals --
-   at any domain count.  The results fold into ([oks], [errors]), both
-   in [targets] order.  Without [pool], a 1-domain pool runs every
-   level inline on the caller.  The module table and the digests are
+(* Collect: one fan-out.  No compile reads another config's artifact,
+   so the targets need no order.  The caller keys each unique target
+   once, in sorted order (hashing each file of the collect once), and
+   looks the keys up in the cache as it stands before the fan-out; if
+   any misses, it builds the validator rules and adds the misses'
+   imports to the collect's one module table.  The pool then compiles
+   the misses, reading the tree, the view and the table only.  At the
+   join the caller counts, stamps and publishes in sorted target
+   order, so the cache ends up identical -- entries, recency,
+   evictions, hit/miss totals -- at any domain count.  The results
+   fold into ([oks], [errors]), both in [targets] order (a duplicate
+   target appears twice).  Without [pool], a 1-domain pool compiles
+   inline on the caller.  The module table and the digests are
    dropped on return. *)
 let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let modules = new_modules t in
   let digests = Hashtbl.create 64 in
   let closure = validator_closure t in
-  let rules = ref None in
-  let view () =
-    match !rules with
-    | Some view -> view
-    | None ->
-        let view = { closure; rules = validator_rules t modules } in
-        rules := Some view;
-        view
+  let unique = Array.of_list (List.sort_uniq String.compare targets) in
+  let keys = Array.map (closure_key t ~digests ~validators:closure) unique in
+  let snapshot = t.cache.Cache.entries in
+  let cached =
+    Array.map (fun key -> Option.map (fun e -> e.Cache.value) (Smap.find_opt key snapshot)) keys
   in
-  let results = Hashtbl.create (max 16 (List.length targets)) in
-  List.iter
-    (fun level ->
-      let level = Array.of_list level in
-      let keys = Array.map (closure_key t ~digests ~validators:closure) level in
-      let snapshot = t.cache.Cache.entries in
-      let jobs =
-        Array.mapi
-          (fun i key ->
-            match Smap.find_opt key snapshot with
-            | Some e -> `Hit e.Cache.value
-            | None ->
-                let view = view () in
-                add_imports t modules level.(i);
-                `Compile (view, level.(i)))
-          keys
-      in
-      let out =
-        Cm_parallel.Pool.map_array pool
-          (function
-            | `Hit compiled -> Hit compiled
-            | `Compile (view, path) -> Compiled (compile_in t view modules path))
-          jobs
-      in
-      Array.iteri
-        (fun i found ->
-          let key = keys.(i) in
-          let result =
-            match found with
-            | Hit compiled ->
-                Cache.record_hit t.cache key compiled;
-                Ok compiled
-            | Compiled result ->
-                Cache.record_miss t.cache key result;
-                result
-          in
-          Hashtbl.replace results level.(i) result)
-        out)
-    (Depgraph.levels t.dep targets);
+  let misses =
+    Array.of_seq
+      (Seq.filter (fun i -> Option.is_none cached.(i)) (Seq.init (Array.length keys) Fun.id))
+  in
+  let compiled =
+    if misses = [||] then [||]
+    else begin
+      let view = { closure; rules = validator_rules t modules } in
+      Array.iter (fun i -> add_imports t modules unique.(i)) misses;
+      Cm_parallel.Pool.map_array pool (fun i -> compile_in t view modules unique.(i)) misses
+    end
+  in
+  (* The join: [compiled] holds the misses' results in sorted order. *)
+  let next = ref 0 in
+  let results =
+    Array.init (Array.length keys) (fun i ->
+        match cached.(i) with
+        | Some artifact ->
+            Cache.record_hit t.cache keys.(i) artifact;
+            Ok artifact
+        | None ->
+            let result = compiled.(!next) in
+            incr next;
+            Cache.record_miss t.cache keys.(i) result;
+            result)
+  in
   t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;
+  let by_path = Smap.of_seq (Seq.zip (Array.to_seq unique) (Array.to_seq results)) in
   List.fold_left
     (fun (oks, errors) path ->
-      match Hashtbl.find results path with
+      match Smap.find path by_path with
       | Ok compiled -> compiled :: oks, errors
       | Error e -> oks, e :: errors)
     ([], []) targets

@@ -60,10 +60,10 @@ val digest_of_text : string -> string
     identical closure bytes imply an identical artifact.
 
     The table belongs to the domain that compiles through it.  A
-    pooled compile hands its workers an immutable snapshot to read and
-    makes every write -- counting, recency, publishing -- itself at
-    each level's join, so the table's contents, evictions and counters
-    are identical at any domain count.  With [byte_budget] set the
+    pooled compile looks its keys up in an immutable snapshot before
+    the fan-out and makes every write -- counting, recency, publishing
+    -- itself at the join, so the table's contents, evictions and
+    counters are identical at any domain count.  With [byte_budget] set the
     table is bounded by exact LRU eviction at publish time; without
     it, it grows without bound. *)
 module Cache : sig
@@ -132,24 +132,27 @@ val compile : t -> string -> (compiled, error) result
 
 val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
 (** Compile every config in the tree ([*.cconf] + raw), through the
-    memo table.  Configs fan out across [pool]'s domains in dependency
-    level order ({!Depgraph.levels}); [pool] defaults to a 1-domain
-    pool, which runs every level inline on the caller.  Before the
-    fan-out the caller builds one immutable validator view (the
-    validator closure and each type's evaluated source validator) and
-    one module table holding every module the cache-missing targets
-    import, each evaluated once ({!Cm_lang.Eval.Modules}).  Workers only
-    read (the tree, that view, the table and a snapshot of the
-    {!Cache}); the caller updates the cache at each level's join.  The result — artifact
-    list, error list and ordering, the cache's entries and counters —
-    is identical at any domain count. *)
+    memo table, in one fan-out across [pool]'s domains: no compile
+    reads another config's artifact, so the targets need no order.
+    [pool] defaults to a 1-domain pool, which compiles inline on the
+    caller.  Before the fan-out the caller keys each unique target once
+    and looks it up in a snapshot of the {!Cache}, and for the misses
+    builds one immutable validator view (the validator closure and each
+    type's evaluated source validator) and one module table holding
+    every module they import, each evaluated once
+    ({!Cm_lang.Eval.Modules}).  Workers compile the misses, reading
+    only the tree, that view and the table; the caller updates the
+    cache at the one join, in sorted target order.  The result —
+    artifact list, error list and ordering, the cache's entries and
+    counters — is identical at any domain count. *)
 
 val compile_targets :
   ?pool:Cm_parallel.Pool.t -> t -> string list -> (compiled list * error list)
 (** {!compile_all} over the given source paths instead of every config:
-    one validator view and one memoized, level-ordered fan-out for all
-    of them.  Results and errors come back in the order of the paths; a
-    path that is missing or not a config root is an error. *)
+    one validator view and one memoized fan-out for all of them, each
+    unique path compiled once.  Results and errors come back in the
+    order of the paths (a duplicate path appears twice); a path that is
+    missing or not a config root is an error. *)
 
 val note_changed : t -> string list -> unit
 (** Re-index the given paths in the compiler's dependency graph after
@@ -161,8 +164,8 @@ val compile_affected :
     affected cone ({!Depgraph.affected_configs}), and compile it
     through the memo table.  Configs outside the cone are untouched;
     configs inside the cone whose transitive closure bytes are
-    unchanged are cache hits.  The cone compiles on [pool] in level
-    order, with output identical at any domain count (see
+    unchanged are cache hits.  The cone compiles on [pool] in one
+    fan-out, with output identical at any domain count (see
     {!compile_all}). *)
 
 val closure_hash : t -> string -> string

@@ -125,9 +125,21 @@ let link t path packed =
           rdeps)
       t.rdeps (edges packed)
 
-let update_file t tree path =
+let importers t path = Option.value (Smap.find_opt path t.rdeps) ~default:Sset.empty
+
+let relink t tree path =
   unlink t path;
   if Source_tree.mem tree path then link t path (extract tree path)
+
+(* An absolute import of [path] has its edge under "/path" while [path]
+   is missing and under [path] once it exists ([strips_slash]), so when
+   [path] appears or goes its importers' edges are re-extracted too. *)
+let update_file t tree path =
+  let existed = Smap.mem path t.deps in
+  relink t tree path;
+  if existed <> Source_tree.mem tree path then
+    Sset.iter (relink t tree)
+      (Sset.remove path (Sset.union (importers t path) (importers t ("/" ^ path))))
 
 let of_tree tree =
   let t = { deps = Smap.empty; rdeps = Smap.empty } in
@@ -151,7 +163,6 @@ let outline t path =
       in
       Some (Parsed (List.rev (fold_packed ~edges:false item [] packed)))
 
-let importers t path = Option.value (Smap.find_opt path t.rdeps) ~default:Sset.empty
 let dependents t path = Sset.elements (importers t path)
 
 let is_config path =
@@ -189,45 +200,3 @@ let transitive_deps t path =
       visited (direct_deps t current)
   in
   Sset.elements (walk Sset.empty path)
-
-(* Level-order scheduling for the parallel compile plane: partition a
-   set of paths so that a path lands strictly after every member of
-   the set it (transitively) imports.  Within a level no member
-   depends on another, so a domain pool may compile a whole level
-   concurrently; levels are emitted in dependency order and each level
-   is sorted, making the schedule a pure function of the graph.  For
-   the common case — configs that only share [.cinc]/[.thrift]
-   modules, never import each other — this is a single level. *)
-let levels t paths =
-  let in_set = Sset.of_list paths in
-  (* [depth_of depths p] is [p]'s depth and [depths] with it memoized. *)
-  let rec depth_of depths p =
-    match Smap.find_opt p depths with
-    | Some d -> d, depths
-    | None ->
-        (* Pre-mark so an import cycle (possible in unparseable or
-           adversarial trees) terminates at depth 0 instead of
-           recursing forever. *)
-        let d, depths =
-          List.fold_left
-            (fun (acc, depths) dep ->
-              if Sset.mem dep in_set && not (String.equal dep p) then
-                let d, depths = depth_of depths dep in
-                max acc (1 + d), depths
-              else acc, depths)
-            (0, Smap.add p 0 depths)
-            (transitive_deps t p)
-        in
-        d, Smap.add p d depths
-  in
-  if Sset.is_empty in_set then []
-  else
-    let depths = Sset.fold (fun p depths -> snd (depth_of depths p)) in_set Smap.empty in
-    let buckets = Array.make (1 + Smap.fold (fun _ d acc -> max d acc) depths 0) [] in
-    (* Consing in descending order leaves each level sorted. *)
-    Seq.iter
-      (fun p ->
-        let d = Smap.find p depths in
-        buckets.(d) <- p :: buckets.(d))
-      (Sset.to_rev_seq in_set);
-    Array.to_list buckets

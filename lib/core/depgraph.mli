@@ -27,7 +27,9 @@ val copy : t -> t
     re-indexed. *)
 
 val update_file : t -> Source_tree.t -> string -> unit
-(** Re-extract one file's imports after an edit. *)
+(** Re-extract one file's imports after an edit; when the edit creates
+    or removes the file, also its importers', whose absolute imports of
+    it change edge. *)
 
 val direct_deps : t -> string -> string list
 (** Imports of one file (normalized to tree paths), from its outline. *)
@@ -55,13 +57,3 @@ val affected_configs : t -> string list -> string list
 
 val transitive_deps : t -> string -> string list
 (** Full import closure of a file, sorted. *)
-
-val levels : t -> string list -> string list list
-(** Topological level order over the given set: each returned level
-    holds paths that do not (transitively) import any other member of
-    their own level — they may be compiled concurrently — and every
-    path appears strictly after the members of the set it imports.
-    Levels are in dependency order, each level sorted, the whole
-    schedule a pure function of the graph (duplicates dropped).
-    Configs that only share modules, never importing each other, form
-    a single level. *)

@@ -74,9 +74,10 @@ val create :
     the tree's current contents, then {!start}.
 
     [validators] run inside every compile; [verify] is the verify
-    stage (none by default).  [jobs] (default 1, clamped to [>= 1])
-    sizes the landing path's domain pool: compile levels, sandcastle
-    checks and the verify stage fan out across [jobs] domains.
+    stage (none by default).  [jobs] (default 1, clamped to
+    [1 .. cores]) sizes the landing path's domain pool: the compile
+    fan-out, sandcastle checks and the verify stage run across [jobs]
+    domains.
     [jobs = 1] is a 1-domain pool, which runs every stage inline on
     the caller.  Outcomes are identical at any [jobs]; only wall-clock
     changes. *)

@@ -9,7 +9,12 @@ type value =
   | V_struct of string * (string * value) list
   | V_enum of string * string
   | V_closure of closure
-  | V_builtin of string * ((value -> value list -> value) -> Ast.pos -> value list -> value)
+  | V_builtin of string * (runtime -> Ast.pos -> value list -> value)
+
+and runtime = {
+  call : value -> value list -> value;
+  charge : Ast.pos -> int -> unit;
+}
 
 and closure = {
   cname : string;
@@ -76,7 +81,11 @@ let no_pos = { Ast.line = 0 }
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
 
-let rec value_equal a b =
+(* [charge n] before comparing the [n] elements of two compound
+   values: a value can share structure ([d([x, x])] doubles in one
+   step), so a comparison can walk a tree exponentially larger than the
+   evaluation that built it.  Scalars compare free. *)
+let rec equal charge a b =
   match a, b with
   | V_null, V_null -> true
   | V_bool x, V_bool y -> x = y
@@ -85,16 +94,22 @@ let rec value_equal a b =
   | V_int x, V_float y | V_float y, V_int x -> float_of_int x = y
   | V_str x, V_str y -> String.equal x y
   | V_list xs, V_list ys ->
-      List.length xs = List.length ys && List.for_all2 value_equal xs ys
+      List.length xs = List.length ys
+      && (charge (List.length xs);
+          List.for_all2 (equal charge) xs ys)
   | V_map xs, V_map ys ->
       List.length xs = List.length ys
-      && List.for_all2 (fun (k1, v1) (k2, v2) -> value_equal k1 k2 && value_equal v1 v2) xs ys
+      && (charge (List.length xs);
+          List.for_all2
+            (fun (k1, v1) (k2, v2) -> equal charge k1 k2 && equal charge v1 v2)
+            xs ys)
   | V_struct (n1, f1), V_struct (n2, f2) ->
       String.equal n1 n2
       && List.length f1 = List.length f2
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && value_equal v1 v2)
-           f1 f2
+      && (charge (List.length f1);
+          List.for_all2
+            (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal charge v1 v2)
+            f1 f2)
   | V_enum (t1, m1), V_enum (t2, m2) -> String.equal t1 t2 && String.equal m1 m2
   | (V_closure _ | V_builtin _), _ | _, (V_closure _ | V_builtin _) ->
       fail no_pos "cannot compare functions"
@@ -102,6 +117,8 @@ let rec value_equal a b =
       | V_struct _ | V_enum _ ),
       _ ) ->
       false
+
+let value_equal a b = equal ignore a b
 
 (* Environments: a mutable table per scope, chained.  Mutability gives
    Python-like visibility (a def can call a later def at call time).
@@ -161,28 +178,38 @@ let want_list pos = function
   | V_list items -> items
   | v -> fail pos "expected list, got %s" (type_name v)
 
-let rec to_display = function
+(* [charge] is called with the size of each node and string before it
+   is displayed: a value can share structure ([d([x, x])] doubles in one
+   step), so its display can be exponentially longer than the
+   evaluation that built it. *)
+let rec to_display charge v =
+  charge 1;
+  match v with
   | V_null -> "null"
   | V_bool b -> string_of_bool b
   | V_int n -> string_of_int n
   | V_float f -> Printf.sprintf "%g" f
-  | V_str s -> s
-  | V_list items -> "[" ^ String.concat ", " (List.map to_display items) ^ "]"
+  | V_str s ->
+      charge (String.length s);
+      s
+  | V_list items -> "[" ^ String.concat ", " (List.map (to_display charge) items) ^ "]"
   | V_map pairs ->
       "{"
-      ^ String.concat ", " (List.map (fun (k, v) -> to_display k ^ ": " ^ to_display v) pairs)
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> to_display charge k ^ ": " ^ to_display charge v) pairs)
       ^ "}"
   | V_struct (name, fields) ->
       name ^ "{"
-      ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ to_display v) fields)
+      ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ to_display charge v) fields)
       ^ "}"
   | V_enum (ty, member) -> ty ^ "." ^ member
   | V_closure { cname; _ } -> "<function " ^ cname ^ ">"
   | V_builtin (name, _) -> "<builtin " ^ name ^ ">"
 
-(* Each builtin takes [call], the running evaluation's way to apply a
-   function value, when it is called -- not when it is bound -- so one
-   builtin environment serves every file of every run. *)
+(* Each builtin takes the running evaluation's [runtime] when it is
+   called -- not when it is bound -- so one builtin environment serves
+   every file of every run.  A builtin that builds a result longer than
+   its arguments charges the length first. *)
 let builtins =
   let arity name n pos args =
     if List.length args <> n then
@@ -198,7 +225,10 @@ let builtins =
        | [ V_map pairs ] -> V_int (List.length pairs)
        | [ v ] -> fail pos "len: unsupported type %s" (type_name v)
        | _ -> assert false);
-    ("str", fun _ pos args -> arity "str" 1 pos args; V_str (to_display (List.hd args)));
+    ("str",
+     fun rt pos args ->
+       arity "str" 1 pos args;
+       V_str (to_display (rt.charge pos) (List.hd args)));
     ("int",
      fun _ pos args ->
        arity "int" 1 pos args;
@@ -241,41 +271,43 @@ let builtins =
        | [ v ] -> fail pos "values: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("get",
-     fun _ pos args ->
+     fun rt pos args ->
        arity "get" 3 pos args;
        match args with
        | [ V_map pairs; key; default ] -> (
-           match List.find_opt (fun (k, _) -> value_equal k key) pairs with
+           match List.find_opt (fun (k, _) -> equal (rt.charge pos) k key) pairs with
            | Some (_, v) -> v
            | None -> default)
        | [ v; _; _ ] -> fail pos "get: expected map, got %s" (type_name v)
        | _ -> assert false);
     ("range",
-     fun _ pos args ->
+     fun rt pos args ->
+       let range lo hi =
+         (* [hi - lo] overflows past [max_int]; no budget reaches it. *)
+         let n = if hi <= lo then 0 else if hi - lo < 0 then max_int else hi - lo in
+         rt.charge pos n;
+         V_list (List.init n (fun i -> V_int (lo + i)))
+       in
        match args with
-       | [ n ] ->
-           let n = want_int pos n in
-           V_list (List.init (max 0 n) (fun i -> V_int i))
-       | [ lo; hi ] ->
-           let lo = want_int pos lo and hi = want_int pos hi in
-           V_list (List.init (max 0 (hi - lo)) (fun i -> V_int (lo + i)))
+       | [ n ] -> range 0 (want_int pos n)
+       | [ lo; hi ] -> range (want_int pos lo) (want_int pos hi)
        | _ -> fail pos "range expects 1 or 2 arguments");
     ("map",
-     fun call pos args ->
+     fun rt pos args ->
        arity "map" 2 pos args;
        match args with
-       | [ f; V_list items ] -> V_list (List.map (fun item -> call f [ item ]) items)
+       | [ f; V_list items ] -> V_list (List.map (fun item -> rt.call f [ item ]) items)
        | [ _; v ] -> fail pos "map: expected list, got %s" (type_name v)
        | _ -> assert false);
     ("filter",
-     fun call pos args ->
+     fun rt pos args ->
        arity "filter" 2 pos args;
        match args with
        | [ f; V_list items ] ->
            V_list
              (List.filter
                 (fun item ->
-                  match call f [ item ] with
+                  match rt.call f [ item ] with
                   | V_bool b -> b
                   | v -> fail pos "filter: predicate returned %s" (type_name v))
                 items)
@@ -344,11 +376,12 @@ let builtins =
        | [ v ] -> fail pos "abs: unsupported type %s" (type_name v)
        | _ -> assert false);
     ("contains",
-     fun _ pos args ->
+     fun rt pos args ->
        arity "contains" 2 pos args;
        match args with
-       | [ V_list items; v ] -> V_bool (List.exists (value_equal v) items)
-       | [ V_map pairs; k ] -> V_bool (List.exists (fun (key, _) -> value_equal key k) pairs)
+       | [ V_list items; v ] -> V_bool (List.exists (equal (rt.charge pos) v) items)
+       | [ V_map pairs; k ] ->
+           V_bool (List.exists (fun (key, _) -> equal (rt.charge pos) key k) pairs)
        | [ V_str s; V_str sub ] ->
            let n = String.length s and m = String.length sub in
            let rec scan i = m = 0 || (i + m <= n && (String.sub s i m = sub || scan (i + 1))) in
@@ -356,11 +389,14 @@ let builtins =
        | [ a; _ ] -> fail pos "contains: unsupported container %s" (type_name a)
        | _ -> assert false);
     ("join",
-     fun _ pos args ->
+     fun rt pos args ->
        arity "join" 2 pos args;
        match args with
        | [ V_str sep; V_list items ] ->
-           V_str (String.concat sep (List.map (fun v -> want_str pos v) items))
+           let items = List.map (fun v -> want_str pos v) items in
+           rt.charge pos
+             (List.fold_left (fun n s -> n + String.length sep + String.length s) 0 items);
+           V_str (String.concat sep items)
        | _ -> fail pos "join expects (separator, list of strings)");
     ("split",
      fun _ pos args ->
@@ -378,16 +414,18 @@ let builtins =
        arity "lower" 1 pos args;
        V_str (String.lowercase_ascii (want_str pos (List.hd args))));
     ("merge",
-     fun _ pos args ->
+     fun rt pos args ->
        arity "merge" 2 pos args;
        match args with
        | [ V_map a; V_map b ] ->
            (* Right-biased merge: b's bindings win. *)
-           let not_in_b (k, _) = not (List.exists (fun (k2, _) -> value_equal k k2) b) in
+           let not_in_b (k, _) =
+             not (List.exists (fun (k2, _) -> equal (rt.charge pos) k k2) b)
+           in
            V_map (List.filter not_in_b a @ b)
        | _ -> fail pos "merge expects two maps");
     ("format",
-     fun _ pos args ->
+     fun rt pos args ->
        (* format("%s listens on %d", name, port): %s any value,
           %d integers, %f floats, %% a literal percent. *)
        match args with
@@ -406,7 +444,7 @@ let builtins =
            while !i < n do
              (if template.[!i] = '%' && !i + 1 < n then begin
                 (match template.[!i + 1] with
-                | 's' -> Buffer.add_string buf (to_display (next 's'))
+                | 's' -> Buffer.add_string buf (to_display (rt.charge pos) (next 's'))
                 | 'd' -> (
                     match next 'd' with
                     | V_int v -> Buffer.add_string buf (string_of_int v)
@@ -430,7 +468,7 @@ let builtins =
            V_str (Buffer.contents buf)
        | _ -> fail pos "format: first argument must be a string");
     ("override",
-     fun _ pos args ->
+     fun rt pos args ->
        (* Config inheritance (the paper's §8 "introducing config
           inheritance"): a derived config is a base struct/map with a
           map of field overrides applied on top.  Nested maps merge
@@ -471,7 +509,7 @@ let builtins =
              let replaced =
                List.map
                  (fun (k, old) ->
-                   match List.find_opt (fun (k2, _) -> value_equal k k2) over_pairs with
+                   match List.find_opt (fun (k2, _) -> equal (rt.charge pos) k k2) over_pairs with
                    | Some (_, v) -> k, apply old v
                    | None -> k, old)
                  base_pairs
@@ -479,7 +517,7 @@ let builtins =
              let added =
                List.filter
                  (fun (k, _) ->
-                   not (List.exists (fun (k2, _) -> value_equal k k2) base_pairs))
+                   not (List.exists (fun (k2, _) -> equal (rt.charge pos) k k2) base_pairs))
                  over_pairs
              in
              V_map (replaced @ added)
@@ -560,11 +598,33 @@ type run_ctx = {
   mutable loaded_modules : (string, value) Hashtbl.t Smap.t;  (** exports of modules loaded *)
   mutable schema : Cm_thrift.Schema.t;
   mutable loaded_order : string list;  (** reversed *)
-  call : value -> value list -> value;  (** what builtins apply functions with *)
+  mutable fuel : int;  (** steps left of [step_budget] *)
+  mutable depth : int;  (** closure calls in progress *)
+  runtime : runtime;  (** what builtins apply functions and charge with *)
 }
+
+(* Bounds on one file's evaluation -- a run's root, or a module
+   evaluating by itself: [step_budget] steps, one per expression
+   evaluated plus the length of every list or string that [range],
+   [join], [*] or [+] builds and of every value [str] or [format]
+   displays (charged before it is built) and the elements of every
+   compound value a comparison descends into; and [max_depth] nested
+   closure calls.  A hostile source thus fails with an error at the
+   line that spent the budget instead of pinning or exhausting the
+   compiling host; no real config comes near either. *)
+let step_budget = 4_000_000
+let max_depth = 10_000
+
+let spend ctx pos n =
+  if n > ctx.fuel then fail pos "evaluation exceeded its budget of %d steps" step_budget;
+  ctx.fuel <- ctx.fuel - n
+
+(* [a * b] for [a, b >= 0], saturating at [max_int]. *)
+let length_product a b = if b <> 0 && a > max_int / b then max_int else a * b
 
 let rec eval ctx env (expr : Ast.expr) =
   let pos = expr.Ast.pos in
+  spend ctx pos 1;
   match expr.Ast.desc with
   | Ast.Int n -> V_int n
   | Ast.Float f -> V_float f
@@ -591,9 +651,9 @@ let rec eval ctx env (expr : Ast.expr) =
           if i < 0 || i >= n then fail pos "index %d out of bounds (length %d)" i n
           else List.nth items i
       | V_map pairs, key -> (
-          match List.find_opt (fun (k, _) -> value_equal k key) pairs with
+          match List.find_opt (fun (k, _) -> equal (spend ctx pos) k key) pairs with
           | Some (_, v) -> v
-          | None -> fail pos "key %s not found in map" (to_display key))
+          | None -> fail pos "key %s not found in map" (to_display (spend ctx pos) key))
       | V_str s, V_int i ->
           let n = String.length s in
           let i = if i < 0 then n + i else i in
@@ -630,7 +690,7 @@ let rec eval ctx env (expr : Ast.expr) =
           | v -> fail pos "or: expected bool, got %s" (type_name v))
       | v -> fail pos "or: expected bool, got %s" (type_name v))
   | Ast.Binop (op, left, right) ->
-      eval_binop pos op (eval ctx env left) (eval ctx env right)
+      eval_binop ctx pos op (eval ctx env left) (eval ctx env right)
   | Ast.If (cond, then_branch, else_branch) -> (
       match eval ctx env cond with
       | V_bool true -> eval ctx env then_branch
@@ -669,7 +729,7 @@ and eval_field ctx env pos base member =
           | None -> fail pos "key %s not found in map" member)
       | v -> fail pos "cannot access field %s of %s" member (type_name v))
 
-and eval_binop pos op left right =
+and eval_binop ctx pos op left right =
   let arith int_op float_op =
     match left, right with
     | V_int a, V_int b -> V_int (int_op a b)
@@ -695,13 +755,18 @@ and eval_binop pos op left right =
   match op with
   | Ast.Add -> (
       match left, right with
-      | V_str a, V_str b -> V_str (a ^ b)
-      | V_list a, V_list b -> V_list (a @ b)
+      | V_str a, V_str b ->
+          spend ctx pos (String.length a + String.length b);
+          V_str (a ^ b)
+      | V_list a, V_list b ->
+          spend ctx pos (List.length a + List.length b);
+          V_list (a @ b)
       | _ -> arith ( + ) ( +. ))
   | Ast.Sub -> arith ( - ) ( -. )
   | Ast.Mul -> (
       match left, right with
       | V_str s, V_int n when n >= 0 ->
+          spend ctx pos (length_product (String.length s) n);
           V_str (String.concat "" (List.init n (fun _ -> s)))
       | _ -> arith ( * ) ( *. ))
   | Ast.Div -> (
@@ -713,8 +778,8 @@ and eval_binop pos op left right =
       | V_int _, V_int 0 -> fail pos "modulo by zero"
       | V_int a, V_int b -> V_int (a mod b)
       | _ -> fail pos "%%: integer operands required")
-  | Ast.Eq -> V_bool (value_equal left right)
-  | Ast.Ne -> V_bool (not (value_equal left right))
+  | Ast.Eq -> V_bool (equal (spend ctx pos) left right)
+  | Ast.Ne -> V_bool (not (equal (spend ctx pos) left right))
   | Ast.Lt -> numeric_cmp (fun c z -> c < z)
   | Ast.Le -> numeric_cmp (fun c z -> c <= z)
   | Ast.Gt -> numeric_cmp (fun c z -> c > z)
@@ -723,7 +788,7 @@ and eval_binop pos op left right =
 
 and apply ctx pos callee args =
   match callee with
-  | V_builtin (_, fn) -> fn ctx.call pos args
+  | V_builtin (_, fn) -> fn ctx.runtime pos args
   | V_closure { cname; cparams; cbody; cenv } ->
       let scope = env_create (Some cenv) in
       let nparams = List.length cparams and nargs = List.length args in
@@ -737,7 +802,11 @@ and apply ctx pos callee args =
             | Some default -> env_bind scope param.Ast.pname (eval ctx cenv default)
             | None -> fail pos "%s: missing argument %s" cname param.Ast.pname)
         cparams;
-      eval ctx scope cbody
+      if ctx.depth >= max_depth then fail pos "%s: calls nested deeper than %d" cname max_depth;
+      ctx.depth <- ctx.depth + 1;
+      let v = eval ctx scope cbody in
+      ctx.depth <- ctx.depth - 1;
+      v
   | v -> fail pos "not callable: %s" (type_name v)
 
 (* ------------------------------------------------------------------ *)
@@ -751,7 +820,13 @@ let new_ctx modules ~loading =
       loaded_modules = Smap.empty;
       schema = Cm_thrift.Schema.empty;
       loaded_order = [];
-      call = (fun callee args -> apply ctx no_pos callee args);
+      fuel = step_budget;
+      depth = 0;
+      runtime =
+        {
+          call = (fun callee args -> apply ctx no_pos callee args);
+          charge = (fun pos n -> spend ctx pos n);
+        };
     }
   in
   ctx
@@ -965,42 +1040,54 @@ let run ~modules ~path ~source =
 (* ------------------------------------------------------------------ *)
 (* Conversions *)
 
-let rec to_thrift = function
-  | V_null -> Error "null is not serializable"
-  | V_bool b -> Ok (Cm_thrift.Value.Bool b)
-  | V_int n -> Ok (Cm_thrift.Value.Int n)
-  | V_float f -> Ok (Cm_thrift.Value.Double f)
-  | V_str s -> Ok (Cm_thrift.Value.Str s)
-  | V_list items ->
-      let rec convert acc = function
-        | [] -> Ok (Cm_thrift.Value.List (List.rev acc))
-        | item :: rest -> (
-            match to_thrift item with
-            | Ok v -> convert (v :: acc) rest
-            | Error _ as e -> e)
-      in
-      convert [] items
-  | V_map pairs ->
-      let rec convert acc = function
-        | [] -> Ok (Cm_thrift.Value.Map (List.rev acc))
-        | (k, v) :: rest -> (
-            match to_thrift k, to_thrift v with
-            | Ok tk, Ok tv -> convert ((tk, tv) :: acc) rest
-            | Error e, _ | _, Error e -> Error e)
-      in
-      convert [] pairs
-  | V_struct (name, fields) ->
-      let rec convert acc = function
-        | [] -> Ok (Cm_thrift.Value.Struct (name, List.rev acc))
-        | (k, v) :: rest -> (
-            match to_thrift v with
-            | Ok tv -> convert ((k, tv) :: acc) rest
-            | Error _ as e -> e)
-      in
-      convert [] fields
-  | V_enum (ty, member) -> Ok (Cm_thrift.Value.Enum (ty, member))
-  | (V_closure _ | V_builtin _) as v ->
-      Error (Printf.sprintf "%s is not serializable" (type_name v))
+(* At most [step_budget] nodes, for the reason [to_display] charges:
+   a shared-structure value's tree can be exponentially larger than
+   the evaluation that built it. *)
+let to_thrift v =
+  let nodes = ref 0 in
+  let rec node v =
+    incr nodes;
+    if !nodes > step_budget then
+      Error (Printf.sprintf "value has more than %d nodes" step_budget)
+    else
+      match v with
+      | V_null -> Error "null is not serializable"
+      | V_bool b -> Ok (Cm_thrift.Value.Bool b)
+      | V_int n -> Ok (Cm_thrift.Value.Int n)
+      | V_float f -> Ok (Cm_thrift.Value.Double f)
+      | V_str s -> Ok (Cm_thrift.Value.Str s)
+      | V_list items ->
+          let rec convert acc = function
+            | [] -> Ok (Cm_thrift.Value.List (List.rev acc))
+            | item :: rest -> (
+                match node item with
+                | Ok v -> convert (v :: acc) rest
+                | Error _ as e -> e)
+          in
+          convert [] items
+      | V_map pairs ->
+          let rec convert acc = function
+            | [] -> Ok (Cm_thrift.Value.Map (List.rev acc))
+            | (k, v) :: rest -> (
+                match node k, node v with
+                | Ok tk, Ok tv -> convert ((tk, tv) :: acc) rest
+                | Error e, _ | _, Error e -> Error e)
+          in
+          convert [] pairs
+      | V_struct (name, fields) ->
+          let rec convert acc = function
+            | [] -> Ok (Cm_thrift.Value.Struct (name, List.rev acc))
+            | (k, v) :: rest -> (
+                match node v with
+                | Ok tv -> convert ((k, tv) :: acc) rest
+                | Error _ as e -> e)
+          in
+          convert [] fields
+      | V_enum (ty, member) -> Ok (Cm_thrift.Value.Enum (ty, member))
+      | (V_closure _ | V_builtin _) as v ->
+          Error (Printf.sprintf "%s is not serializable" (type_name v))
+  in
+  node v
 
 let rec of_thrift = function
   | Cm_thrift.Value.Bool b -> V_bool b

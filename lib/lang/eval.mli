@@ -16,9 +16,16 @@ type value =
   | V_struct of string * (string * value) list
   | V_enum of string * string
   | V_closure of closure
-  | V_builtin of string * ((value -> value list -> value) -> Ast.pos -> value list -> value)
-      (** a builtin receives, at each call, the running evaluation's
-          way to apply a function value ([map], [filter] use it) *)
+  | V_builtin of string * (runtime -> Ast.pos -> value list -> value)
+      (** a builtin receives, at each call, the running evaluation *)
+
+(** What a builtin may ask of the running evaluation. *)
+and runtime = {
+  call : value -> value list -> value;  (** apply a function value ([map], [filter]) *)
+  charge : Ast.pos -> int -> unit;
+      (** spend [n] steps of the budget on a result of length [n]
+          before building it; fails the run when the budget is spent *)
+}
 
 and closure
 
@@ -91,11 +98,22 @@ val run : modules:Modules.t -> path:string -> source:string -> (outcome, error) 
     [import]/[import_thrift] targets are read from [modules], which
     must hold every target the file names ({!Modules.add_imports});
     a missing file is a compile error.  Import cycles are detected and
-    reported.  Reads [modules] only. *)
+    reported.  Reads [modules] only.
+
+    Evaluation is bounded: each file (the root, and each module as it
+    evaluates by itself) gets a constant budget of steps -- one per
+    expression, plus the length of each list or string that [range],
+    [join], [*] and [+] build and of each value [str] and [format]
+    display, charged before it is built, and the elements of each
+    compound value a comparison descends into -- and a constant depth
+    of nested function calls.  A file that spends either fails with an
+    [error] at the line where it ran out. *)
 
 val to_thrift : value -> (Cm_thrift.Value.t, string) result
 (** Converts a runtime value to a serializable Thrift value; fails on
-    functions and null. *)
+    functions and null, and on a value of more nodes than a file's
+    step budget (a value that shares structure can be exponentially
+    larger than the evaluation that built it). *)
 
 val of_thrift : Cm_thrift.Value.t -> value
 

@@ -1741,7 +1741,8 @@ let source_tree_model_property =
 (* Files of a random dependency graph: cyclic, missing, config-to-config
    and thrift imports, an unparseable source, a validator.  "base.cinc"
    is in every tree and never edited, so its absolute import always
-   resolves. *)
+   resolves; the absolute imports of "m.cinc" and "n.cinc" resolve only
+   while an edit has not removed them. *)
 let graph_paths =
   [| "a.cconf"; "b.cconf"; "d/c.cconf"; "m.cinc"; "n.cinc"; "Job.thrift-cvalidator";
      "s.thrift"; "r.json" |]
@@ -1752,17 +1753,19 @@ let graph_source = function
   | 2 -> "import \"n.cinc\"\nimport \"/base.cinc\"\nX = 2"
   | 3 -> "import \"m.cinc\"\nimport \"n.cinc\"\nimport_thrift \"s.thrift\"\nX = 3"
   | 4 -> "import \"gone.cinc\"\nimport \"d/c.cconf\"\nX = 4"
+  | 5 -> "import \"/m.cinc\"\nimport \"/n.cinc\"\nX = 6"
   | _ -> "X = = 5"
 
-let graph_probes = "base.cinc" :: "/base.cinc" :: "gone.cinc" :: Array.to_list graph_paths
+let graph_probes =
+  "base.cinc" :: "/base.cinc" :: "gone.cinc" :: "/m.cinc" :: "/n.cinc" :: Array.to_list graph_paths
 
 let depgraph_copy_property =
   let gen =
     let open QCheck2.Gen in
     let n = Array.length graph_paths in
     pair
-      (list_repeat n (opt (int_bound 5)))
-      (list_size (int_range 1 8) (pair (int_bound (n - 1)) (opt (int_bound 5))))
+      (list_repeat n (opt (int_bound 6)))
+      (list_size (int_range 1 8) (pair (int_bound (n - 1)) (opt (int_bound 6))))
   in
   QCheck2.Test.make ~name:"an edited depgraph copy equals a fresh index, the original is kept"
     ~count:300 gen (fun (present, edits) ->

@@ -411,6 +411,48 @@ let error_tests =
             | Error e -> Alcotest.(check int) ("eval line of " ^ literal) 2 e.Eval.line
             | Ok _ -> Alcotest.failf "expected eval error for %s" literal)
           [ "99999999999999999999"; "1e"; "1.5e+"; "2E-" ]);
+    Alcotest.test_case "hostile programs fail within the budget" `Quick (fun () ->
+        (* Each would run for minutes or exhaust memory unbounded; each
+           must come back as an error at its line, in well under 2 s. *)
+        List.iter
+          (fun (source, line) ->
+            let start = Unix.gettimeofday () in
+            let result = run source in
+            let seconds = Unix.gettimeofday () -. start in
+            (match result with
+            | Error e -> Alcotest.(check int) ("error line of " ^ source) line e.Eval.line
+            | Ok _ -> Alcotest.failf "expected an error from %s" source);
+            if seconds >= 2.0 then Alcotest.failf "%s took %.2f s" source seconds)
+          [
+            "def f(x) = f(x)\nexport f(1)", 1;
+            "def f(x) = [f(x)]\nexport f(1)", 1;
+            "X = 1\nexport \"a\" * 100000000000", 2;
+            "export len(range(100000000000))", 1;
+            "export range(-4611686018427387904, 4611686018427387903)", 1;
+            "def f(n) = if n == 0 then 0 else f(n - 1) + f(n - 1)\nexport f(60)", 1;
+            "def d(l, n) = if n == 0 then l else d(l + l, n - 1)\nexport d([1], 62)", 1;
+            "def d(s, n) = if n == 0 then s else d(s + s, n - 1)\nexport d(\"x\", 62)", 1;
+            "def d(s, n) = if n == 0 then s else d(join(\"\", [s, s]), n - 1)\nexport d(\"x\", 62)", 1;
+            "def loop(n) = loop(n + 1)\nM = map(loop, [1])\nexport M", 1;
+            "def d(x, n) = if n == 0 then x else d([x, x], n - 1)\nexport str(d(1, 62))", 2;
+            "def d(x, n) = if n == 0 then x else d({a: x, b: x}, n - 1)\nexport format(\"%s\", d(1, 62))", 2;
+            "def d(x, n) = if n == 0 then x else d([x, x], n - 1)\nX = d(1, 62)\nexport X == d(1, 62)", 3;
+            "def d(x, n) = if n == 0 then x else d([x, x], n - 1)\nX = d(1, 62)\nexport contains([X], d(1, 62))", 3;
+          ]);
+    Alcotest.test_case "a shared-structure export fails to serialize" `Quick (fun () ->
+        (* 62 steps build a list whose tree has 2^62 leaves. *)
+        match run "def d(x, n) = if n == 0 then x else d([x, x], n - 1)\nexport d(1, 62)" with
+        | Ok { Eval.export = Some v; _ } -> (
+            match Eval.to_thrift v with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "expected a serialize error")
+        | Ok _ | Error _ -> Alcotest.fail "expected an export");
+    Alcotest.test_case "a module that spends its budget fails its importer" `Quick (fun () ->
+        match
+          run ~files:[ "m.cinc", "X = 1\nY = len(range(100000000000))" ] "import \"m.cinc\"\nexport Y"
+        with
+        | Error e -> Alcotest.(check int) "at the module's line" 2 e.Eval.line
+        | Ok _ -> Alcotest.fail "expected an error");
     Alcotest.test_case "comments ignored" `Quick
       (check_value (Eval.V_int 3) "1 + 2 # trailing\n// whole line\n");
   ]

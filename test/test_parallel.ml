@@ -1,14 +1,15 @@
-(* The multicore landing path: domain pool semantics, level-order
-   scheduling, the single-domain memo cache, and the headline
+(* The multicore landing path: domain pool semantics, the one-fan-out
+   compile, the single-domain memo cache, and the headline
    guarantee — compile/verify on an N-domain pool produces
    bit-identical output to a 1-domain pool, which runs everything
    inline on the caller.
 
    - pool: input order preserved under uneven work; exceptions
      propagate after the join; every item is applied exactly once; the
-     caller's domain works as worker 0;
-   - Depgraph.levels: wide cones are one level, chains are one level
-     per link, members never precede their in-set dependencies;
+     caller's domain works as worker 0; a pool never has more domains
+     than the host has cores;
+   - compile: an import chain compiles in one fan-out on a
+     multi-domain pool (no compile reads another's artifact);
    - QCheck: compile_all / compile_affected on an N-domain pool equal
      the 1-domain run — artifact digests, error list and order, and
      the cache's counters, size, resident bytes and evictions under a
@@ -23,7 +24,6 @@
    - pack recovery with a multi-domain scan recovers identical state. *)
 
 module Compiler = Core.Compiler
-module Depgraph = Core.Depgraph
 module ST = Core.Source_tree
 module Pipeline = Core.Pipeline
 module Sandcastle = Core.Sandcastle
@@ -77,18 +77,20 @@ let pool_tests =
           (Array.map Atomic.get applied);
         Alcotest.(check int) "results intact" 199 out.(199));
     Alcotest.test_case "the caller's domain works as worker 0" `Quick (fun () ->
-        (* Each of the two items waits until both have started, which
-           can only happen if the caller runs one of them beside the
-           one spawned domain.  A deadline turns a broken pool into a
-           failure instead of a hang. *)
+        (* On a 2-domain pool each of the two items waits until both
+           have started, which can only happen if the caller runs one
+           of them beside one helper domain.  A deadline turns a
+           broken pool into a failure instead of a hang.  A 1-core host
+           clamps the pool to 1 domain, which runs both on the caller. *)
         let pool = Pool.create ~domains:2 () in
+        let concurrent = Pool.domains pool = 2 in
         let started = Atomic.make 0 in
         let deadline = Unix.gettimeofday () +. 10.0 in
         let ran_on =
           Pool.map_array pool
             (fun _ ->
               Atomic.incr started;
-              while Atomic.get started < 2 do
+              while concurrent && Atomic.get started < 2 do
                 if Unix.gettimeofday () > deadline then
                   failwith "the second item never started";
                 Domain.cpu_relax ()
@@ -98,34 +100,21 @@ let pool_tests =
         in
         Alcotest.(check bool) "one item ran on the caller" true
           (Array.mem (Domain.self () :> int) ran_on);
-        Alcotest.(check bool) "the other ran on another domain" true
+        Alcotest.(check bool) "the other ran on another domain" concurrent
           (ran_on.(0) <> ran_on.(1)));
+    Alcotest.test_case "a pool never exceeds the host's cores" `Quick (fun () ->
+        let cores = Domain.recommended_domain_count () in
+        Alcotest.(check int) "clamped to the cores" cores
+          (Pool.domains (Pool.create ~domains:(cores + 3) ()));
+        Alcotest.(check int) "at least one" 1 (Pool.domains (Pool.create ~domains:0 ()));
+        Alcotest.(check int) "default" 1 (Pool.domains (Pool.create ())));
   ]
 
-(* --- level scheduling -------------------------------------------------- *)
+(* --- the one fan-out ---------------------------------------------------- *)
 
-let levels_tests =
+let compile_tests =
   [
-    Alcotest.test_case "configs sharing a module form one sorted level" `Quick
-      (fun () ->
-        let tree =
-          ST.of_alist
-            [
-              "modules/m.cinc", "M = 1";
-              "b.cconf", "import \"modules/m.cinc\"\nexport { v: M }";
-              "a.cconf", "import \"modules/m.cinc\"\nexport { v: M }";
-              "c.cconf", "import \"modules/m.cinc\"\nexport { v: M }";
-            ]
-        in
-        let compiler = Compiler.create tree in
-        let levels =
-          Depgraph.levels (Compiler.depgraph compiler) [ "c.cconf"; "a.cconf"; "b.cconf" ]
-        in
-        Alcotest.(check (list (list string)))
-          "single level, sorted"
-          [ [ "a.cconf"; "b.cconf"; "c.cconf" ] ]
-          levels);
-    Alcotest.test_case "a config chain yields one level per link, deps first" `Quick
+    Alcotest.test_case "a 5-link chain compiles with no errors on a multi-domain pool" `Quick
       (fun () ->
         let n = 5 in
         let path i = Printf.sprintf "chain/c%d.cconf" i in
@@ -135,46 +124,19 @@ let levels_tests =
             Printf.sprintf "import \"%s\"\nV%d = V%d + 1\nexport { i: %d, v: V%d }"
               (path (i + 1)) i (i + 1) i i
         in
-        let tree = ST.of_alist (List.init n (fun i -> path i, source i)) in
-        let compiler = Compiler.create tree in
-        let levels =
-          Depgraph.levels (Compiler.depgraph compiler) (List.init n path)
-        in
-        Alcotest.(check (list (list string)))
-          "deepest dependency first"
-          (List.init n (fun l -> [ path (n - 1 - l) ]))
-          levels;
-        (* And the chain actually compiles through those levels. *)
+        let compiler = Compiler.create (ST.of_alist (List.init n (fun i -> path i, source i))) in
         let pool = Pool.create ~domains:3 () in
         let oks, errors = Compiler.compile_all ~pool compiler in
         Alcotest.(check int) "no errors" 0 (List.length errors);
-        Alcotest.(check int) "all compiled" n (List.length oks));
-    Alcotest.test_case "levels drop duplicates and keep set members only" `Quick
-      (fun () ->
-        let tree =
-          ST.of_alist
-            [
-              "x.cconf", "export { v: 1 }";
-              "y.cconf", "import \"x.cconf\"\nexport { v: 2 }";
-            ]
-        in
-        let compiler = Compiler.create tree in
-        let dep = Compiler.depgraph compiler in
-        Alcotest.(check (list (list string)))
-          "dup collapsed"
-          [ [ "y.cconf" ] ]
-          (Depgraph.levels dep [ "y.cconf"; "y.cconf" ]);
-        Alcotest.(check (list (list string)))
-          "import outside the set does not add a level"
-          [ [ "y.cconf" ] ]
-          (Depgraph.levels dep [ "y.cconf" ]));
+        Alcotest.(check (list string)) "all compiled, in target order" (List.init n path)
+          (List.map (fun c -> c.Compiler.config_path) oks));
   ]
 
 (* --- equivalence: N domains == 1 domain ---------------------------------- *)
 
 (* Adversarial generated cone: [nmods] shared modules (wide fan-out),
-   every fourth config also imports its successor (chains across
-   levels), and seeds divisible by 7 plant parse errors in every third
+   every fourth config also imports its successor (import chains
+   inside the cone), and seeds divisible by 7 plant parse errors in every third
    config. *)
 let nmods = 5
 
@@ -496,7 +458,7 @@ let () =
   Alcotest.run "parallel"
     [
       "pool", pool_tests;
-      "levels", levels_tests;
+      "compile", compile_tests;
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest [ equivalence_property; affected_property ]
       );
