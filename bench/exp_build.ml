@@ -25,8 +25,9 @@
      report are bit-identical to the 1-domain run's (the QCheck
      property from test_parallel, re-run at bench scale);
    - chain overhead (4 domains vs 1) <= 1.50: a small fan-out must not
-     pay a domain spawn per call (warm helper domains) or more domains
-     than cores (the clamp);
+     pay for more domains than cores (the clamp).  It still pays a
+     domain spawn per call, and on a 2-core host this reads 1.1-1.75,
+     over the bound in about half the runs;
    - scaling >= 1.8x at 4 domains vs 1 — gated only in "measured" mode
      (host with >= 4 cores, per the acceptance criterion).  Unlike
      exp_gk's allocation-free read path, compilation allocates heavily,

@@ -7,17 +7,22 @@
    - aggregate gk_check throughput at 1, 2 and 4 reader domains while
      a writer domain continuously reloads projects and feeds the Laser
      store (stream upserts + atomic MapReduce refreshes);
-   - p99 check latency while a writer republishes projects vs while
-     it is paused, on one runtime and one reader, in [latency_pairs]
-     interleaved pairs of windows (paused, then running).  Each check is
-     timed on the monotonic clock.  The writer republishes every
-     [publish_every] seconds, spin-paced (tens of thousands of
-     publishes per second), so a reader that ever waits for a publish
-     shows at p99.  The gated number is the median over the pairs of
-     storm p99 / quiet p99: host noise that comes and goes between
-     pairs lands on both sides of a ratio.  A check that takes the
-     lock [load] holds while it publishes read 7.9-8.9x on a 2-core
-     host, against 1.3-1.5x for the lock-free reader;
+   - p99 check latency while a writer publishes vs while it is paused,
+     on one runtime and one reader, in [latency_rounds] interleaved
+     rounds of three windows: paused, republishing a project, then
+     running the sweep's whole storm step (a republish, a Laser batch,
+     and every 8th step a MapReduce refresh).  Each check is timed on
+     the monotonic clock.  Each step is followed by a [publish_every]
+     spin, so a reader that ever waits for a publish shows at p99.
+     Both kinds of window are needed: a storm step is mostly Laser
+     work, so a check that waits on [load] shows only in the
+     republish windows.  The gated number is the median over the
+     rounds of max(republish p99, storm p99) / quiet p99: host noise
+     that comes and goes between rounds lands on both sides of a
+     ratio.  On a 2-core host the lock-free reader reads 1.3-1.4x; a
+     check that takes the lock [load] holds while it publishes reads
+     7.8-7.9x, and a Laser read that takes a lock held by every Laser
+     publish reads 28-29x;
    - update-visibility lag: wall time from a writer publishing a gate
      flip to a spinning reader observing the changed decision;
    - the cost of check-time exposure logging (single-domain
@@ -51,7 +56,7 @@ let quick = Render.quick
 let nprojects = 40
 let nusers = 4096
 let checks_per_domain = if quick then 120_000 else 500_000
-let latency_pairs = 20
+let latency_rounds = 20
 let window_checks = if quick then 50_000 else 200_000
 let publish_every = 20e-6
 let visibility_flips = if quick then 12 else 24
@@ -135,24 +140,27 @@ let republish runtime rng =
          ~world_prob:(Rng.float rng 0.05)
      else project_of i)
 
-(* The update storm: reload a project (rollout expansion), stream a
-   Laser batch, and periodically rerun the "MapReduce job" as one
-   atomic refresh.  Sleeps keep a realistic update rate (hundreds of
-   publishes per second) and, on a single-core host, let readers run. *)
+(* One step of the update storm: reload a project (rollout expansion),
+   stream a Laser batch, and every 8th step rerun the "MapReduce job"
+   as one atomic refresh. *)
+let storm_step runtime laser rng step =
+  republish runtime rng;
+  Laser.stream_upsert laser
+    (List.init 64 (fun k ->
+         Printf.sprintf "trend-%d" (Rng.int rng 8_192), float_of_int k /. 64.0));
+  if step mod 8 = 0 then
+    Laser.mapreduce_refresh laser ~prefix:"mr-"
+      (List.init 256 (fun k -> Printf.sprintf "mr-%03d" k, Rng.float rng 1.0))
+
+(* The throughput sweep's storm.  Sleeps keep a realistic update rate
+   (hundreds of publishes per second) and, on a single-core host, let
+   readers run. *)
 let storm_loop runtime laser stop () =
   let rng = Rng.create 77L in
-  let iter = ref 0 in
   let loads = ref 0 in
   while not (Atomic.get stop) do
-    incr iter;
-    republish runtime rng;
     incr loads;
-    Laser.stream_upsert laser
-      (List.init 64 (fun k ->
-           Printf.sprintf "trend-%d" (Rng.int rng 8_192), float_of_int k /. 64.0));
-    if !iter mod 8 = 0 then
-      Laser.mapreduce_refresh laser ~prefix:"mr-"
-        (List.init 256 (fun k -> Printf.sprintf "mr-%03d" k, Rng.float rng 1.0));
+    storm_step runtime laser rng !loads;
     Unix.sleepf 0.001
   done;
   !loads
@@ -187,30 +195,45 @@ let run_sweep runtime laser users =
       })
     domain_counts
 
-(* Per-check latency on one runtime and this domain, in [latency_pairs]
-   pairs of [window_checks]-check windows: writer paused, then writer
-   republishing every [publish_every] seconds.  Returns each pair's
-   (quiet, storm) p99 in ns. *)
-let latency_windows runtime users =
-  let stop = Atomic.make false and active = Atomic.make false in
+(* What the latency writer does in a window: nothing, republish a
+   project, or run a whole [storm_step] (Laser included).  A storm step
+   is ~150 us of Laser work against ~2 us of [load], so a check that
+   waits on [load] only shows in the republish windows. *)
+type writer_mode = Paused | Republishing | Storming
+
+(* Per-check latency on one runtime and this domain, in [latency_rounds]
+   rounds of three [window_checks]-check windows: writer paused, then
+   republishing, then storming, each step followed by a
+   [publish_every]-second spin.  Returns each round's p99 per window,
+   in ns. *)
+let latency_windows runtime laser users =
+  let stop = Atomic.make false and mode = Atomic.make Paused in
   let writer =
     Domain.spawn (fun () ->
         let rng = Rng.create 78L in
+        let steps = ref 0 in
+        let spin () =
+          let until = Unix.gettimeofday () +. publish_every in
+          while Unix.gettimeofday () < until do
+            Domain.cpu_relax ()
+          done
+        in
         while not (Atomic.get stop) do
-          if not (Atomic.get active) then Unix.sleepf 0.001
-          else begin
-            republish runtime rng;
-            let until = Unix.gettimeofday () +. publish_every in
-            while Unix.gettimeofday () < until do
-              Domain.cpu_relax ()
-            done
-          end
+          match Atomic.get mode with
+          | Paused -> Unix.sleepf 0.001
+          | Republishing ->
+              republish runtime rng;
+              spin ()
+          | Storming ->
+              incr steps;
+              storm_step runtime laser rng !steps;
+              spin ()
         done)
   in
   let rng = Rng.create 4242L in
   let samples = Array.make window_checks 0.0 in
-  let window storm =
-    Atomic.set active storm;
+  let window m =
+    Atomic.set mode m;
     for k = 0 to window_checks - 1 do
       let p = project_name (Rng.Zipf.draw rng zipf - 1) in
       let u = users.(Rng.int rng nusers) in
@@ -221,14 +244,15 @@ let latency_windows runtime users =
     Array.sort Float.compare samples;
     samples.(window_checks * 99 / 100)
   in
-  let pairs =
-    List.init latency_pairs (fun _ ->
-        let quiet = window false in
-        quiet, window true)
+  let rounds =
+    List.init latency_rounds (fun _ ->
+        let quiet = window Paused in
+        let republishing = window Republishing in
+        quiet, republishing, window Storming)
   in
   Atomic.set stop true;
   Domain.join writer;
-  pairs
+  rounds
 
 let median values =
   let sorted = Array.of_list (List.sort Float.compare values) in
@@ -330,13 +354,20 @@ let run () =
   in
   let scaling_mode = if measured then "measured" else "projected_under_4_cores" in
 
-  (* Latency: quiet vs storm windows on one runtime, one reader. *)
-  let lat_runtime, _, lat_users = build () in
+  (* Latency: quiet, republish and storm windows on one runtime, one
+     reader. *)
+  let lat_runtime, lat_laser, lat_users = build () in
   ignore (reader_loop lat_runtime lat_users 3 50_000 ()); (* warm *)
-  let pairs = latency_windows lat_runtime lat_users in
-  let ratios = List.map (fun (quiet, storm) -> storm /. Float.max 1.0 quiet) pairs in
-  let p99_quiet = median (List.map fst pairs) /. 1e3 in
-  let p99_storm = median (List.map snd pairs) /. 1e3 in
+  let rounds = latency_windows lat_runtime lat_laser lat_users in
+  let ratios =
+    List.map (fun (quiet, republishing, storming) ->
+        Float.max republishing storming /. Float.max 1.0 quiet)
+      rounds
+  in
+  let p99_of pick = median (List.map pick rounds) /. 1e3 in
+  let p99_quiet = p99_of (fun (q, _, _) -> q) in
+  let p99_republish = p99_of (fun (_, r, _) -> r) in
+  let p99_storm = p99_of (fun (_, _, s) -> s) in
   let p99_ratio = median ratios in
 
   (* Update-visibility lag. *)
@@ -363,10 +394,10 @@ let run () =
        rows);
   Render.kv "cores / scaling mode" (Printf.sprintf "%d / %s" cores scaling_mode);
   Render.kv "1->4 domain scaling" (Printf.sprintf "%.2fx" scaling);
-  Render.kv "p99 check latency quiet / storm"
-    (Printf.sprintf "%.2fus / %.2fus (medians over %d pairs)" p99_quiet p99_storm
-       latency_pairs);
-  Render.kv "storm / quiet p99 per pair"
+  Render.kv "p99 check latency quiet / republish / storm"
+    (Printf.sprintf "%.2fus / %.2fus / %.2fus (medians over %d rounds)" p99_quiet
+       p99_republish p99_storm latency_rounds);
+  Render.kv "max(republish, storm) / quiet p99 per round"
     (Printf.sprintf "median %.2f, range %.2f .. %.2f" p99_ratio
        (List.fold_left Float.min infinity ratios)
        (List.fold_left Float.max neg_infinity ratios));
@@ -406,9 +437,10 @@ let run () =
          "rows", Json.List (List.map row_json rows);
          "scaling_mode", Json.String scaling_mode;
          "scaling_4v1_x100", Json.Int (int_of_float (100.0 *. scaling));
-         "latency_pairs", Json.Int latency_pairs;
+         "latency_rounds", Json.Int latency_rounds;
          "window_checks", Json.Int window_checks;
          "p99_quiet_us", Json.Float p99_quiet;
+         "p99_republish_us", Json.Float p99_republish;
          "p99_storm_us", Json.Float p99_storm;
          "p99_ratio_x100", Json.Int (int_of_float (100.0 *. p99_ratio));
          "visibility_lag_p99_ms", Json.Float lag_p99_ms;

@@ -18,15 +18,7 @@
 
    A pool never has more domains than the host has cores: a domain
    beyond them only time-slices a core with the others, and every
-   minor GC then waits for a descheduled domain.
-
-   The caller is worker 0; the others are helper domains shared by
-   every pool of the process, which spin for the next call and exit
-   after [linger] seconds without one.  So the calls of a burst (a
-   compile, then verify, then sandcastle) reuse warm helpers: a spawn
-   per call cost about 80 us, and the new domain's first allocations
-   fault in a fresh minor heap, about 0.35 us per KB -- more than a
-   small fan-out's whole work. *)
+   minor GC then waits for a descheduled domain. *)
 
 type t = { domains : int }
 
@@ -36,48 +28,6 @@ let create ?(domains = 1) () =
 let domains t = t.domains
 let recommended_domains () = Domain.recommended_domain_count ()
 
-(* One call's work: [work] runs items until none is left; [seats] is
-   how many more helpers may join, [active] how many are inside. *)
-type job = { work : unit -> unit; seats : int Atomic.t; active : int Atomic.t }
-
-let posted : job option Atomic.t = Atomic.make None
-let helpers = Atomic.make 0
-let linger = 0.01
-
-let helper () =
-  let rec idle since =
-    match Atomic.get posted with
-    | Some job when Atomic.get job.seats > 0 ->
-        Atomic.incr job.active;
-        let seated = Atomic.fetch_and_add job.seats (-1) > 0 in
-        if seated then job.work ();
-        Atomic.decr job.active;
-        if seated then idle (Unix.gettimeofday ()) else wait since
-    | Some _ | None -> wait since
-  and wait since =
-    if Unix.gettimeofday () -. since <= linger then begin
-      Domain.cpu_relax ();
-      idle since
-    end
-    else begin
-      Atomic.decr helpers;
-      (* A call posts before it counts the helpers, so one that counted
-         this helper before it left is seen here and still served. *)
-      match Atomic.get posted with
-      | Some job when Atomic.get job.seats > 0 ->
-          Atomic.incr helpers;
-          idle (Unix.gettimeofday ())
-      | Some _ | None -> ()
-    end
-  in
-  idle (Unix.gettimeofday ())
-
-let hire wanted =
-  while Atomic.fetch_and_add helpers 1 < wanted do
-    ignore (Domain.spawn helper)
-  done;
-  Atomic.decr helpers
-
 let map_array t f items =
   let n = Array.length items in
   let workers = min t.domains n in
@@ -86,7 +36,7 @@ let map_array t f items =
     let out = Array.make n None in
     let next = Atomic.make 0 in
     let failed = Atomic.make None in
-    let work () =
+    let worker () =
       try
         let running = ref true in
         while !running do
@@ -96,17 +46,11 @@ let map_array t f items =
         done
       with exn -> ignore (Atomic.compare_and_set failed None (Some exn))
     in
-    let job = { work; seats = Atomic.make (workers - 1); active = Atomic.make 0 } in
-    let post = Some job in
-    Atomic.set posted post;
-    hire (workers - 1);
-    work ();
-    ignore (Atomic.compare_and_set posted post None);
-    (* Every item is claimed; wait for the helpers still running one.  A
-       helper that joins from here on finds none left. *)
-    while Atomic.get job.active > 0 do
-      Domain.cpu_relax ()
-    done;
+    (* The caller's domain is worker 0; only [workers - 1] domains are
+       spawned. *)
+    let spawned = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join spawned;
     Option.iter raise (Atomic.get failed);
     Array.map (function Some v -> v | None -> assert false (* every slot filled *)) out
   end

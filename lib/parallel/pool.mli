@@ -5,11 +5,9 @@
     lands in its item's output slot, so output order equals input
     order regardless of completion order — the property that keeps
     the landing path's output bit-identical at any domain count.  A
-    [d]-domain call runs on the caller's domain, as worker 0, and up
-    to [d - 1] helper domains.  Helpers are shared by every pool of the
-    process and kept between calls: one is spawned only when fewer are
-    alive, and it exits after 10 ms without work.  A 1-domain pool (or
-    a 1-item call) runs inline on the caller's domain with no helper,
+    [d]-domain pool spawns up to [d - 1] domains per call; the caller's
+    domain works as worker 0 alongside them.  A 1-domain pool (or a
+    1-item call) runs inline on the caller's domain with no spawns,
     which is how the landing path runs sequentially.
 
     Workers get no private state and nothing is merged: callers hand
@@ -33,7 +31,7 @@ val recommended_domains : unit -> int
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f items]: apply [f] to every item on the pool.
     Results are in input order.  If any [f] raises, remaining items
-    are abandoned, the items in progress finish, and the first
-    exception observed is re-raised on the caller's domain. *)
+    are abandoned, all domains are joined, and the first exception
+    observed is re-raised on the caller's domain. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

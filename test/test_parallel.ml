@@ -79,7 +79,7 @@ let pool_tests =
     Alcotest.test_case "the caller's domain works as worker 0" `Quick (fun () ->
         (* On a 2-domain pool each of the two items waits until both
            have started, which can only happen if the caller runs one
-           of them beside one helper domain.  A deadline turns a
+           of them beside the one spawned domain.  A deadline turns a
            broken pool into a failure instead of a hang.  A 1-core host
            clamps the pool to 1 domain, which runs both on the caller. *)
         let pool = Pool.create ~domains:2 () in
