@@ -321,11 +321,20 @@ let per_config_rep ~with_module =
       failwith "build: shared-module tree failed to compile";
     s /. float_of_int shared_configs
 
-(* A rep of CPU per binding of [Eval.run] over a [k]-binding file;
+(* Two [k]-key maps sharing half their keys, merged and overridden:
+   builtins whose key matching must not grow with the map. *)
+let merge_source k =
+  let map_lit first =
+    "{" ^ String.concat ", " (List.init k (fun j -> Printf.sprintf "k%05d: %d" (first + j) j)) ^ "}"
+  in
+  Printf.sprintf "A = %s\nB = %s\nexport len(merge(A, B)) + len(override(A, B))" (map_lit 0)
+    (map_lit (k / 2))
+
+(* A rep of CPU per binding (or key) of [Eval.run] over [source k];
    each rep evaluates 1600 bindings' worth, so both sizes time the same
    amount of work. *)
-let eval_rep k =
-  let source = binding_source k in
+let eval_rep source k =
+  let source = source k in
   let runs = max 1 (1600 / k) in
   let modules = Cm_lang.Eval.Modules.create ~loader:(fun _ -> None) in
   fun () ->
@@ -334,7 +343,7 @@ let eval_rep k =
           for _ = 1 to runs do
             match Cm_lang.Eval.run ~modules ~path:"bindings.cconf" ~source with
             | Ok _ -> ()
-            | Error _ -> failwith "build: binding file failed to evaluate"
+            | Error _ -> failwith "build: eval file failed to evaluate"
           done)
     in
     s /. float_of_int (runs * k)
@@ -434,8 +443,14 @@ let run () =
     paired ~fast:(per_config_rep ~with_module:false) ~slow:(per_config_rep ~with_module:true)
   in
   let module_free_us = 1e6 *. module_free_us and shared_us = 1e6 *. shared_us in
-  let eval_small, eval_large, eval_ratio = paired ~fast:(eval_rep 100) ~slow:(eval_rep 1600) in
+  let eval_small, eval_large, eval_ratio =
+    paired ~fast:(eval_rep binding_source 100) ~slow:(eval_rep binding_source 1600)
+  in
   let eval_small = 1e9 *. eval_small and eval_large = 1e9 *. eval_large in
+  let merge_small, merge_large, merge_ratio =
+    paired ~fast:(eval_rep merge_source 100) ~slow:(eval_rep merge_source 1600)
+  in
+  let merge_small = 1e9 *. merge_small and merge_large = 1e9 *. merge_large in
 
   Render.table
     ~header:[ "domains"; "wide cone s"; "configs/s" ]
@@ -479,6 +494,8 @@ let run () =
        module_free_us shared_ratio);
   Render.kv "Eval.run CPU per binding, K = 1600 vs 100"
     (Printf.sprintf "%.0f ns vs %.0f ns (median ratio %.2fx)" eval_large eval_small eval_ratio);
+  Render.kv "merge + override CPU per key, K = 1600 vs 100"
+    (Printf.sprintf "%.0f ns vs %.0f ns (median ratio %.2fx)" merge_large merge_small merge_ratio);
 
   let row_json r =
     Json.obj
@@ -522,6 +539,8 @@ let run () =
          "module_free_us_per_config", Json.Float module_free_us;
          "eval_ns_per_binding_k100", Json.Float eval_small;
          "eval_ns_per_binding_k1600", Json.Float eval_large;
+         "merge_ns_per_key_k100", Json.Float merge_small;
+         "merge_ns_per_key_k1600", Json.Float merge_large;
        ])
     ~gates:
       [
@@ -537,5 +556,6 @@ let run () =
         Render.gate "bootstrap_per_config_8000_over_500" bootstrap_ratio Render.Le 2.0;
         Render.gate "shared_module_per_config_over_module_free" shared_ratio Render.Le 2.0;
         Render.gate "eval_per_binding_k1600_over_k100" eval_ratio Render.Le 2.0;
+        Render.gate "merge_per_key_k1600_over_k100" merge_ratio Render.Le 2.0;
       ];
   Render.note "wrote BENCH_build.json"

@@ -30,9 +30,11 @@ echo "== ci/check: perfbench determinism =="
 # each layer; fail if that traced replay stops matching the untraced
 # pipeline's counts or HEAD tree, or one seed stops repeating.  It runs
 # after the quick benches so their wall-clock gates see the host as
-# they did before this step existed.
+# they did before this step existed.  fleet_rollout (200 servers)
+# drives the Zeus write and proxy path hardest.
 python3 perfbench/run.py --determinism --workload leaf_edit
 python3 perfbench/run.py --determinism --workload cone_edit
+python3 perfbench/run.py --determinism --workload fleet_rollout
 
 echo "== ci/check: CLI rollback demo =="
 # Drive the generation log of the bench's multi-thousand-commit pack

@@ -73,22 +73,34 @@ let poll_once t =
         List.iter
           (fun path -> Hashtbl.replace dirty path ())
           (Cm_vcs.Repo.changed_between t.repo ~base:t.last_seen ~head:head_oid);
-        List.iter
-          (fun path ->
-            if t.is_artifact path then
-              if not (Hashtbl.mem dirty path) then
-                t.nsuppressed <- t.nsuppressed + 1
+        (* The poll's writes go to Zeus as one transaction, in
+           [touched] order: one quorum round, and a landing commits all
+           or none. *)
+        let writes =
+          List.filter_map
+            (fun path ->
+              if not (t.is_artifact path) then None
+              else if not (Hashtbl.mem dirty path) then begin
+                t.nsuppressed <- t.nsuppressed + 1;
+                None
+              end
               else
                 match Cm_vcs.Repo.read_file t.repo path with
                 | Some data ->
                     t.nwrites <- t.nwrites + 1;
                     (* The artifact digest rides along so Zeus can dedup
                        byte-identical rewrites on the wire. *)
-                    Cm_zeus.Service.write t.zeus
-                      ~digest:(Compiler.digest_of_text data)
-                      ~ctx:(take_ctx t path) ~path ~data
-                | None -> () (* deleted; distribution of deletions is a no-op *))
-          touched);
+                    Some
+                      {
+                        Cm_zeus.Service.path;
+                        data;
+                        digest = Some (Compiler.digest_of_text data);
+                        ctx = take_ctx t path;
+                      }
+                | None -> None (* deleted; distribution of deletions is a no-op *))
+            touched
+        in
+        Cm_zeus.Service.write_all t.zeus writes);
     t.last_seen <- head
   end
 

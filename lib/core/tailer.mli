@@ -2,9 +2,10 @@
     from the repository and writes them to Zeus for distribution.
 
     The tailer polls the repository (default every 5 s, matching the
-    ~5 s tail latency the paper reports in §6.3); for every artifact
-    path changed since the last seen commit it issues a Zeus write
-    with the file's new content. *)
+    ~5 s tail latency the paper reports in §6.3).  The artifact paths
+    changed since the last seen commit go to Zeus with their new
+    content as one {!Cm_zeus.Service.write_all}: one quorum round per
+    poll, and the artifacts of a landing commit all or none. *)
 
 type t
 

@@ -120,6 +120,82 @@ let rec equal charge a b =
 
 let value_equal a b = equal ignore a b
 
+(* The pairs of a map indexed for key lookup.  [find] returns what the
+   first-match scan [List.find_opt (fun (k2, _) -> equal charge k k2)]
+   returns -- the same pair, the same charges, the same failure on a
+   function key -- but looks a scalar key up instead of scanning: scalar
+   comparisons cost no fuel, so a scan per key of another map was
+   quadratic unmetered work.  Compound keys still scan, over the
+   compound keys only (a compound never equals a scalar, for free), and
+   a function on either side, which fails the comparison, scans
+   everything.  String keys, all a map literal can hold, get a table of
+   their own.  An int equals a float of the same value, so an int key
+   is also indexed under its float value, apart from the float keys:
+   two distinct ints can share a float value.  A NaN equals nothing. *)
+module Key_index = struct
+  type scalar =
+    | K_null
+    | K_bool of bool
+    | K_int of int
+    | K_float of float
+    | K_int_as_float of float
+    | K_enum of string * string
+
+  type t = {
+    pairs : (value * value) list;
+    strings : (string, value * value) Hashtbl.t;  (** first pair per key *)
+    scalars : (scalar, int * (value * value)) Hashtbl.t;
+        (** first position and pair per key *)
+    compound : (value * value) list;  (** pairs with a compound key, in order *)
+    has_function : bool;  (** some key is a function *)
+  }
+
+  (* What a non-string scalar key is indexed under, or looks up. *)
+  let scalar_keys ~probe = function
+    | V_null -> [ K_null ]
+    | V_bool b -> [ K_bool b ]
+    | V_int x ->
+        let y = float_of_int x in
+        [ K_int x; (if probe then K_float y else K_int_as_float y) ]
+    | V_float y when Float.is_nan y -> []
+    | V_float y -> if probe then [ K_float y; K_int_as_float y ] else [ K_float y ]
+    | V_enum (ty, member) -> [ K_enum (ty, member) ]
+    | V_str _ | V_list _ | V_map _ | V_struct _ | V_closure _ | V_builtin _ -> []
+
+  let create pairs =
+    let strings = Hashtbl.create 16 and scalars = Hashtbl.create 16 in
+    let first table key entry = if not (Hashtbl.mem table key) then Hashtbl.add table key entry in
+    let compound = ref [] and has_function = ref false in
+    List.iteri
+      (fun i ((k, _) as pair) ->
+        match k with
+        | V_str s -> first strings s pair
+        | V_null | V_bool _ | V_int _ | V_float _ | V_enum _ ->
+            List.iter (fun key -> first scalars key (i, pair)) (scalar_keys ~probe:false k)
+        | V_list _ | V_map _ | V_struct _ -> compound := pair :: !compound
+        | V_closure _ | V_builtin _ -> has_function := true)
+      pairs;
+    { pairs; strings; scalars; compound = List.rev !compound; has_function = !has_function }
+
+  let find charge t k =
+    let scan pairs = List.find_opt (fun (k2, _) -> equal charge k k2) pairs in
+    let earliest best key =
+      match Hashtbl.find_opt t.scalars key, best with
+      | Some (i, pair), Some (j, _) when i < j -> Some (i, pair)
+      | Some hit, None -> Some hit
+      | _ -> best
+    in
+    match k with
+    | _ when t.has_function -> scan t.pairs
+    | V_closure _ | V_builtin _ -> scan t.pairs
+    | V_list _ | V_map _ | V_struct _ -> scan t.compound
+    | V_str s -> Hashtbl.find_opt t.strings s
+    | V_null | V_bool _ | V_int _ | V_float _ | V_enum _ ->
+        Option.map snd (List.fold_left earliest None (scalar_keys ~probe:true k))
+
+  let mem charge t k = Option.is_some (find charge t k)
+end
+
 (* Environments: a mutable table per scope, chained.  Mutability gives
    Python-like visibility (a def can call a later def at call time).
    A file's scope also holds, by reference, the export table of each
@@ -419,10 +495,8 @@ let builtins =
        match args with
        | [ V_map a; V_map b ] ->
            (* Right-biased merge: b's bindings win. *)
-           let not_in_b (k, _) =
-             not (List.exists (fun (k2, _) -> equal (rt.charge pos) k k2) b)
-           in
-           V_map (List.filter not_in_b a @ b)
+           let in_b = Key_index.create b in
+           V_map (List.filter (fun (k, _) -> not (Key_index.mem (rt.charge pos) in_b k)) a @ b)
        | _ -> fail pos "merge expects two maps");
     ("format",
      fun rt pos args ->
@@ -506,18 +580,19 @@ let builtins =
              in
              V_struct (name, replaced @ added)
          | V_map base_pairs, V_map over_pairs ->
+             let overrides = Key_index.create over_pairs in
              let replaced =
                List.map
                  (fun (k, old) ->
-                   match List.find_opt (fun (k2, _) -> equal (rt.charge pos) k k2) over_pairs with
+                   match Key_index.find (rt.charge pos) overrides k with
                    | Some (_, v) -> k, apply old v
                    | None -> k, old)
                  base_pairs
              in
+             let in_base = Key_index.create base_pairs in
              let added =
                List.filter
-                 (fun (k, _) ->
-                   not (List.exists (fun (k2, _) -> equal (rt.charge pos) k k2) base_pairs))
+                 (fun (k, _) -> not (Key_index.mem (rt.charge pos) in_base k))
                  over_pairs
              in
              V_map (replaced @ added)
@@ -791,17 +866,23 @@ and apply ctx pos callee args =
   | V_builtin (_, fn) -> fn ctx.runtime pos args
   | V_closure { cname; cparams; cbody; cenv } ->
       let scope = env_create (Some cenv) in
-      let nparams = List.length cparams and nargs = List.length args in
-      if nargs > nparams then
-        fail pos "%s expects at most %d argument(s), got %d" cname nparams nargs;
-      List.iteri
-        (fun i param ->
-          if i < nargs then env_bind scope param.Ast.pname (List.nth args i)
-          else
-            match param.Ast.pdefault with
+      (* Parameters and arguments in one walk. *)
+      let rec bind params rest =
+        match params, rest with
+        | [], [] -> ()
+        | [], _ :: _ ->
+            fail pos "%s expects at most %d argument(s), got %d" cname (List.length cparams)
+              (List.length args)
+        | param :: params, arg :: rest ->
+            env_bind scope param.Ast.pname arg;
+            bind params rest
+        | param :: params, [] ->
+            (match param.Ast.pdefault with
             | Some default -> env_bind scope param.Ast.pname (eval ctx cenv default)
-            | None -> fail pos "%s: missing argument %s" cname param.Ast.pname)
-        cparams;
+            | None -> fail pos "%s: missing argument %s" cname param.Ast.pname);
+            bind params []
+      in
+      bind cparams args;
       if ctx.depth >= max_depth then fail pos "%s: calls nested deeper than %d" cname max_depth;
       ctx.depth <- ctx.depth + 1;
       let v = eval ctx scope cbody in
@@ -887,13 +968,16 @@ and load_module ctx pos target =
       | Evaluated { events; result } -> (
           ctx.loading <- target :: ctx.loading;
           ctx.loaded_order <- target :: ctx.loaded_order;
-          List.iter (replay ctx) events;
+          (* A failure inside the module reads at this import, with the
+             module's own line, as an unparsable module does. *)
+          let inside { line; message } = fail pos "in %s: line %d: %s" target line message in
+          (try List.iter (replay ctx) events with Runtime_error e -> inside e);
           match result with
           | Ok exports ->
               ctx.loading <- List.tl ctx.loading;
               ctx.loaded_modules <- Smap.add target exports ctx.loaded_modules;
               exports
-          | Error (Own_error e) -> raise (Runtime_error e)
+          | Error (Own_error e) -> inside e
           | Error Failed_import ->
               fail pos "import of %s succeeded where its module entry failed" target))
 

@@ -147,7 +147,12 @@ type counters = {
   mutable c_replays : int;
 }
 
-type member = { mnode : Topology.node_id; mutable mlog : int }
+(* [mlog]: the zxid the member has persisted through.  [macked]: the
+   zxid the leader has seen it ack through (the leader's own is its
+   log's length). *)
+type member = { mnode : Topology.node_id; mutable mlog : int; mutable macked : int }
+
+type write = { path : string; data : string; digest : string option; ctx : Tracer.ctx }
 
 (* Proxy cache entry: bytes plus the content digest they hash to, so a
    digest-bearing notification can be acked without a fetch. *)
@@ -189,12 +194,11 @@ and t = {
   mutable leader : int;  (* index into members *)
   log : Log.t;
   mutable committed : int;
-  acks : (int, int) Hashtbl.t;
   observers : observer array;
   obs_by_region : observer array array;
   proxies : (Topology.node_id, proxy) Hashtbl.t;
   rng : Rng.t;
-  write_queue : (string * string * string * Tracer.ctx) Queue.t;  (* buffered while leader down *)
+  write_queue : write Queue.t;  (* buffered while leader down *)
   mutable election_pending : bool;
   latest : (string, write_rec) Hashtbl.t;  (* committed latest-write-per-path index *)
   mutable pending : write_rec list;        (* current batch window, newest first *)
@@ -281,7 +285,7 @@ let init ?(params = default_params) net =
         let idx = per_cluster - 1 - slot in
         if idx < params.observers_per_cluster then
           invalid_arg "Zeus: cluster too small for members + observers";
-        { mnode = nodes.(idx).Topology.id; mlog = 0 })
+        { mnode = nodes.(idx).Topology.id; mlog = 0; macked = 0 })
   in
   let observers = ref [] in
   for region = regions - 1 downto 0 do
@@ -321,7 +325,6 @@ let init ?(params = default_params) net =
     leader = 0;
     log = Log.create ();
     committed = 0;
-    acks = Hashtbl.create 64;
     observers;
     obs_by_region;
     proxies = Hashtbl.create 256;
@@ -759,76 +762,93 @@ let enqueue_fanout t w =
 
 (* --- leader commit path ----------------------------------------------- *)
 
-let rec advance_commit t =
-  if t.committed < Log.length t.log then begin
-    let next = t.committed + 1 in
-    let acked = (match Hashtbl.find_opt t.acks next with Some n -> n | None -> 0) + 1 in
-    if acked >= quorum t then begin
-      t.committed <- next;
-      Hashtbl.remove t.acks next;
-      let w = Log.get t.log next in
-      Hashtbl.replace t.latest w.wpath w;
-      let now = Engine.now (engine t) in
-      w.wcommitted <- now;
-      (match t.prop with
-      | Some p -> Propagation.note_commit p ~path:w.wpath ~zxid:w.zxid ~digest:w.wdigest
-      | None -> ());
-      (match tracer t with
-      | Some tr when Tracer.is_traced w.wctx ->
-          w.wctx <-
-            Tracer.span tr w.wctx ~name:"zeus.commit" ~src:(leader_node t)
-              ~dst:(leader_node t)
-              ~tags:[ ("zxid", string_of_int w.zxid) ]
-              ~t0:w.created ~t1:now ()
-      | _ -> ());
-      enqueue_fanout t w;
-      advance_commit t
-    end
-  end
+(* The highest zxid a quorum of members, the leader included, has
+   acked through. *)
+let quorum_acked t =
+  let marks = Array.map (fun m -> m.macked) t.members in
+  Array.sort (fun a b -> Int.compare b a) marks;
+  marks.(quorum t - 1)
 
-let replicate t w =
+let advance_commit t =
+  let upto = min (quorum_acked t) (Log.length t.log) in
+  while t.committed < upto do
+    let next = t.committed + 1 in
+    t.committed <- next;
+    let w = Log.get t.log next in
+    Hashtbl.replace t.latest w.wpath w;
+    let now = Engine.now (engine t) in
+    w.wcommitted <- now;
+    (match t.prop with
+    | Some p -> Propagation.note_commit p ~path:w.wpath ~zxid:w.zxid ~digest:w.wdigest
+    | None -> ());
+    (match tracer t with
+    | Some tr when Tracer.is_traced w.wctx ->
+        w.wctx <-
+          Tracer.span tr w.wctx ~name:"zeus.commit" ~src:(leader_node t)
+            ~dst:(leader_node t)
+            ~tags:[ ("zxid", string_of_int w.zxid) ]
+            ~t0:w.created ~t1:now ()
+    | _ -> ());
+    enqueue_fanout t w
+  done
+
+(* One proposal per live follower carries zxids [lo..hi]: the first
+   entry's framing is part of [msg_overhead], each further one costs
+   [entry_overhead].  The proposal implicitly carries the follower's
+   missing prefix, so persistence is monotone in zxid and one ack
+   covers every zxid through [hi]. *)
+let propose t ~lo ~hi =
+  let bytes = ref (t.prm.msg_overhead - t.prm.entry_overhead) in
+  for zxid = lo to hi do
+    bytes := !bytes + t.prm.entry_overhead + String.length (Log.get t.log zxid).wdata
+  done;
   Array.iteri
     (fun i member ->
       if i <> t.leader && Topology.is_up (topo t) member.mnode then
-        Net.send t.net ~src:(leader_node t) ~dst:member.mnode
-          ~bytes:(t.prm.msg_overhead + String.length w.wdata) (fun () ->
-            (* The proposal implicitly carries the follower's missing
-               prefix, so persistence is monotone in zxid. *)
-            member.mlog <- max member.mlog w.zxid;
+        Net.send t.net ~src:(leader_node t) ~dst:member.mnode ~bytes:!bytes (fun () ->
+            member.mlog <- max member.mlog hi;
             Net.send t.net ~src:member.mnode ~dst:(leader_node t) ~bytes:t.prm.msg_overhead
               (fun () ->
                 if Topology.is_up (topo t) (leader_node t) then begin
-                  let count =
-                    match Hashtbl.find_opt t.acks w.zxid with Some n -> n | None -> 0
-                  in
-                  Hashtbl.replace t.acks w.zxid (count + 1);
+                  member.macked <- max member.macked hi;
                   advance_commit t
                 end)))
     t.members
 
 let digest_of_data data = Digest.to_hex (Digest.string data)
 
-let do_write t path data digest ctx =
-  let now = Engine.now (engine t) in
-  let w =
-    {
-      zxid = Log.length t.log + 1;
-      wpath = path;
-      wdata = data;
-      wdigest = digest;
-      created = now;
-      wctx = ctx;
-      wcommitted = now;
-    }
-  in
-  Log.append t.log w;
-  (leader_member t).mlog <- Log.length t.log;
-  replicate t w
+(* The leader appends the writes under consecutive zxids and proposes
+   them together: they commit all or none. *)
+let append t writes =
+  if writes <> [] then begin
+    let now = Engine.now (engine t) in
+    let lo = Log.length t.log + 1 in
+    List.iter
+      (fun { path; data; digest; ctx } ->
+        Log.append t.log
+          {
+            zxid = Log.length t.log + 1;
+            wpath = path;
+            wdata = data;
+            wdigest = (match digest with Some d -> d | None -> digest_of_data data);
+            created = now;
+            wctx = ctx;
+            wcommitted = now;
+          })
+      writes;
+    let hi = Log.length t.log in
+    let leader = leader_member t in
+    leader.mlog <- hi;
+    leader.macked <- hi;
+    propose t ~lo ~hi
+  end
+
+let write_all t writes =
+  if Topology.is_up (topo t) (leader_node t) then append t writes
+  else List.iter (fun w -> Queue.add w t.write_queue) writes
 
 let write ?digest ?(ctx = Tracer.none) t ~path ~data =
-  let digest = match digest with Some d -> d | None -> digest_of_data data in
-  if Topology.is_up (topo t) (leader_node t) then do_write t path data digest ctx
-  else Queue.add (path, data, digest, ctx) t.write_queue
+  write_all t [ { path; data; digest; ctx } ]
 
 let last_committed_zxid t = t.committed
 
@@ -854,20 +874,18 @@ let elect t =
       (* Uncommitted suffix beyond the new leader's log is lost. *)
       assert (t.committed <= t.members.(i).mlog);
       Log.truncate t.log t.members.(i).mlog;
-      Hashtbl.reset t.acks;
-      (* Un-acked but persisted entries must be re-replicated. *)
-      let rec repropose zxid =
-        if zxid <= Log.length t.log then begin
-          if zxid > t.committed then replicate t (Log.get t.log zxid);
-          repropose (zxid + 1)
-        end
-      in
-      repropose (t.committed + 1);
-      let queued = Queue.create () in
-      Queue.transfer t.write_queue queued;
-      Queue.iter (fun (path, data, digest, ctx) -> do_write t path data digest ctx) queued
+      Array.iter (fun m -> m.macked <- 0) t.members;
+      t.members.(i).macked <- Log.length t.log;
+      (* Persisted but uncommitted entries go out again as one proposal,
+         and the writes buffered while the leader was down as another. *)
+      if t.committed < Log.length t.log then
+        propose t ~lo:(t.committed + 1) ~hi:(Log.length t.log);
+      let queued = List.of_seq (Queue.to_seq t.write_queue) in
+      Queue.clear t.write_queue;
+      append t queued
 
 let crash_leader t = Topology.crash (topo t) (leader_node t)
+let member_nodes t = Array.map (fun m -> m.mnode) t.members
 
 (* --- observer failure injection ------------------------------------ *)
 

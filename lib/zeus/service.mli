@@ -5,8 +5,11 @@
 
     - An {b ensemble} of members (one leader, several followers)
       spread across regions runs a quorum commit log.  Writes are
-      totally ordered by zxid and committed in order once a majority
-      acks.
+      totally ordered by zxid.  The leader sends the n writes of one
+      {!write_all} as one proposal per follower; a follower acks once,
+      through the proposal's last zxid, and the leader commits each
+      zxid in order once a majority, itself included, has acked through
+      it.  So the writes of one call commit all or none.
     - Each cluster hosts {b observers}: full read-only replicas fed
       asynchronously by the leader.  An observer that detects a gap in
       zxids requests a catch-up, so delivery to observers is in-order
@@ -91,13 +94,31 @@ val create : ?params:params -> Cm_sim.Net.t -> t
 
 (** {1 Write path} *)
 
+type write = {
+  path : string;
+  data : string;
+  digest : string option;
+      (** content hash of [data] (MD5 hex); [None] computes it here *)
+  ctx : Cm_trace.Tracer.ctx;  (** {!Cm_trace.Tracer.none} when untraced *)
+}
+
+val write_all : t -> write list -> unit
+(** Initiates the writes as one transaction, like ZooKeeper's [multi]:
+    the leader appends them under consecutive zxids, in list order, and
+    replicates them in one quorum round.  A proposal costs
+    [msg_overhead + sum of |data| + (n - 1) * entry_overhead] bytes per
+    follower and its ack [msg_overhead].  Each write still commits,
+    fans out and is traced on its own, in zxid order.  While the leader
+    is down the writes are buffered; the next leader proposes
+    everything buffered as one transaction. *)
+
 val write :
   ?digest:string -> ?ctx:Cm_trace.Tracer.ctx -> t -> path:string -> data:string -> unit
-(** Initiates a write at the current simulated time from the leader's
-    node (the git tailer colocates with the ensemble).  Commit and
-    fan-out happen asynchronously as the simulation runs.  [digest]
-    is the content hash of [data] (MD5 hex); the tailer passes the
-    compiler's artifact digest, otherwise it is computed here.
+(** {!write_all} of one write.  Initiates a write at the current
+    simulated time from the leader's node (the git tailer colocates
+    with the ensemble).  Commit and fan-out happen asynchronously as
+    the simulation runs.  [digest] is the content hash of [data] (MD5
+    hex), computed here when absent.
 
     [ctx] (default untraced) is the trace context of the change this
     write carries.  When a tracer is attached to the underlying net
@@ -152,6 +173,11 @@ val crash_leader : t -> unit
     the longest log is elected. *)
 
 val leader_node : t -> Cm_sim.Topology.node_id
+
+val member_nodes : t -> Cm_sim.Topology.node_id array
+(** The ensemble's nodes, the leader among them; crash and restart
+    followers with {!Cm_sim.Topology.crash} and {!Cm_sim.Topology.restart}. *)
+
 val crash_observer : t -> region:int -> cluster:int -> int -> unit
 (** Crash the i-th observer of a cluster. *)
 

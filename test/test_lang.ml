@@ -451,8 +451,32 @@ let error_tests =
         match
           run ~files:[ "m.cinc", "X = 1\nY = len(range(100000000000))" ] "import \"m.cinc\"\nexport Y"
         with
-        | Error e -> Alcotest.(check int) "at the module's line" 2 e.Eval.line
+        | Error e ->
+            Alcotest.(check (pair int string)) "at the import, with the module's line"
+              (1, "in m.cinc: line 2: evaluation exceeded its budget of 4000000 steps")
+              (e.Eval.line, e.Eval.message)
         | Ok _ -> Alcotest.fail "expected an error");
+    Alcotest.test_case "a failing module fails its importer at the import" `Quick (fun () ->
+        List.iter
+          (fun (what, files, source, expected) ->
+            match run ~files source with
+            | Error e ->
+                Alcotest.(check (pair int string)) what expected (e.Eval.line, e.Eval.message)
+            | Ok _ -> Alcotest.failf "%s: expected an error" what)
+          [
+            ( "own error",
+              [ "m.cinc", "X = 1\nY = 2\nZ = nosuch" ],
+              "A = 1\nimport \"m.cinc\"\nexport Z",
+              (2, "in m.cinc: line 3: unbound variable nosuch") );
+            ( "budget error",
+              [ "m.cinc", "X = 1\nY = len(range(100000000000))" ],
+              "import \"m.cinc\"\nexport Y",
+              (1, "in m.cinc: line 2: evaluation exceeded its budget of 4000000 steps") );
+            ( "error two imports down",
+              [ "m.cinc", "P = 1\nimport \"n.cinc\""; "n.cinc", "Q = nosuch" ],
+              "import \"m.cinc\"\nexport P",
+              (1, "in m.cinc: line 2: in n.cinc: line 1: unbound variable nosuch") );
+          ]);
     Alcotest.test_case "comments ignored" `Quick
       (check_value (Eval.V_int 3) "1 + 2 # trailing\n// whole line\n");
   ]
@@ -693,9 +717,106 @@ let lexer_differential_property =
     ~print:(Printf.sprintf "%S") lexer_input_gen (fun input ->
       compare (lex_outcome Lexer.tokenize input) (lex_outcome Reference_lexer.tokenize input) = 0)
 
+(* [merge] and map-over-map [override] as they were before they looked
+   keys up instead of scanning: the oracle of the property below. *)
+module Reference_keys = struct
+  let mem k pairs = List.exists (fun (k2, _) -> Eval.value_equal k k2) pairs
+
+  let merge a b =
+    match a, b with
+    | Eval.V_map a, Eval.V_map b -> Eval.V_map (List.filter (fun (k, _) -> not (mem k b)) a @ b)
+    | _ -> invalid_arg "merge"
+
+  let rec override base over =
+    match base, over with
+    | Eval.V_map base_pairs, Eval.V_map over_pairs ->
+        let replaced =
+          List.map
+            (fun (k, old) ->
+              match List.find_opt (fun (k2, _) -> Eval.value_equal k k2) over_pairs with
+              | Some (_, v) -> k, override old v
+              | None -> k, old)
+            base_pairs
+        in
+        Eval.V_map (replaced @ List.filter (fun (k, _) -> not (mem k base_pairs)) over_pairs)
+    | _ -> over
+end
+
+let builtin name =
+  match run ("export " ^ name) with
+  | Ok { Eval.export = Some (Eval.V_builtin (_, fn)); _ } ->
+      fun args ->
+        let runtime = { Eval.call = (fun _ _ -> Eval.V_null); charge = (fun _ _ -> ()) } in
+        fn runtime { Ast.line = 1 } args
+  | _ -> failwith ("no builtin " ^ name)
+
+(* Structural identity: floats by their bits, functions by name. *)
+let rec same a b =
+  let open Eval in
+  let pairs_same xs ys =
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k1, v1) (k2, v2) -> same k1 k2 && same v1 v2) xs ys
+  in
+  match a, b with
+  | V_float x, V_float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | V_list xs, V_list ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+  | V_map xs, V_map ys -> pairs_same xs ys
+  | V_struct (n1, f1), V_struct (n2, f2) ->
+      n1 = n2 && pairs_same (List.map (fun (k, v) -> V_str k, v) f1)
+                   (List.map (fun (k, v) -> V_str k, v) f2)
+  | V_builtin (n1, _), V_builtin (n2, _) -> n1 = n2
+  | (V_null | V_bool _ | V_int _ | V_str _ | V_enum _), _ -> a = b
+  | _ -> false
+
+(* Property: [merge] and [override] of maps with keys of every kind --
+   ints and floats that compare across, -0.0, NaN, ints beyond 2^53
+   that share a float, compound keys, and now and then a function key,
+   which fails any comparison -- give what the scans gave: the same
+   map, or the same error. *)
+let key_lookup_property =
+  let fn_key = match run "export len" with Ok { Eval.export = Some v; _ } -> v | _ -> Eval.V_null in
+  let merge = builtin "merge" and override = builtin "override" in
+  let open Eval in
+  let scalar_keys =
+    [| V_int 0; V_int 1; V_int 2; V_float 1.0; V_float 0.0; V_float (-0.0); V_float Float.nan;
+       V_float 2.5; V_int (1 lsl 53); V_int ((1 lsl 53) + 1); V_float (2.0 ** 53.0);
+       V_str "a"; V_str "b"; V_bool true; V_bool false; V_null; V_enum ("E", "X") |]
+  in
+  let compound_keys =
+    [| V_list [ V_int 1 ]; V_list [ V_float 1.0 ]; V_map [ V_str "x", V_int 1 ];
+       V_struct ("S", [ "f", V_int 1 ]) |]
+  in
+  let gen =
+    let open QCheck2.Gen in
+    let key =
+      frequency
+        [ 12, oneofa scalar_keys; 3, oneofa compound_keys; 1, pure fn_key ]
+    in
+    let leaf = map (fun n -> V_int n) (int_range 0 9) in
+    let value =
+      frequency
+        [ 3, leaf; 1, map (fun pairs -> V_map pairs) (list_size (int_range 0 4) (pair key leaf)) ]
+    in
+    let map_gen = map (fun pairs -> V_map pairs) (list_size (int_range 0 8) (pair key value)) in
+    pair map_gen map_gen
+  in
+  let outcome f = match f () with v -> Ok v | exception Runtime_error e -> Error e.message in
+  let agree got want =
+    match got, want with
+    | Ok a, Ok b -> same a b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  QCheck2.Test.make ~name:"merge and override by key lookup equal the scans" ~count:1000 gen
+    (fun (a, b) ->
+      agree (outcome (fun () -> merge [ a; b ])) (outcome (fun () -> Reference_keys.merge a b))
+      && agree
+           (outcome (fun () -> override [ a; b ]))
+           (outcome (fun () -> Reference_keys.override a b)))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ arith_property; sorted_property; lexer_differential_property ]
+    [ arith_property; sorted_property; lexer_differential_property; key_lookup_property ]
 
 let () =
   Alcotest.run "cm_lang"

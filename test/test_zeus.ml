@@ -13,6 +13,8 @@ let setup ?(seed = 42L) ?(regions = 2) ?(clusters = 2) ?(nodes = 20) ?params () 
   let zeus = Zeus.create ?params net in
   engine, topo, zeus
 
+let w path data = { Zeus.path; data; digest = None; ctx = Cm_trace.Tracer.none }
+
 let basic_tests =
   [
     Alcotest.test_case "write commits and reaches subscriber" `Quick (fun () ->
@@ -137,9 +139,12 @@ let failure_tests =
         let engine, _, zeus = setup () in
         Zeus.crash_leader zeus;
         Zeus.write zeus ~path:"cfg/q" ~data:"queued";
+        Zeus.write_all zeus [ w "cfg/q2" "a"; w "cfg/q" "b" ];
         Engine.run_for engine 30.0;
-        Alcotest.(check (option string)) "applied" (Some "queued")
-          (Zeus.committed_value zeus "cfg/q"));
+        Alcotest.(check int) "all three committed" 3 (Zeus.last_committed_zxid zeus);
+        Alcotest.(check (pair (option string) (option string))) "applied in order"
+          (Some "b", Some "a")
+          (Zeus.committed_value zeus "cfg/q", Zeus.committed_value zeus "cfg/q2"));
     Alcotest.test_case "proxy crash: application reads on-disk cache" `Quick (fun () ->
         let engine, _, zeus = setup () in
         let proxy = Zeus.proxy_on zeus 8 in
@@ -482,6 +487,177 @@ let equivalence_property =
       let opt_ok, opt_finals, opt_egress = run Zeus.default_params in
       leg_ok && opt_ok && leg_finals = opt_finals && opt_egress <= leg_egress)
 
+(* --- batched writes ---------------------------------------------------- *)
+
+(* Messages and bytes of one quorum round: a batch window far longer
+   than the run keeps fan-out from starting. *)
+let quorum_round act =
+  let params = { Zeus.default_params with Zeus.batch_window = 100.0 } in
+  let engine, _, zeus = setup ~params () in
+  let net = Zeus.net_of zeus in
+  act zeus;
+  Engine.run_for engine 5.0;
+  Net.messages_sent net, Net.bytes_sent net, Zeus.last_committed_zxid zeus
+
+let batch_tests =
+  [
+    Alcotest.test_case "a one-write write_all is exactly write" `Quick (fun () ->
+        (* 4 proposals of msg_overhead + |data| and 4 acks of msg_overhead. *)
+        let expected = (8, (4 * (128 + 2)) + (4 * 128), 1) in
+        let pinned = Alcotest.(triple int int int) in
+        Alcotest.check pinned "write" expected
+          (quorum_round (fun zeus -> Zeus.write zeus ~path:"cfg/a" ~data:"v1"));
+        Alcotest.check pinned "write_all [w]" expected
+          (quorum_round (fun zeus -> Zeus.write_all zeus [ w "cfg/a" "v1" ]));
+        (* The whole run, fan-out and delivery included, draws the same
+           jitter and sends the same messages. *)
+        let run act =
+          let engine, _, zeus = setup () in
+          let proxy = Zeus.proxy_on zeus 45 in
+          let got = ref [] in
+          Zeus.subscribe proxy ~path:"cfg/a" (fun ~zxid data ->
+              got := (zxid, data, Engine.now engine) :: !got);
+          Engine.run_for engine 1.0;
+          act zeus;
+          Engine.run_for engine 10.0;
+          let net = Zeus.net_of zeus in
+          (Net.messages_sent net, Net.bytes_sent net, Engine.events_processed engine), !got
+        in
+        let single = run (fun zeus -> Zeus.write zeus ~path:"cfg/a" ~data:"v1") in
+        let batched = run (fun zeus -> Zeus.write_all zeus [ w "cfg/a" "v1" ]) in
+        Alcotest.(check bool) "same messages, bytes, events and delivery times" true
+          (single = batched));
+    Alcotest.test_case "n writes: one proposal and one ack per follower" `Quick (fun () ->
+        let writes = [ w "cfg/a" "v1"; w "cfg/b" "v2"; w "cfg/a" "v3" ] in
+        Alcotest.(check (triple int int int)) "one quorum round"
+          (8, (4 * (128 + 6 + (2 * 16))) + (4 * 128), 3)
+          (quorum_round (fun zeus -> Zeus.write_all zeus writes));
+        let msgs, _, committed =
+          quorum_round (fun zeus ->
+              List.iter (fun { Zeus.path; data; _ } -> Zeus.write zeus ~path ~data) writes)
+        in
+        Alcotest.(check (pair int int)) "three rounds one write at a time" (24, 3)
+          (msgs, committed);
+        Alcotest.(check (triple int int int)) "no writes, no round" (0, 0, 0)
+          (quorum_round (fun zeus -> Zeus.write_all zeus [])));
+  ]
+
+let proxy_nodes = [ 5; 25; 45; 65 ]
+let batch_paths = [| "bt/a"; "bt/b"; "bt/c"; "bt/d" |]
+
+let subscribed_proxies zeus =
+  List.map
+    (fun node ->
+      let proxy = Zeus.proxy_on zeus node in
+      Array.iter (fun path -> Zeus.subscribe proxy ~path (fun ~zxid:_ _ -> ())) batch_paths;
+      proxy)
+    proxy_nodes
+
+(* Property: cutting a write sequence into [write_all] batches at
+   random boundaries -- repeated paths and byte-identical rewrites
+   inside one batch included -- leaves every proxy holding the same
+   bytes as issuing the same writes one [write] at a time, and each
+   path's deliveries stay zxid-monotone. *)
+let batch_equivalence_property =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 0 1000000)
+        (list_size (int_range 1 8)
+           (pair (list_size (int_range 1 6) (pair (int_range 0 3) (int_range 0 2)))
+              (int_range 0 2))))
+  in
+  QCheck2.Test.make ~name:"write_all batches deliver what single writes deliver" ~count:30
+    gen (fun (seed, batches) ->
+      let run batched =
+        let engine, _, zeus = setup ~seed:(Int64.of_int seed) () in
+        let proxies = subscribed_proxies zeus in
+        Engine.run_for engine 1.0;
+        List.iter
+          (fun (batch, gap) ->
+            let writes =
+              List.map (fun (p, v) -> w batch_paths.(p) (Printf.sprintf "v%d" v)) batch
+            in
+            if batched then Zeus.write_all zeus writes
+            else List.iter (fun { Zeus.path; data; _ } -> Zeus.write zeus ~path ~data) writes;
+            if gap = 1 then Engine.run_for engine 0.02
+            else if gap = 2 then Engine.run_for engine 2.0)
+          batches;
+        Engine.run_for engine 60.0;
+        let monotone proxy =
+          Array.for_all
+            (fun path ->
+              let zxids =
+                List.filter_map
+                  (fun (p, zxid) -> if p = path then Some zxid else None)
+                  (Zeus.delivery_log proxy)
+              in
+              List.sort_uniq Int.compare zxids = zxids)
+            batch_paths
+        in
+        let held proxy = Array.map (Zeus.proxy_get proxy) batch_paths in
+        List.for_all monotone proxies, List.map held proxies
+      in
+      let single_ok, single_held = run false in
+      let batched_ok, batched_held = run true in
+      single_ok && batched_ok && single_held = batched_held)
+
+(* Property: the leader crashes right after proposing a batch.  Each
+   follower is down when the proposal goes out (restarted 0.5 s later),
+   up throughout, or cut: it crashes at a random instant while the
+   proposal may be in flight and restarts 0.5 s later.  At most one
+   follower that was up throughout is lost before the election.
+   Whatever the timing, the batch commits all or none, and every proxy
+   converges to the committed values.  Without cut followers the
+   outcome is known: the batch commits exactly when a follower that
+   persisted it survives to the election. *)
+let batch_atomicity_property =
+  let gen =
+    QCheck2.Gen.(
+      triple (int_range 0 1000000)
+        (list_size (return 4) (pair (int_range 0 2) (float_range 0.0 0.1)))
+        (int_range (-1) 3))
+  in
+  QCheck2.Test.make ~name:"a leader crash commits a batch all or none" ~count:60 gen
+    (fun (seed, fates, lost) ->
+      let engine, topo, zeus = setup ~seed:(Int64.of_int seed) () in
+      let proxies = subscribed_proxies zeus in
+      Zeus.write zeus ~path:"bt/a" ~data:"before";
+      Engine.run_for engine 10.0;
+      let followers =
+        Array.to_list (Zeus.member_nodes zeus)
+        |> List.filter (fun node -> node <> Zeus.leader_node zeus)
+        |> List.combine fates
+      in
+      let down_at_send = List.filter (fun ((fate, _), _) -> fate = 0) followers in
+      let up = List.filter (fun ((fate, _), _) -> fate = 1) followers in
+      let cut = List.filter (fun ((fate, _), _) -> fate = 2) followers in
+      let lost_nodes = List.filteri (fun i _ -> i = lost) (List.map snd up) in
+      List.iter (fun (_, node) -> Topology.crash topo node) down_at_send;
+      Zeus.write_all zeus
+        [ w "bt/a" "new-a"; w "bt/b" "new-b"; w "bt/c" "new-c"; w "bt/b" "new-b2" ];
+      Zeus.crash_leader zeus;
+      List.iter
+        (fun ((_, at), node) ->
+          ignore (Engine.schedule engine ~delay:at (fun () -> Topology.crash topo node)))
+        cut;
+      Engine.run_for engine 0.5;
+      List.iter (fun (_, node) -> Topology.restart topo node) (down_at_send @ cut);
+      List.iter (Topology.crash topo) lost_nodes;
+      Engine.run_for engine 60.0;
+      let committed = Array.map (Zeus.committed_value zeus) batch_paths in
+      let all = [| Some "new-a"; Some "new-b2"; Some "new-c"; None |] in
+      let none = [| Some "before"; None; None; None |] in
+      let whole =
+        (committed = all && Zeus.last_committed_zxid zeus = 5)
+        || (committed = none && Zeus.last_committed_zxid zeus = 1)
+      in
+      let survives = List.exists (fun (_, n) -> not (List.memq n lost_nodes)) up in
+      let as_known = cut <> [] || committed = if survives then all else none in
+      whole && as_known
+      && List.for_all
+           (fun proxy -> Array.map (Zeus.proxy_get proxy) batch_paths = committed)
+           proxies)
+
 (* --- pull model ------------------------------------------------------ *)
 
 let pull_tests =
@@ -529,9 +705,12 @@ let () =
       "pull", pull_tests;
       "snapshot", snapshot_tests;
       "distribution", dist_tests;
+      "batch", batch_tests;
       ( "properties",
         [
           QCheck_alcotest.to_alcotest chaos_property;
           QCheck_alcotest.to_alcotest equivalence_property;
+          QCheck_alcotest.to_alcotest batch_equivalence_property;
+          QCheck_alcotest.to_alcotest batch_atomicity_property;
         ] );
     ]
