@@ -19,10 +19,10 @@
      republish windows.  The gated number is the median over the
      rounds of max(republish p99, storm p99) / quiet p99: host noise
      that comes and goes between rounds lands on both sides of a
-     ratio.  On a 2-core host the lock-free reader reads 1.3-1.4x; a
+     ratio.  On a 2-core host the lock-free reader reads 1.35-1.43x; a
      check that takes the lock [load] holds while it publishes reads
-     7.8-7.9x, and a Laser read that takes a lock held by every Laser
-     publish reads 28-29x;
+     7.0-7.3x, and a Laser read that takes a lock held by every Laser
+     publish reads 31-32x;
    - update-visibility lag: wall time from a writer publishing a gate
      flip to a spinning reader observing the changed decision;
    - the cost of check-time exposure logging (single-domain
@@ -102,7 +102,7 @@ let project_of i =
         ]
 
 let build ?exposures ?clock () =
-  let laser = Laser.create ~shards:16 () in
+  let laser = Laser.create () in
   let rng = Rng.create 2024L in
   let users = Array.init nusers (fun _ -> User.random rng) in
   Array.iter
@@ -403,11 +403,6 @@ let run () =
        (List.fold_left Float.max neg_infinity ratios));
   Render.kv "update visibility lag p99 / max"
     (Printf.sprintf "%.2fms / %.2fms" lag_p99_ms lag_max_ms);
-  Render.kv "snapshot swaps / retained / reclaimed"
-    (Printf.sprintf "%d / %d / %d"
-       (Runtime.snapshot_swaps runtime)
-       (Runtime.retained_snapshots runtime)
-       (Runtime.reclaimed_snapshots runtime));
   Render.kv "laser generation / reads"
     (Printf.sprintf "%d / %d" (Laser.generation laser) (Laser.reads laser));
   Render.kv "exposure logging overhead"
@@ -446,7 +441,6 @@ let run () =
          "visibility_lag_p99_ms", Json.Float lag_p99_ms;
          "visibility_lag_max_ms", Json.Float lag_max_ms;
          "snapshot_swaps", Json.Int (Runtime.snapshot_swaps runtime);
-         "snapshots_reclaimed", Json.Int (Runtime.reclaimed_snapshots runtime);
          "laser_generation", Json.Int (Laser.generation laser);
          "exposures_recorded", Json.Int exposures_recorded;
          "exposure_overhead_x100", Json.Int (int_of_float (100.0 *. exposure_overhead));

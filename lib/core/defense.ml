@@ -53,11 +53,6 @@ let summary r =
         (if v.path = "" then "" else v.path ^ ": ")
         v.detail
 
-let pp_rejection ppf r =
-  Format.fprintf ppf "@[<v>rejected at %s:" r.failed_stage;
-  List.iter (fun v -> Format.fprintf ppf "@,  %a" pp_verdict v) r.verdicts;
-  Format.fprintf ppf "@]"
-
 module Json = Cm_json.Value
 
 let verdict_to_json v =

@@ -56,7 +56,6 @@ val summary : rejection -> string
 (** One line: the stage plus the first failing verdict. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val pp_rejection : Format.formatter -> rejection -> unit
 
 val verdict_to_json : verdict -> Cm_json.Value.t
 (** For surfacing verdicts through tooling (CLI, bench artifacts). *)

@@ -50,7 +50,6 @@ type t = {
   queue : job Queue.t;
   mutable busy : bool;
   mutable ncommitted : int;
-  mutable nconflicts : int;
   mutable nretries : int;
 }
 
@@ -63,7 +62,6 @@ let create ?(mode = Landing) ?(costs = default_costs) engine repo =
     queue = Queue.create ();
     busy = false;
     ncommitted = 0;
-    nconflicts = 0;
     nretries = 0;
   }
 
@@ -114,7 +112,6 @@ and serve_landing t job =
   match Cm_vcs.Repo.conflicts t.repo ~base:job.sub.base ~paths:(conflict_paths job) with
   | [] -> do_commit t job
   | conflicting ->
-      t.nconflicts <- t.nconflicts + 1;
       ignore
         (Engine.schedule t.engine ~delay:0.2 (fun () ->
              (match job.jtrace with
@@ -149,7 +146,6 @@ and serve_direct t job =
                maybe_start t));
         finish t
     | conflicting ->
-        t.nconflicts <- t.nconflicts + 1;
         ignore
           (Engine.schedule t.engine ~delay:0.2 (fun () ->
                job.on_result (Conflict conflicting);
@@ -165,7 +161,5 @@ let submit ?(reads = []) ?tracer ?(ctx = Tracer.none) t sub ~on_result =
   Queue.push { sub; reads; on_result; jtrace } t.queue;
   maybe_start t
 
-let queue_length t = Queue.length t.queue
 let committed t = t.ncommitted
-let conflicts_rejected t = t.nconflicts
 let retries t = t.nretries

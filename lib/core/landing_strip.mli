@@ -69,8 +69,6 @@ val submit :
     diff's artifacts were compiled against stale inputs, so carrying
     them forward would commit an inconsistent artifact set. *)
 
-val queue_length : t -> int
 val committed : t -> int
-val conflicts_rejected : t -> int
 val retries : t -> int
 (** Direct mode only: extra update rounds forced by contention. *)

@@ -23,29 +23,14 @@ module Log = struct
     cap : int;
   }
 
-  type t = {
-    cap : int;
-    bufs : buf list ref;            (* every domain's buffer, for merging *)
-    reg_mutex : Mutex.t;            (* guards registration only *)
-    dls : buf Domain.DLS.key;
-  }
+  type t = buf Cm_parallel.Per_domain.t
 
   let create ?(cap = 65536) () =
     let cap = max 1 cap in
-    let bufs = ref [] in
-    let reg_mutex = Mutex.create () in
-    let dls =
-      Domain.DLS.new_key (fun () ->
-          let buf = { items = [||]; total = 0; cap } in
-          Mutex.lock reg_mutex;
-          bufs := buf :: !bufs;
-          Mutex.unlock reg_mutex;
-          buf)
-    in
-    { cap; bufs; reg_mutex; dls }
+    Cm_parallel.Per_domain.create (fun () -> { items = [||]; total = 0; cap })
 
   let record t r =
-    let buf = Domain.DLS.get t.dls in
+    let buf = Cm_parallel.Per_domain.get t in
     let len = Array.length buf.items in
     if buf.total < buf.cap then begin
       (* Grow geometrically up to cap. *)
@@ -59,26 +44,17 @@ module Log = struct
     else buf.items.(buf.total mod buf.cap) <- r;
     buf.total <- buf.total + 1
 
-  let buffers t =
-    Mutex.lock t.reg_mutex;
-    let bufs = !(t.bufs) in
-    Mutex.unlock t.reg_mutex;
-    bufs
-
-  let length t =
-    List.fold_left
-      (fun acc buf -> acc + min buf.total (Array.length buf.items))
-      0 (buffers t)
-
-  let recorded t = List.fold_left (fun acc buf -> acc + buf.total) 0 (buffers t)
-  let dropped t = List.fold_left (fun acc b -> acc + max 0 (b.total - b.cap)) 0 (buffers t)
+  let sum f t = Cm_parallel.Per_domain.fold (fun acc buf -> acc + f buf) 0 t
+  let held buf = min buf.total (Array.length buf.items)
+  let length t = sum held t
+  let recorded t = sum (fun buf -> buf.total) t
+  let dropped t = sum (fun buf -> max 0 (buf.total - buf.cap)) t
 
   let drain t =
     let all =
-      List.concat_map
-        (fun buf ->
-          Array.to_list (Array.sub buf.items 0 (min buf.total (Array.length buf.items))))
-        (buffers t)
+      Cm_parallel.Per_domain.fold
+        (fun acc buf -> acc @ Array.to_list (Array.sub buf.items 0 (held buf)))
+        [] t
     in
     List.stable_sort (fun a b -> Float.compare a.at b.at) all
 end

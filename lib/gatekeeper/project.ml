@@ -120,15 +120,6 @@ let of_string s =
   | Ok json -> of_json json
   | Error e -> Error (Format.asprintf "%a" Cm_json.Parser.pp_error e)
 
-let with_rule_prob t ~rule_index prob =
-  {
-    t with
-    rules =
-      List.mapi
-        (fun i r -> if i = rule_index then { r with pass_prob = prob } else r)
-        t.rules;
-  }
-
 let employee_rollout ~name ~prob =
   make ~name [ rule ~salt:"employee" ~pass_prob:prob [ Restraint.make Restraint.Employee ] ]
 

@@ -46,10 +46,6 @@ val of_string : string -> (t, string) result
 
 (** {1 Rollout helpers} *)
 
-val with_rule_prob : t -> rule_index:int -> float -> t
-(** Functional update of one rule's pass probability — an "expand the
-    rollout from 1% to 10%" config change. *)
-
 val employee_rollout : name:string -> prob:float -> t
 (** The canonical launch shape: employees at [prob], everyone else
     off. *)

@@ -11,22 +11,18 @@
      a snapshot are frozen at publish time and never mutated.
 
    - Per-domain *execution statistics* (restraint eval/true counters,
-     check counts, evaluated cost) in [Domain.DLS] accumulators.  The
-     hot path writes plain ints into its own domain's arrays — no
-     shared counter, no contention.  Accumulators are merged at
-     reoptimize boundaries, so the cost-based ordering converges on
-     fleet-wide selectivities without a shared hot spot.
+     check counts, evaluated cost) in [Cm_parallel.Per_domain]
+     accumulators.  The hot path writes plain ints into its own
+     domain's arrays — no shared counter, no contention.  Accumulators
+     are merged at reoptimize boundaries, so the cost-based ordering
+     converges on fleet-wide selectivities without a shared hot spot.
 
    - A *writer side*: [load]/[unload]/[reoptimize] build the next
      snapshot off to the side under a writer mutex and publish it with
-     an epoch-bumping atomic store.  Retired snapshots are reclaimed
-     epoch-style: each domain records the epoch of the snapshot it is
-     using; once every registered reader has observed a later epoch,
-     the old snapshot is dropped from the retire list (the OCaml GC
-     does the actual freeing — the protocol bounds how long superseded
-     snapshots stay reachable and makes the lag observable).  A small
-     hard cap bounds the retire list even if an idle domain never
-     advances its epoch. *)
+     one [Atomic.set].  A replaced snapshot is an ordinary value: the
+     GC frees it once no reader still holds it. *)
+
+module Per_domain = Cm_parallel.Per_domain
 
 type compiled_rule = {
   restraints : Restraint.t array;  (* written order *)
@@ -45,7 +41,7 @@ type compiled = {
 type snapshot = {
   (* Frozen at publish: readers only ever call [Hashtbl.find_opt]. *)
   projects : (string, compiled) Hashtbl.t;
-  epoch : int;
+  version : int;  (* publishes since creation, this one included *)
 }
 
 (* Per-domain, per-project stat arrays, shaped like the compiled rules
@@ -61,7 +57,6 @@ type local = {
   mutable l_evals : int;
   mutable l_cost : float;
   mutable l_since_opt : int;
-  mutable l_epoch : int;  (* epoch of the snapshot this domain last used *)
   tbl : (string, proj_stats) Hashtbl.t;
 }
 
@@ -72,60 +67,24 @@ type t = {
   exposures : Exposure.Log.t option;
   root : snapshot Atomic.t;
   writer : Mutex.t;               (* serializes publishers, never readers *)
-  registry : local list ref;
-  reg_mutex : Mutex.t;            (* guards registration only *)
-  dls : local Domain.DLS.key;
+  locals : local Per_domain.t;
   stamp_counter : int Atomic.t;
-  mutable retired : snapshot list;  (* under [writer] *)
-  reclaimed : int Atomic.t;
 }
-
-(* Idle domains never advance their epoch; past this many retired
-   snapshots the oldest are dropped anyway (safe: the GC, not this
-   list, owns their memory). *)
-let max_retired = 4
 
 let create ?(ctx = { Restraint.laser = None }) ?(reoptimize_every = 1024)
     ?(clock = fun () -> 0.0) ?exposures () =
-  let registry = ref [] in
-  let reg_mutex = Mutex.create () in
-  let dls =
-    Domain.DLS.new_key (fun () ->
-        let local =
-          {
-            l_checks = 0;
-            l_evals = 0;
-            l_cost = 0.0;
-            l_since_opt = 0;
-            l_epoch = -1;
-            tbl = Hashtbl.create 16;
-          }
-        in
-        Mutex.lock reg_mutex;
-        registry := local :: !registry;
-        Mutex.unlock reg_mutex;
-        local)
-  in
   {
     ctx;
     reoptimize_every;
     clock;
     exposures;
-    root = Atomic.make { projects = Hashtbl.create 1; epoch = 0 };
+    root = Atomic.make { projects = Hashtbl.create 1; version = 0 };
     writer = Mutex.create ();
-    registry;
-    reg_mutex;
-    dls;
+    locals =
+      Per_domain.create (fun () ->
+          { l_checks = 0; l_evals = 0; l_cost = 0.0; l_since_opt = 0; tbl = Hashtbl.create 16 });
     stamp_counter = Atomic.make 0;
-    retired = [];
-    reclaimed = Atomic.make 0;
   }
-
-let locals t =
-  Mutex.lock t.reg_mutex;
-  let all = !(t.registry) in
-  Mutex.unlock t.reg_mutex;
-  all
 
 (* --- compilation ----------------------------------------------------- *)
 
@@ -156,41 +115,11 @@ let compile_project t ?order_from project =
   in
   { project; stamp; crules }
 
-(* --- publish / epoch reclamation ------------------------------------- *)
-
-(* Epochs a registered domain may still be using: -1 means "never
-   checked", which cannot reference any snapshot. *)
-let min_reader_epoch t ~current =
-  List.fold_left
-    (fun acc local -> if local.l_epoch < 0 then acc else min acc local.l_epoch)
-    current (locals t)
-
-(* Caller holds [t.writer]. *)
-let sweep_retired t =
-  let current = (Atomic.get t.root).epoch in
-  let floor = min_reader_epoch t ~current in
-  let keep, drop = List.partition (fun s -> s.epoch >= floor) t.retired in
-  let keep, capped =
-    (* [retired] is newest-first; cap the tail. *)
-    let rec split i = function
-      | [] -> [], []
-      | s :: rest ->
-          if i >= max_retired then [], s :: rest
-          else
-            let k, d = split (i + 1) rest in
-            s :: k, d
-    in
-    split 0 keep
-  in
-  t.retired <- keep;
-  ignore (Atomic.fetch_and_add t.reclaimed (List.length drop + List.length capped))
+(* --- publish ---------------------------------------------------------- *)
 
 (* Caller holds [t.writer]. *)
 let publish_locked t projects =
-  let old = Atomic.get t.root in
-  Atomic.set t.root { projects; epoch = old.epoch + 1 };
-  t.retired <- old :: t.retired;
-  sweep_retired t
+  Atomic.set t.root { projects; version = (Atomic.get t.root).version + 1 }
 
 let with_writer t f =
   Mutex.lock t.writer;
@@ -236,8 +165,8 @@ let merged_counts t compiled =
   let shape = Array.map (fun cr -> Array.length cr.restraints) compiled.crules in
   let evals = Array.map (fun n -> Array.make n 0) shape in
   let trues = Array.map (fun n -> Array.make n 0) shape in
-  List.iter
-    (fun local ->
+  Per_domain.fold
+    (fun () local ->
       match Hashtbl.find_opt local.tbl compiled.project.Project.project_name with
       | Some stats when stats.p_stamp = compiled.stamp ->
           Array.iteri
@@ -248,7 +177,7 @@ let merged_counts t compiled =
               done)
             shape
       | Some _ | None -> ())
-    (locals t);
+    () t.locals;
   evals, trues
 
 (* Short-circuit ordering: an AND chain stops at the first false, so
@@ -349,11 +278,9 @@ let record_exposure t name user passed =
         }
 
 let check_with t name user ~use_order =
-  let local = Domain.DLS.get t.dls in
+  let local = Per_domain.get t.locals in
   local.l_checks <- local.l_checks + 1;
-  let snap = Atomic.get t.root in
-  local.l_epoch <- snap.epoch;
-  match Hashtbl.find_opt snap.projects name with
+  match Hashtbl.find_opt (Atomic.get t.root).projects name with
   | None -> false
   | Some compiled ->
       if compiled.project.Project.killed then begin
@@ -391,9 +318,9 @@ let check_naive t name user = check_with t name user ~use_order:false
 
 (* --- merged observability -------------------------------------------- *)
 
-let checks_performed t = List.fold_left (fun acc l -> acc + l.l_checks) 0 (locals t)
-let evaluated_restraints t = List.fold_left (fun acc l -> acc + l.l_evals) 0 (locals t)
-let evaluated_cost t = List.fold_left (fun acc l -> acc +. l.l_cost) 0.0 (locals t)
+let checks_performed t = Per_domain.fold (fun acc l -> acc + l.l_checks) 0 t.locals
+let evaluated_restraints t = Per_domain.fold (fun acc l -> acc + l.l_evals) 0 t.locals
+let evaluated_cost t = Per_domain.fold (fun acc l -> acc +. l.l_cost) 0.0 t.locals
 
 let project_names t =
   let snap = Atomic.get t.root in
@@ -415,13 +342,5 @@ let restraint_stats t name =
                       selectivity ~evals:evals.(row).(idx) ~trues:trues.(row).(idx) )))
            (Array.to_list compiled.crules))
 
-let domains_seen t = List.length (locals t)
-let current_epoch t = (Atomic.get t.root).epoch
-let snapshot_swaps t = (Atomic.get t.root).epoch
-let retained_snapshots t = with_writer t (fun () -> List.length t.retired)
-let reclaimed_snapshots t = Atomic.get t.reclaimed
-
-let reclaim t =
-  with_writer t (fun () -> sweep_retired t)
-
-let exposure_log t = t.exposures
+let domains_seen t = Per_domain.fold (fun acc _ -> acc + 1) 0 t.locals
+let snapshot_swaps t = (Atomic.get t.root).version

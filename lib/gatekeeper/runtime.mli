@@ -14,9 +14,8 @@
     check and never takes a lock or waits for a writer.  Config
     updates ([load]/[unload]) and ordering changes build the next
     snapshot off to the side under a writer mutex and publish it with
-    an epoch-bumping swap; superseded snapshots are retired and
-    reclaimed epoch-style once every reader domain has observed a
-    later epoch.
+    one atomic store; the GC frees a replaced snapshot once no reader
+    still holds it.
 
     Execution statistics are accumulated per domain (no shared
     counters on the hot path) and merged at reoptimize boundaries: the
@@ -87,21 +86,5 @@ val reoptimize : t -> unit
 val domains_seen : t -> int
 (** Domains that have ever called [check] on this runtime. *)
 
-val current_epoch : t -> int
-(** Epoch of the published snapshot; bumps on every publish. *)
-
 val snapshot_swaps : t -> int
-(** Snapshots published since creation (= [current_epoch]). *)
-
-val retained_snapshots : t -> int
-(** Superseded snapshots still on the retire list (a reader domain may
-    not have observed a later epoch yet). *)
-
-val reclaimed_snapshots : t -> int
-(** Superseded snapshots dropped after every reader moved past them
-    ([reclaimed + retained] = [snapshot_swaps]). *)
-
-val reclaim : t -> unit
-(** Sweep the retire list now (publishes do this automatically). *)
-
-val exposure_log : t -> Exposure.Log.t option
+(** Snapshots published since creation. *)

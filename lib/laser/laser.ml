@@ -1,12 +1,12 @@
-(* Sharded, read-mostly Laser store.
+(* Read-mostly Laser store.
 
    Readers never take a lock: the whole keyspace lives in one
-   immutable [root] value — an array of per-shard persistent maps plus
-   a generation number — reached through a single [Atomic.get].
-   Writers (the stream and MapReduce feeder pipelines) build the next
-   root off to the side and publish it with a compare-and-set; racing
-   writers retry against the freshest root, so feeders on different
-   domains never block each other and never block a reader.
+   immutable [root] value — a persistent map plus a generation number
+   — reached through a single [Atomic.get].  Writers (the stream and
+   MapReduce feeder pipelines) build the next root off to the side and
+   publish it with a compare-and-set; racing writers retry against the
+   freshest root, so feeders on different domains never block each
+   other and never block a reader.
 
    Publishing the root as one value is also what makes
    [mapreduce_refresh] atomic: a reader holding the old root sees the
@@ -17,96 +17,42 @@
 module Smap = Map.Make (String)
 
 type root = {
-  shards : float Smap.t array;  (* immutable once published *)
+  keys : float Smap.t;
   generation : int;
 }
 
-(* Per-domain read counters: plain ints on separate (strided) slots so
-   concurrent domains don't publish to the same cache line on the
-   check hot path.  Summing them is approximate while domains are
-   running and exact once they quiesce. *)
-let read_slots = 64
-let slot_stride = 16
-
 type t = {
-  nshards : int;
   root : root Atomic.t;
-  reads_by_domain : int array;
+  reads : int ref Cm_parallel.Per_domain.t;  (* [get] calls, per domain *)
 }
 
-let shard_of t key = Hashtbl.hash key mod t.nshards
-
-let create ?(shards = 16) () =
-  let nshards = max 1 shards in
+let create () =
   {
-    nshards;
-    root = Atomic.make { shards = Array.make nshards Smap.empty; generation = 0 };
-    reads_by_domain = Array.make (read_slots * slot_stride) 0;
+    root = Atomic.make { keys = Smap.empty; generation = 0 };
+    reads = Cm_parallel.Per_domain.create (fun () -> ref 0);
   }
 
 let get t key =
-  let slot = (Domain.self () :> int) land (read_slots - 1) * slot_stride in
-  t.reads_by_domain.(slot) <- t.reads_by_domain.(slot) + 1;
-  let root = Atomic.get t.root in
-  Smap.find_opt key root.shards.(shard_of t key)
+  incr (Cm_parallel.Per_domain.get t.reads);
+  Smap.find_opt key (Atomic.get t.root).keys
 
-let size t =
-  let root = Atomic.get t.root in
-  Array.fold_left (fun acc shard -> acc + Smap.cardinal shard) 0 root.shards
-
-let reads t =
-  let acc = ref 0 in
-  for slot = 0 to read_slots - 1 do
-    acc := !acc + t.reads_by_domain.(slot * slot_stride)
-  done;
-  !acc
-
+let size t = Smap.cardinal (Atomic.get t.root).keys
+let reads t = Cm_parallel.Per_domain.fold (fun acc n -> acc + !n) 0 t.reads
 let generation t = (Atomic.get t.root).generation
-let shard_count t = t.nshards
 
-let shard_sizes t =
-  Array.to_list (Array.map Smap.cardinal (Atomic.get t.root).shards)
-
-(* CAS-retry publish: [update] maps the freshest shard array to a new
-   one (it must copy, never mutate).  Lock-free — a writer that loses
-   the race re-derives its batch against the winner's root. *)
+(* CAS-retry publish: [update] maps the freshest keyspace to the next
+   one.  Lock-free — a writer that loses the race re-derives its batch
+   against the winner's root. *)
 let rec publish t update =
   let old = Atomic.get t.root in
-  let next = { shards = update old.shards; generation = old.generation + 1 } in
+  let next = { keys = update old.keys; generation = old.generation + 1 } in
   if not (Atomic.compare_and_set t.root old next) then publish t update
 
-let put t key v =
-  publish t (fun shards ->
-      let next = Array.copy shards in
-      let s = shard_of t key in
-      next.(s) <- Smap.add key v next.(s);
-      next)
+let add_all pairs keys = List.fold_left (fun keys (k, v) -> Smap.add k v keys) keys pairs
 
-let stream_upsert t pairs =
-  if pairs <> [] then
-    publish t (fun shards ->
-        let next = Array.copy shards in
-        List.iter
-          (fun (k, v) ->
-            let s = shard_of t k in
-            next.(s) <- Smap.add k v next.(s))
-          pairs;
-        next)
+let put t key v = publish t (Smap.add key v)
+let stream_upsert t pairs = if pairs <> [] then publish t (add_all pairs)
 
 let mapreduce_refresh t ~prefix pairs =
-  let plen = String.length prefix in
-  let under_prefix key =
-    String.length key >= plen && String.sub key 0 plen = prefix
-  in
-  publish t (fun shards ->
-      let next =
-        Array.map
-          (fun shard -> Smap.filter (fun key _ -> not (under_prefix key)) shard)
-          shards
-      in
-      List.iter
-        (fun (k, v) ->
-          let s = shard_of t k in
-          next.(s) <- Smap.add k v next.(s))
-        pairs;
-      next)
+  publish t (fun keys ->
+      add_all pairs (Smap.filter (fun key _ -> not (String.starts_with ~prefix key)) keys))

@@ -6,19 +6,18 @@
     feeders: a stream-processing job (incremental upserts) and a
     periodic MapReduce job (full refresh of a keyspace).
 
-    The store is built for multicore readers: the keyspace is sharded
-    by key hash into immutable sub-tables hanging off one atomically
-    swapped root, so [get] is lock-free (a single [Atomic.get] plus a
-    pure lookup) and feeder pipelines publish with a compare-and-set
-    that never blocks readers or other feeders.  [mapreduce_refresh]
-    publishes its drop-and-reload as one swap, so a concurrent reader
-    sees either the complete old batch or the complete new one — never
-    a half-empty keyspace. *)
+    The store is built for multicore readers: the keyspace is one
+    immutable map hanging off an atomically swapped root, so [get] is
+    lock-free (a single [Atomic.get] plus a pure lookup) and feeder
+    pipelines publish with a compare-and-set that never blocks readers
+    or other feeders.  [mapreduce_refresh] publishes its
+    drop-and-reload as one swap, so a concurrent reader sees either
+    the complete old batch or the complete new one — never a
+    half-empty keyspace. *)
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] sub-tables keyed by hash (default 16). *)
+val create : unit -> t
 
 val get : t -> string -> float option
 val put : t -> string -> float -> unit
@@ -28,14 +27,10 @@ val reads : t -> int
 (** Number of [get] calls served — Gatekeeper uses this to expose the
     cost of data-intensive restraints.  Counted per domain without
     synchronization: approximate while readers are running, exact once
-    they quiesce. *)
+    they have been joined. *)
 
 val generation : t -> int
 (** Publishes since creation; each feeder batch bumps it by one. *)
-
-val shard_count : t -> int
-val shard_sizes : t -> int list
-(** Keys per shard in the current snapshot (hash balance check). *)
 
 (** {1 Pipelines} *)
 

@@ -139,7 +139,6 @@ let start t =
   end
 
 let stop t = t.running <- false
-let force_sync t = sync_once t
 
 let get t field = Hashtbl.find_opt t.flash field
 let has_value t field = Hashtbl.mem t.flash field

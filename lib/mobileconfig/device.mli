@@ -42,8 +42,6 @@ val start : t -> unit
 
 val stop : t -> unit
 
-val force_sync : t -> unit
-
 (** {1 Typed getters (the generated context class)} *)
 
 val get_bool : t -> string -> bool

@@ -98,7 +98,3 @@ let latency_percentile t p =
   let arr = Array.of_list t.rev_lat in
   Array.sort compare arr;
   Tracer.percentile arr p
-
-let mean_latency t =
-  if t.nlat = 0 then Float.nan
-  else List.fold_left ( +. ) 0. t.rev_lat /. float_of_int t.nlat

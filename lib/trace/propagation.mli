@@ -57,5 +57,3 @@ val latency_count : t -> int
 val latency_percentile : t -> float -> float
 (** Percentile (in [0,1]) of commit-to-subscriber latency samples, in
     simulated seconds; [nan] when no samples. *)
-
-val mean_latency : t -> float

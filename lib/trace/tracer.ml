@@ -43,7 +43,6 @@ let create ?(enabled = true) ~now () =
   }
 
 let enabled t = t.on
-let set_enabled t b = t.on <- b
 
 let new_trace t ~name =
   if not t.on then none
@@ -95,9 +94,6 @@ let trace_ids t =
 
 let trace_name t tid =
   Option.map fst (Hashtbl.find_opt t.roots tid)
-
-let trace_start t tid =
-  Option.map snd (Hashtbl.find_opt t.roots tid)
 
 let spans_of t tid =
   List.filter (fun s -> s.strace = tid) t.rev_spans

@@ -53,7 +53,6 @@ val create : ?enabled:bool -> now:(unit -> float) -> unit -> t
     contexts and records nothing. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val new_trace : t -> name:string -> ctx
 (** Starts a new trace (one per proposed change / traced write) and
@@ -95,7 +94,6 @@ val spans : t -> span list
 
 val trace_ids : t -> int list
 val trace_name : t -> int -> string option
-val trace_start : t -> int -> float option
 
 val spans_of : t -> int -> span list
 (** Spans of one trace, sorted by start time. *)

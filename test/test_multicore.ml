@@ -4,14 +4,18 @@
    - a reader interleaved with [mapreduce_refresh] never observes a
      missing key that exists in both the old and the new batch (the
      refresh publishes as one atomic root swap);
+   - racing feeder pipelines lose no updates (CAS retry);
+   - Laser agrees with a [Map] model after every put, upsert and
+     refresh (QCheck property), and its read count is exact once the
+     reader domains are joined;
    - N-domain [check] decides exactly like single-domain [check] and
      [check_naive] (QCheck property);
    - per-domain statistics merged across N domains equal the
      sequential run's (exact for naive-order runs, which never
      reorder);
    - concurrent [load] is never observed torn and becomes visible;
-   - epoch reclamation accounting: retired + reclaimed = swaps;
-   - racing feeder pipelines lose no updates (CAS retry). *)
+   - a replaced project is garbage once no reader holds it, even after
+     a reader domain checked against it and exited. *)
 
 module User = Cm_gatekeeper.User
 module Restraint = Cm_gatekeeper.Restraint
@@ -27,7 +31,7 @@ let user = User.make
 let laser_tests =
   [
     Alcotest.test_case "refresh is atomic under a concurrent reader" `Quick (fun () ->
-        let store = Laser.create ~shards:8 () in
+        let store = Laser.create () in
         (* Keys present in every batch: a reader must never see them
            missing, no matter how it interleaves with the refresh. *)
         let common = List.init 64 (fun i -> Printf.sprintf "mr-k%02d" i) in
@@ -62,7 +66,7 @@ let laser_tests =
         Alcotest.(check (option (float 1e-9))) "stale extra dropped" None
           (Laser.get store "mr-only-149"));
     Alcotest.test_case "racing feeders lose no updates" `Quick (fun () ->
-        let store = Laser.create ~shards:4 () in
+        let store = Laser.create () in
         let writer lo =
           Domain.spawn (fun () ->
               for i = lo to lo + 499 do
@@ -80,14 +84,89 @@ let laser_tests =
         Alcotest.(check bool) "every publish bumped the generation" true
           (Laser.generation store >= 1000));
     Alcotest.test_case "shards cover the keyspace" `Quick (fun () ->
-        let store = Laser.create ~shards:8 () in
-        Laser.stream_upsert store (List.init 400 (fun i -> Printf.sprintf "key-%d" i, 1.0));
-        Alcotest.(check int) "8 shards" 8 (Laser.shard_count store);
-        let sizes = Laser.shard_sizes store in
-        Alcotest.(check int) "sizes sum to size" 400 (List.fold_left ( + ) 0 sizes);
-        Alcotest.(check bool) "no empty shard at this fill" true
-          (List.for_all (fun n -> n > 0) sizes));
+        (* Kept under its old name: the store is one map now, and the
+           property is that a refresh of one prefix leaves the rest of
+           the keyspace whole. *)
+        let store = Laser.create () in
+        let key i = Printf.sprintf "%s-%d" (if i mod 4 = 0 then "mr" else "key") i in
+        Laser.stream_upsert store (List.init 400 (fun i -> key i, 1.0));
+        Alcotest.(check int) "every key stored" 400 (Laser.size store);
+        Laser.mapreduce_refresh store ~prefix:"mr-" [ "mr-new", 2.0 ];
+        Alcotest.(check int) "100 dropped, 1 loaded" 301 (Laser.size store);
+        for i = 0 to 399 do
+          if i mod 4 <> 0 then
+            Alcotest.(check (option (float 1e-9))) (key i) (Some 1.0) (Laser.get store (key i))
+        done;
+        Alcotest.(check (option (float 1e-9))) "refreshed key" (Some 2.0)
+          (Laser.get store "mr-new"));
+    Alcotest.test_case "reads are exact once the readers are joined" `Quick (fun () ->
+        let store = Laser.create () in
+        Laser.put store "k" 1.0;
+        let readers =
+          List.init 4 (fun _ ->
+              Domain.spawn (fun () ->
+                  for _ = 1 to 10_000 do
+                    ignore (Laser.get store "k")
+                  done))
+        in
+        List.iter Domain.join readers;
+        Alcotest.(check int) "4 x 10000 reads" 40_000 (Laser.reads store));
   ]
+
+(* Random put / upsert / refresh sequences against a [Map] model: after
+   every operation each key reads back as in the model, [size] agrees,
+   and [generation] counts the publishes (an empty upsert publishes
+   nothing). *)
+module Model = Map.Make (String)
+
+type laser_op =
+  | Put of string * float
+  | Upsert of (string * float) list
+  | Refresh of string * (string * float) list
+
+let laser_model =
+  let open QCheck2.Gen in
+  let keys = List.concat_map (fun p -> List.init 4 (Printf.sprintf "%s%d" p)) [ "a-"; "b-"; "ab" ] in
+  let pair = pair (oneofl keys) (map float_of_int (int_range 0 9)) in
+  let op =
+    oneof
+      [
+        map (fun (k, v) -> Put (k, v)) pair;
+        map (fun pairs -> Upsert pairs) (list_size (int_range 0 4) pair);
+        map2 (fun prefix pairs -> Refresh (prefix, pairs))
+          (oneofl [ "a-"; "a"; "b-"; "" ])
+          (list_size (int_range 0 4) pair);
+      ]
+  in
+  QCheck2.Test.make ~name:"Laser agrees with a Map model" ~count:200
+    (list_size (int_range 1 30) op)
+    (fun ops ->
+      let store = Laser.create () in
+      let add_all pairs model = List.fold_left (fun m (k, v) -> Model.add k v m) model pairs in
+      let step (model, gen) = function
+        | Put (k, v) ->
+            Laser.put store k v;
+            Model.add k v model, gen + 1
+        | Upsert pairs ->
+            Laser.stream_upsert store pairs;
+            add_all pairs model, if pairs = [] then gen else gen + 1
+        | Refresh (prefix, pairs) ->
+            Laser.mapreduce_refresh store ~prefix pairs;
+            ( add_all pairs (Model.filter (fun k _ -> not (String.starts_with ~prefix k)) model),
+              gen + 1 )
+      in
+      let agrees (model, gen) =
+        List.for_all (fun k -> Laser.get store k = Model.find_opt k model) keys
+        && Laser.size store = Model.cardinal model
+        && Laser.generation store = gen
+      in
+      let rec run state = function
+        | [] -> true
+        | op :: rest ->
+            let state = step state op in
+            agrees state && run state rest
+      in
+      run (Model.empty, 0) ops)
 
 (* --- Runtime: equivalence across domains ------------------------------ *)
 
@@ -185,6 +264,20 @@ let stats_merge_exact =
 
 (* --- Runtime: live updates under concurrent readers ------------------- *)
 
+(* Load [n] versions of project [name], keeping each only through a
+   weak pointer.  Not inlined, so no stack slot of the caller holds a
+   project. *)
+let[@inline never] load_weakly runtime ~name n =
+  let loaded = Weak.create n in
+  for i = 0 to n - 1 do
+    let project =
+      Project.staged ~name ~employee_prob:0.0 ~world_prob:(float_of_int (i + 1) /. float_of_int n)
+    in
+    Weak.set loaded i (Some project);
+    Runtime.load runtime project
+  done;
+  loaded
+
 let runtime_tests =
   [
     Alcotest.test_case "live load visible to a concurrent reader" `Quick (fun () ->
@@ -221,36 +314,29 @@ let runtime_tests =
         Alcotest.(check bool) "saw the gate on" true (Atomic.get seen_on);
         Alcotest.(check bool) "saw the gate off" true (Atomic.get seen_off));
     Alcotest.test_case "epoch accounting: retired + reclaimed = swaps" `Quick (fun () ->
+        (* Kept under its old name: a publish is one atomic store, and
+           every replaced project is garbage once the next one is in. *)
         let runtime = Runtime.create () in
-        for i = 1 to 10 do
-          Runtime.load runtime
-            (Project.staged ~name:"E" ~employee_prob:0.0 ~world_prob:(float_of_int i /. 10.0))
-        done;
+        let loaded = load_weakly runtime ~name:"E" 10 in
         ignore (Runtime.check runtime "E" (user 1L));
-        Runtime.reclaim runtime;
-        let swaps = Runtime.snapshot_swaps runtime in
-        Alcotest.(check int) "10 publishes" 10 swaps;
-        Alcotest.(check int) "conservation" swaps
-          (Runtime.retained_snapshots runtime + Runtime.reclaimed_snapshots runtime);
-        (* This domain has observed the newest epoch; nothing older can
-           still be referenced, and the cap bounds the rest. *)
-        Alcotest.(check bool) "retire list bounded" true
-          (Runtime.retained_snapshots runtime <= 4));
+        Alcotest.(check int) "10 publishes" 10 (Runtime.snapshot_swaps runtime);
+        Gc.full_major ();
+        Alcotest.(check (list bool)) "only the current project is reachable"
+          (List.init 10 (fun i -> i = 9))
+          (List.init 10 (fun i -> Weak.check loaded i));
+        Alcotest.(check (list string)) "still served" [ "E" ] (Runtime.project_names runtime));
     Alcotest.test_case "reader epoch pins a snapshot until it advances" `Quick (fun () ->
+        (* Kept under its old name: no reader pins a snapshot.  A reader
+           domain checks against the first project and exits; after a
+           reload that project must be garbage. *)
         let runtime = Runtime.create () in
-        Runtime.load runtime (Project.staged ~name:"P" ~employee_prob:0.0 ~world_prob:1.0);
-        (* Reader observes epoch 1. *)
-        ignore (Runtime.check runtime "P" (user 1L));
+        let first = load_weakly runtime ~name:"P" 1 in
+        Domain.join
+          (Domain.spawn (fun () -> ignore (Runtime.check runtime "P" (user 1L))));
         Runtime.load runtime (Project.staged ~name:"P" ~employee_prob:0.0 ~world_prob:0.5);
-        (* The epoch-1 snapshot is retired but this domain still sits
-           at epoch 1, so it must be retained... *)
-        Alcotest.(check bool) "epoch-1 snapshot retained" true
-          (Runtime.retained_snapshots runtime >= 1);
-        (* ...until the reader advances, after which a sweep drops it. *)
-        ignore (Runtime.check runtime "P" (user 1L));
-        Runtime.reclaim runtime;
-        Alcotest.(check int) "all prior snapshots reclaimed" 0
-          (Runtime.retained_snapshots runtime));
+        Gc.full_major ();
+        Alcotest.(check bool) "replaced project collected" false (Weak.check first 0);
+        Alcotest.(check (list string)) "still served" [ "P" ] (Runtime.project_names runtime));
     Alcotest.test_case "exposure buffers merge across domains" `Quick (fun () ->
         let log = Exposure.Log.create () in
         let runtime = Runtime.create ~exposures:log () in
@@ -273,7 +359,7 @@ let runtime_tests =
   ]
 
 let properties =
-  List.map QCheck_alcotest.to_alcotest [ multicore_equivalence; stats_merge_exact ]
+  List.map QCheck_alcotest.to_alcotest [ laser_model; multicore_equivalence; stats_merge_exact ]
 
 let () =
   Alcotest.run "multicore"

@@ -8,6 +8,8 @@
      propagate after the join; every item is applied exactly once; the
      caller's domain works as worker 0; a pool never has more domains
      than the host has cores;
+   - per-domain values: concurrent domains each own one value, and the
+     fold sees every one of them exactly;
    - compile: an import chain compiles in one fan-out on a
      multi-domain pool (no compile reads another's artifact);
    - QCheck: compile_all / compile_affected on an N-domain pool equal
@@ -29,6 +31,7 @@ module Pipeline = Core.Pipeline
 module Sandcastle = Core.Sandcastle
 module Defense = Core.Defense
 module Pool = Cm_parallel.Pool
+module Per_domain = Cm_parallel.Per_domain
 module Engine = Cm_sim.Engine
 
 (* --- the pool --------------------------------------------------------- *)
@@ -108,6 +111,38 @@ let pool_tests =
           (Pool.domains (Pool.create ~domains:(cores + 3) ()));
         Alcotest.(check int) "at least one" 1 (Pool.domains (Pool.create ~domains:0 ()));
         Alcotest.(check int) "default" 1 (Pool.domains (Pool.create ())));
+  ]
+
+(* --- per-domain values --------------------------------------------------- *)
+
+let per_domain_tests =
+  [
+    Alcotest.test_case "each domain bumps its own value; the fold sees them all" `Quick
+      (fun () ->
+        let counters = Per_domain.create (fun () -> ref 0) in
+        let n = 100_000 and ndomains = 4 in
+        (* Every domain starts bumping only once all are running, so
+           their values are live at the same time. *)
+        let ready = Atomic.make 0 in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        let workers =
+          List.init ndomains (fun _ ->
+              Domain.spawn (fun () ->
+                  Atomic.incr ready;
+                  while Atomic.get ready < ndomains do
+                    if Unix.gettimeofday () > deadline then failwith "a domain never started";
+                    Domain.cpu_relax ()
+                  done;
+                  let mine = Per_domain.get counters in
+                  for _ = 1 to n do
+                    incr mine
+                  done))
+        in
+        List.iter Domain.join workers;
+        let values = Per_domain.fold (fun acc c -> !c :: acc) [] counters in
+        Alcotest.(check (list int)) "one value per domain, each bumped n times"
+          (List.init ndomains (fun _ -> n))
+          values);
   ]
 
 (* --- the one fan-out ---------------------------------------------------- *)
@@ -458,6 +493,7 @@ let () =
   Alcotest.run "parallel"
     [
       "pool", pool_tests;
+      "per_domain", per_domain_tests;
       "compile", compile_tests;
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest [ equivalence_property; affected_property ]
