@@ -25,8 +25,14 @@
      publish reads 31-32x;
    - update-visibility lag: wall time from a writer publishing a gate
      flip to a spinning reader observing the changed decision;
-   - the cost of check-time exposure logging (single-domain
-     throughput with and without a live exposure ring).
+   - the paper's per-core rate (Figure 15): one reader on the main
+     domain, no writer domain, over the same project mix;
+   - the cost of check-time exposure logging: that same storm-free
+     run with a live exposure ring, against the rate without one.
+
+   Every timed loop reads (project, user) index pairs drawn before its
+   clock starts, from the same seeds in the same order, so it times
+   checks and not the harness's own Zipf draws.
 
    Scaling gate: on a host with >= 4 cores the 1->4-domain ratio is
    measured directly and must be >= 1.8x.  On smaller hosts a
@@ -63,6 +69,7 @@ let visibility_flips = if quick then 12 else 24
 let domain_counts = [ 1; 2; 4 ]
 
 let project_name i = Printf.sprintf "proj_%02d" i
+let names = Array.init nprojects project_name
 
 (* The fig15 production mix plus laser-backed projects, so the storm's
    feeder pipelines sit on the same hot path as the checks. *)
@@ -118,14 +125,25 @@ let build ?exposures ?clock () =
 
 let zipf = Rng.Zipf.make ~n:nprojects ~s:1.2
 
-(* One reader domain: [iters] Zipf-skewed checks. *)
-let reader_loop runtime users seed iters () =
-  let rng = Rng.create (Int64.of_int (1000 + seed)) in
+(* Fill [projects] and [users] with Zipf-skewed (project, user)
+   indices drawn from [rng], project first, one pair at a time. *)
+let fill_draws rng projects users =
+  for k = 0 to Array.length projects - 1 do
+    projects.(k) <- Rng.Zipf.draw rng zipf - 1;
+    users.(k) <- Rng.int rng nusers
+  done
+
+(* One reader's [iters] draws from its own seed. *)
+let draws seed iters =
+  let projects = Array.make iters 0 and users = Array.make iters 0 in
+  fill_draws (Rng.create (Int64.of_int (1000 + seed))) projects users;
+  projects, users
+
+(* One reader domain: one check per pre-drawn pair. *)
+let reader_loop runtime users (projects, picks) () =
   let passes = ref 0 in
-  for _ = 1 to iters do
-    let p = project_name (Rng.Zipf.draw rng zipf - 1) in
-    let u = users.(Rng.int rng nusers) in
-    if Runtime.check runtime p u then incr passes
+  for k = 0 to Array.length projects - 1 do
+    if Runtime.check runtime names.(projects.(k)) users.(picks.(k)) then incr passes
   done;
   !passes
 
@@ -175,12 +193,12 @@ type sweep_row = {
 let run_sweep runtime laser users =
   List.map
     (fun d ->
+      let plans = List.init d (fun k -> draws ((100 * d) + k) checks_per_domain) in
       let stop = Atomic.make false in
       let writer = Domain.spawn (storm_loop runtime laser stop) in
       let start = Unix.gettimeofday () in
       let readers =
-        List.init d (fun k ->
-            Domain.spawn (reader_loop runtime users (100 * d + k) checks_per_domain))
+        List.map (fun plan -> Domain.spawn (reader_loop runtime users plan)) plans
       in
       let passes = List.fold_left (fun acc r -> acc + Domain.join r) 0 readers in
       let wall = Unix.gettimeofday () -. start in
@@ -232,11 +250,12 @@ let latency_windows runtime laser users =
   in
   let rng = Rng.create 4242L in
   let samples = Array.make window_checks 0.0 in
+  let projects = Array.make window_checks 0 and picks = Array.make window_checks 0 in
   let window m =
+    fill_draws rng projects picks;
     Atomic.set mode m;
     for k = 0 to window_checks - 1 do
-      let p = project_name (Rng.Zipf.draw rng zipf - 1) in
-      let u = users.(Rng.int rng nusers) in
+      let p = names.(projects.(k)) and u = users.(picks.(k)) in
       let t0 = Monotonic_clock.now () in
       ignore (Runtime.check runtime p u);
       samples.(k) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
@@ -300,14 +319,20 @@ let visibility_lags runtime =
   List.iter (fun l -> Histogram.add hist (l *. 1000.0)) !lags;
   Histogram.quantile hist 0.99, Histogram.max hist
 
+(* Checks/s of one reader on the main domain with no writer domain: the
+   paper's per-core rate (Figure 15).  With [exposures], every check
+   also logs one record. *)
+let single_domain_rate ?exposures () =
+  let runtime, _, users = build ?exposures ~clock:Unix.gettimeofday () in
+  let plan = draws 7 (checks_per_domain / 2) in
+  let t = Unix.gettimeofday () in
+  ignore (reader_loop runtime users plan ());
+  float_of_int (checks_per_domain / 2) /. (Unix.gettimeofday () -. t), users
+
 (* Exposure logging cost and the aggregation it feeds. *)
 let exposure_phase () =
   let log = Exposure.Log.create ~cap:(1 lsl 18) () in
-  let runtime, _, users = build ~exposures:log ~clock:Unix.gettimeofday () in
-  let iters = checks_per_domain / 2 in
-  let t = Unix.gettimeofday () in
-  ignore (reader_loop runtime users 7 iters ());
-  let logged_rate = float_of_int iters /. (Unix.gettimeofday () -. t) in
+  let logged_rate, users = single_domain_rate ~exposures:log () in
   (* Variant/segment/window analysis over an experiment fed by
      [assign_logged]/[observe]. *)
   let exp =
@@ -357,7 +382,7 @@ let run () =
   (* Latency: quiet, republish and storm windows on one runtime, one
      reader. *)
   let lat_runtime, lat_laser, lat_users = build () in
-  ignore (reader_loop lat_runtime lat_users 3 50_000 ()); (* warm *)
+  ignore (reader_loop lat_runtime lat_users (draws 3 50_000) ()); (* warm *)
   let rounds = latency_windows lat_runtime lat_laser lat_users in
   let ratios =
     List.map (fun (quiet, republishing, storming) ->
@@ -374,9 +399,9 @@ let run () =
   let vis_runtime, _, _ = build () in
   let lag_p99_ms, lag_max_ms = visibility_lags vis_runtime in
 
-  (* Exposure logging cost + experiment aggregation. *)
+  (* The per-core rate, then the same run with exposure logging on. *)
+  let storm_free_rate, _ = single_domain_rate () in
   let logged_rate, exposures_recorded, arms, segments = exposure_phase () in
-  let storm_free_rate = base in
   let exposure_overhead =
     Float.max 0.0 (1.0 -. (logged_rate /. storm_free_rate))
   in
@@ -394,6 +419,14 @@ let run () =
        rows);
   Render.kv "cores / scaling mode" (Printf.sprintf "%d / %s" cores scaling_mode);
   Render.kv "1->4 domain scaling" (Printf.sprintf "%.2fx" scaling);
+  Render.kv "1 domain, no writer (paper fig15: 4.2M/core)"
+    (Printf.sprintf "%.2fM checks/s" (storm_free_rate /. 1e6));
+  (* Paper fig15's fleet model, from constants only: 300k frontend
+     servers x 16 cores x 12% of their CPU x 10k production checks per
+     core-second (production restraints hit TAO and Laser, so they run
+     far slower than this in-memory mix). *)
+  Render.kv "site-wide peak (modeled, paper: billions/s)"
+    (Printf.sprintf "%.1fB checks/s" (300_000. *. 16. *. 0.12 *. 10_000. /. 1e9));
   Render.kv "p99 check latency quiet / republish / storm"
     (Printf.sprintf "%.2fus / %.2fus / %.2fus (medians over %d rounds)" p99_quiet
        p99_republish p99_storm latency_rounds);
@@ -413,8 +446,7 @@ let run () =
         (Printf.sprintf "%d exposures, mean outcome %.3f (%d segment cells)" n mean segments))
     arms;
   Render.note
-    "paper fig15: 4.2M checks/s on one core; reader path here is one atomic \
-     snapshot load, no locks, stats per domain";
+    "reader path: one atomic snapshot load, no locks, stats per domain";
 
   let row_json r =
     Json.obj
@@ -432,6 +464,7 @@ let run () =
          "rows", Json.List (List.map row_json rows);
          "scaling_mode", Json.String scaling_mode;
          "scaling_4v1_x100", Json.Int (int_of_float (100.0 *. scaling));
+         "storm_free_1dom_checks_per_s", Json.Int (int_of_float storm_free_rate);
          "latency_rounds", Json.Int latency_rounds;
          "window_checks", Json.Int window_checks;
          "p99_quiet_us", Json.Float p99_quiet;

@@ -1,7 +1,8 @@
 (* Storage-plane performance: the flat cm_vcs backend (one tree object
    listing every file, rebuilt and re-hashed per commit — the paper's
-   Figure-13 regime) vs the Merkle backend (directory-sharded trees,
-   head index, generation numbers, per-commit change records).
+   Figure-13 regime, whose row this bench prints) vs the Merkle backend
+   (directory-sharded trees, head index, generation numbers, per-commit
+   change records).
 
    For each backend x repo size we measure, on a three-level sharded
    namespace (configs/dXX/eXX/fXX/cfg_NNNNNN.json), and for the Merkle
@@ -266,6 +267,21 @@ let run () =
   Render.kv "estimated crossover"
     (Printf.sprintf
        "one merkle repo beats %d flat partitions beyond ~%d files" partitions crossover);
+  (* Paper Figure 13 and §3.6 read off the flat rows: per-commit cost
+     grows with the file count, and partitioning the namespace is the
+     paper's remedy. *)
+  let flat_per_min files = 60.0 /. (find_row rows "flat" files).r_commit1_s in
+  Render.table
+    ~header:[ "paper claim"; "paper"; "measured (flat backend)" ]
+    [
+      [ "fig13: throughput falls as the repo grows";
+        "~250 -> ~50 commits/min toward 1M files";
+        Printf.sprintf "%.0f -> %.0f commits/min, %d -> %d files" (flat_per_min smallest)
+          (flat_per_min largest) smallest largest ];
+      [ "§3.6 remedy: partition the namespace"; "multiple smaller repositories";
+        Printf.sprintf "%d partitions: %.0fx one repo's commits/min at %d files" partitions
+          ((find_row rows "flat" largest).r_commit1_s /. flat_partitioned_s) largest ];
+    ];
   let doc =
     Cm_json.Value.(
       Assoc

@@ -3,7 +3,7 @@
 
      dune exec bench/main.exe                         # everything
      dune exec bench/main.exe -- --list               # experiment ids
-     dune exec bench/main.exe -- --only fig13         # one experiment
+     dune exec bench/main.exe -- --only fig14         # one experiment
      dune exec bench/main.exe -- --quick --only gk    # reduced scale  *)
 
 let experiments : (string * string * (unit -> unit)) list =
@@ -17,20 +17,17 @@ let experiments : (string * string * (unit -> unit)) list =
     "tab3", "co-authors per config", Exp_usage.tab3;
     "fig11", "daily commit throughput", Exp_commits.fig11;
     "fig12", "hourly commit throughput", Exp_commits.fig12;
-    "fig13", "commit throughput vs repo size (measured)", Exp_fig13.run;
     "fig14", "commit-to-fleet propagation latency (simulated)", Exp_fig14.run;
-    "fig15", "Gatekeeper check throughput", Exp_fig15.run;
-    "gk", "multicore Gatekeeper/Laser: scaling under config churn", Exp_gk.run;
+    "gk", "Gatekeeper checks/s per core (fig15) and multicore scaling under churn", Exp_gk.run;
     "build", "multicore landing path: parallel compile + verify + sandcastle", Exp_build.run;
-    "tab4", "error defense in depth", Exp_tab4.run;
-    "verify", "verify-stage ablation: escapes with/without the correctness plane", Exp_verify.run;
+    "verify", "incident type mix (tab4) and escapes with/without the verify stage", Exp_verify.run;
     "pv", "PackageVessel distribution", Exp_pv.run;
     "ablate-pushpull", "push vs pull distribution", Exp_ablate.push_pull;
     "ablate-gkopt", "Gatekeeper optimizer", Exp_ablate.gk_optimizer;
     "ablate-landing", "landing strip vs direct commits", Exp_ablate.landing;
     "ablate-mobile", "mobile hybrid pull+push", Exp_ablate.mobile;
     "dist", "distribution plane: dedup + batched fan-out vs legacy", Exp_dist.run;
-    "vcs", "storage plane: flat vs merkle backend sweep", Exp_vcs.run;
+    "vcs", "commit throughput vs repo size (fig13): flat vs merkle backend sweep", Exp_vcs.run;
     "store", "durable store: pack recovery, generations, GC, crash convergence", Exp_store.run;
     "trace", "end-to-end change tracing: per-hop latency breakdown", Exp_trace.run;
     "fleet", "fleet-scale simulation: 100k servers / 1M devices diurnal day", Exp_fleet.run;

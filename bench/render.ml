@@ -39,7 +39,6 @@ let pct v = Printf.sprintf "%.1f%%" v
 let pctf v = Printf.sprintf "%.1f%%" (100.0 *. v)
 let secs v = Printf.sprintf "%.1fs" v
 let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
 
 let bytes v =
   if v >= 1 lsl 30 then Printf.sprintf "%.1fGB" (float_of_int v /. 1073741824.0)

@@ -15,7 +15,13 @@ type report = Defense.verdict list
 type t
 
 val create : ?with_defaults:bool -> unit -> t
-(** [with_defaults] (default true) installs {!default_checks}. *)
+(** [with_defaults] (default true) installs broad-coverage synthetic
+    site tests:
+    - every artifact's JSON parses back to itself (round-trip),
+    - no artifact exceeds the inline size limit (1 MB — larger content
+      belongs in PackageVessel),
+    - no empty object exports,
+    - typed artifacts carry a schema hash. *)
 
 val add_check : t -> check -> unit
 
@@ -34,11 +40,3 @@ val revalidations_skipped : t -> int
 (** Artifacts skipped because their exact bytes already passed. *)
 
 val post_to_review : Review.t -> Review.diff_id -> report -> unit
-
-val default_checks : unit -> check list
-(** Broad-coverage synthetic site tests:
-    - every artifact's JSON parses back to itself (round-trip),
-    - no artifact exceeds the inline size limit (1 MB — larger content
-      belongs in PackageVessel),
-    - no empty object exports,
-    - typed artifacts carry a schema hash. *)

@@ -30,36 +30,6 @@ let field_nonempty_string ~field =
       | Some (Cm_thrift.Value.Str "") -> Fail (Printf.sprintf "field %s is empty" field)
       | Some _ | None -> Pass)
 
-let field_string_in ~field ~allowed =
-  rule
-    (Printf.sprintf "%s in {%s}" field (String.concat ", " allowed))
-    (fun v ->
-      match Cm_thrift.Value.field field v with
-      | Some (Cm_thrift.Value.Str s) ->
-          if List.mem s allowed then Pass
-          else Fail (Printf.sprintf "field %s = %S not in allowed set" field s)
-      | Some _ | None -> Pass)
-
-let field_list_max_length ~field ~max =
-  rule
-    (Printf.sprintf "%s length <= %d" field max)
-    (fun v ->
-      match Cm_thrift.Value.field field v with
-      | Some (Cm_thrift.Value.List items) ->
-          if List.length items <= max then Pass
-          else
-            Fail
-              (Printf.sprintf "field %s has %d elements, max %d" field (List.length items) max)
-      | Some _ | None -> Pass)
-
-let forbid_field_value ~field bad ~reason =
-  rule
-    (Printf.sprintf "%s forbidden value" field)
-    (fun v ->
-      match Cm_thrift.Value.field field v with
-      | Some found when Cm_thrift.Value.equal found bad -> Fail reason
-      | Some _ | None -> Pass)
-
 let all rules =
   rule
     (String.concat " && " (List.map (fun r -> r.rule_name) rules))
@@ -128,14 +98,6 @@ let of_source ~modules ~type_name ~source =
         Ok (rule (type_name ^ " source validator") check)
       end
 
-let register_source t ~type_name ~source =
-  let modules = Cm_lang.Eval.Modules.create ~loader:(fun _ -> None) in
-  match of_source ~modules ~type_name ~source with
-  | Ok r ->
-      register t ~type_name r;
-      Ok ()
-  | Error _ as e -> e
-
 let validate t ~type_name v =
   match Hashtbl.find_opt t.by_type type_name with
   | None -> Pass
@@ -162,6 +124,3 @@ let declared_ranges t ~type_name =
           | Some (field, lo, hi) -> Some (field, (lo, hi))
           | None -> None)
         !rules
-
-let registered_types t =
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.by_type [])

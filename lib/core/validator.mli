@@ -34,10 +34,6 @@ val field_int_range : field:string -> min:int -> max:int -> rule
     is the schema checker's job). *)
 
 val field_nonempty_string : field:string -> rule
-val field_string_in : field:string -> allowed:string list -> rule
-val field_list_max_length : field:string -> max:int -> rule
-
-val forbid_field_value : field:string -> Cm_thrift.Value.t -> reason:string -> rule
 
 val all : rule list -> rule
 (** Conjunction; fails with the first failing sub-rule's message. *)
@@ -59,9 +55,6 @@ val of_source :
     failure message; empty string = pass).  The file is evaluated
     once, here; its imports are added to and read from [modules]. *)
 
-val register_source : t -> type_name:string -> source:string -> (unit, string) result
-(** {!of_source} over no files: the source can import nothing. *)
-
 val validate : t -> type_name:string -> Cm_thrift.Value.t -> check_result
 (** Runs every rule registered for the type; [Pass] when none is
     registered. *)
@@ -75,5 +68,3 @@ val declared_ranges : t -> type_name:string -> (string * (int * int)) list
 (** Numeric invariants declared for a type via {!field_int_range} —
     [(field, (min, max))] pairs.  Rules folded through {!all} do not
     surface their ranges. *)
-
-val registered_types : t -> string list

@@ -17,10 +17,10 @@
      are merged at reoptimize boundaries, so the cost-based ordering
      converges on fleet-wide selectivities without a shared hot spot.
 
-   - A *writer side*: [load]/[unload]/[reoptimize] build the next
-     snapshot off to the side under a writer mutex and publish it with
-     one [Atomic.set].  A replaced snapshot is an ordinary value: the
-     GC frees it once no reader still holds it. *)
+   - A *writer side*: [load]/[unload] and the periodic reoptimize
+     build the next snapshot off to the side under a writer mutex and
+     publish it with one [Atomic.set].  A replaced snapshot is an
+     ordinary value: the GC frees it once no reader still holds it. *)
 
 module Per_domain = Cm_parallel.Per_domain
 
@@ -215,8 +215,6 @@ let reoptimize_locked t =
     (fun name compiled -> Hashtbl.replace projects name (reorder_compiled t compiled))
     old.projects;
   publish_locked t projects
-
-let reoptimize t = with_writer t (fun () -> reoptimize_locked t)
 
 (* Hot-path variant: never blocks — if another domain is already
    publishing, skip this boundary and try again in [reoptimize_every]

@@ -77,10 +77,6 @@ val evaluated_restraints : t -> int
 val evaluated_cost : t -> float
 (** Total static cost of evaluated restraints, merged across domains. *)
 
-val reoptimize : t -> unit
-(** Force a statistics merge and publish re-derived orderings now
-    (checks trigger this automatically every [reoptimize_every]). *)
-
 (** {1 Multicore observability} *)
 
 val domains_seen : t -> int

@@ -13,9 +13,6 @@ let member key = function
   | Assoc fields -> List.assoc_opt key fields
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
 
-let member_exn key json =
-  match member key json with Some v -> v | None -> raise Not_found
-
 let rec path keys json =
   match keys with
   | [] -> Some json
@@ -28,7 +25,6 @@ let index i = function
   | List items -> List.nth_opt items i
   | Null | Bool _ | Int _ | Float _ | String _ | Assoc _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
 let to_int = function Int n -> Some n | _ -> None
 
 let to_float = function
@@ -38,7 +34,6 @@ let to_float = function
 
 let to_string = function String s -> Some s | _ -> None
 let to_list = function List items -> Some items | _ -> None
-let to_assoc = function Assoc fields -> Some fields | _ -> None
 
 let rec equal a b =
   match a, b with

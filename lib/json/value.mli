@@ -24,9 +24,6 @@ val member : string -> t -> t option
 (** [member key json] returns the value bound to [key] when [json] is
     an object containing it. *)
 
-val member_exn : string -> t -> t
-(** Like {!member} but raises [Not_found]. *)
-
 val path : string list -> t -> t option
 (** [path keys json] walks nested objects, e.g.
     [path ["a"; "b"] json] reads [json.a.b]. *)
@@ -34,14 +31,12 @@ val path : string list -> t -> t option
 val index : int -> t -> t option
 (** [index i json] returns element [i] when [json] is a list. *)
 
-val to_bool : t -> bool option
 val to_int : t -> int option
 val to_float : t -> float option
 (** [to_float] accepts both [Int] and [Float] values. *)
 
 val to_string : t -> string option
 val to_list : t -> t list option
-val to_assoc : t -> (string * t) list option
 
 (** {1 Structure} *)
 

@@ -31,12 +31,10 @@ type t = {
   flash : (string, Json.t) Hashtbl.t;  (* survives restarts *)
   mutable values_hash : string option;
   mutable running : bool;
-  mutable nattempted : int;
   mutable ncompleted : int;
   mutable nnotmod : int;
   mutable down : int;
   mutable up : int;
-  mutable last_sync : float option;
   session : int option;
 }
 
@@ -57,12 +55,10 @@ let create ?(network = default_network) ?(weight = 1) engine server ~user ~cls
       flash = Hashtbl.create 16;
       values_hash = None;
       running = false;
-      nattempted = 0;
       ncompleted = 0;
       nnotmod = 0;
       down = 0;
       up = 0;
-      last_sync = None;
       session =
         (if Server.stateful server then Some (Server.new_session server) else None);
     }
@@ -76,11 +72,9 @@ let one_way t =
 let apply_payload t fields =
   Hashtbl.reset t.flash;
   List.iter (fun (field, v) -> Hashtbl.replace t.flash field v) fields;
-  t.values_hash <- Some (Server.payload_hash fields);
-  t.last_sync <- Some (Engine.now t.engine)
+  t.values_hash <- Some (Server.payload_hash fields)
 
 let sync_once t =
-  t.nattempted <- t.nattempted + t.dweight;
   (* Stateful servers remember our hashes: the request carries only a
      session id instead of two 32-byte hex hashes (footnote 2). *)
   let request_bytes =
@@ -101,7 +95,7 @@ let sync_once t =
     ignore
       (Engine.schedule t.engine ~delay:rtt (fun () ->
            let response =
-             Server.sync ~copies:successes t.server ~session:t.session
+             Server.sync t.server ~session:t.session
                ~user:t.duser ~cls:t.cls ~client_schema:t.schema
                ~values_hash:(match t.session with Some _ -> None | None -> t.values_hash)
            in
@@ -109,8 +103,7 @@ let sync_once t =
            match response with
            | Server.Not_modified ->
                t.nnotmod <- t.nnotmod + successes;
-               t.down <- t.down + (successes * t.net.overhead_bytes);
-               t.last_sync <- Some (Engine.now t.engine)
+               t.down <- t.down + (successes * t.net.overhead_bytes)
            | Server.Payload fields ->
                t.down <-
                  t.down
@@ -159,9 +152,7 @@ let get_string t field =
 
 let user t = t.duser
 let weight t = t.dweight
-let syncs_attempted t = t.nattempted
 let syncs_completed t = t.ncompleted
 let not_modified t = t.nnotmod
 let bytes_down t = t.down
 let bytes_up t = t.up
-let last_sync_time t = t.last_sync

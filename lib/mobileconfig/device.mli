@@ -57,9 +57,7 @@ val has_value : t -> string -> bool
 
 val user : t -> Cm_gatekeeper.User.t
 val weight : t -> int
-val syncs_attempted : t -> int
 val syncs_completed : t -> int
 val not_modified : t -> int
 val bytes_down : t -> int
 val bytes_up : t -> int
-val last_sync_time : t -> float option

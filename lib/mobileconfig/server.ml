@@ -12,8 +12,6 @@ type t = {
   rng : Cm_sim.Rng.t;
   mutable push_handlers : (int * (cls:string -> unit)) list;
   mutable next_handler : int;
-  mutable nsyncs : int;
-  mutable nnotmod : int;
   is_stateful : bool;
   (* (session, class) -> hash of the last payload sent *)
   session_hashes : (int * string, string) Hashtbl.t;
@@ -28,8 +26,6 @@ let create ?(stateful = false) engine ~translation ~resolver =
     rng = Cm_sim.Rng.split (Engine.rng engine);
     push_handlers = [];
     next_handler = 0;
-    nsyncs = 0;
-    nnotmod = 0;
     is_stateful = stateful;
     session_hashes = Hashtbl.create 64;
     next_session = 0;
@@ -62,8 +58,7 @@ let default_json field =
       | Cm_thrift.Schema.Map _ -> Some (Json.Assoc [])
       | Cm_thrift.Schema.Named _ -> None)
 
-let sync ?(copies = 1) t ~session ~user ~cls ~client_schema ~values_hash =
-  t.nsyncs <- t.nsyncs + copies;
+let sync t ~session ~user ~cls ~client_schema ~values_hash =
   let values_hash =
     match session with
     | Some id when t.is_stateful -> Hashtbl.find_opt t.session_hashes (id, cls)
@@ -90,14 +85,8 @@ let sync ?(copies = 1) t ~session ~user ~cls ~client_schema ~values_hash =
       (match session with
       | Some id when t.is_stateful -> Hashtbl.replace t.session_hashes (id, cls) hash
       | Some _ | None -> ());
-      if values_hash = Some hash then begin
-        t.nnotmod <- t.nnotmod + copies;
-        Not_modified
-      end
-      else Payload fields
+      if values_hash = Some hash then Not_modified else Payload fields
 
-let syncs_served t = t.nsyncs
-let not_modified_served t = t.nnotmod
 
 let register_push t handler =
   let id = t.next_handler in

@@ -39,7 +39,6 @@ val set_translation : t -> Translation.t -> unit
 val translation : t -> Translation.t
 
 val sync :
-  ?copies:int ->
   t ->
   session:int option ->
   user:Cm_gatekeeper.User.t ->
@@ -52,16 +51,9 @@ val sync :
     default.  The schema must contain a struct named [cls].
     In stateful mode with a [session], the server uses its remembered
     hash for that session instead of [values_hash] (which clients then
-    omit from the wire).
-
-    [copies] (default 1) is the cohort weight of the syncing device:
-    one materialization answers [copies] statistically identical
-    clients and the served counters scale accordingly. *)
+    omit from the wire). *)
 
 val payload_hash : (string * Cm_json.Value.t) list -> string
-
-val syncs_served : t -> int
-val not_modified_served : t -> int
 
 (** {1 Emergency push} *)
 

@@ -100,9 +100,6 @@ val pack_handle : t -> Cm_pack.Pack.t option
     crash modeling.  [None] on [Memory]. *)
 
 val serialize : obj -> string
-val deserialize : string -> obj option
-(** Inverse of {!serialize}.  Total: returns [None] on malformed
-    input (used when reading back from a pack). *)
 
 val put : t -> obj -> oid
 (** Serializes, hashes, stores; returns the id.  Idempotent. *)
