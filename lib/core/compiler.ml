@@ -34,9 +34,8 @@ let verdict_of_error { at; stage; message } =
 
 (* Content-addressed artifact memo table, owned by one domain.
 
-   Keys are closure hashes.  The table is a persistent map, so
-   [collect] looks its keys up in the map as it stands before the
-   fan-out -- an immutable snapshot -- and makes every write (hit/miss
+   Keys are closure hashes, in a hash table.  [collect] probes it once
+   per target before the fan-out and makes every write (hit/miss
    counts, recency stamps, publishing) itself, on the caller's domain,
    at the join.  Pool workers never touch the table.
 
@@ -53,11 +52,12 @@ module Cache = struct
     value : compiled;
     cost : int;  (* bytes this entry accounts for *)
     mutable stamp : int;  (* clock of its last use *)
+    mutable resident : bool;  (* false once evicted *)
   }
 
   type t = {
     budget : int;  (* byte_budget, or max_int *)
-    mutable entries : entry Smap.t;
+    entries : (string, entry) Hashtbl.t;
     mutable clock : int;
     mutable bytes : int;
     mutable evicted : int;
@@ -68,7 +68,7 @@ module Cache = struct
   let create ?(byte_budget = max_int) () =
     {
       budget = byte_budget;
-      entries = Smap.empty;
+      entries = Hashtbl.create 256;
       clock = 0;
       bytes = 0;
       evicted = 0;
@@ -78,7 +78,7 @@ module Cache = struct
 
   (* What an entry charges against the budget: the artifact bytes plus
      the strings hanging off the record and a fixed allowance for the
-     record, schema pointer and map node. *)
+     record, schema pointer and table slot. *)
   let entry_cost c =
     String.length c.json_text + String.length c.config_path
     + String.length c.artifact_path
@@ -90,11 +90,12 @@ module Cache = struct
     t.clock <- t.clock + 1
 
   (* Drop the least recently used entry, never [keep], until the table
-     fits its budget. *)
+     fits its budget.  Stamps are distinct, so the victim does not
+     depend on the table's iteration order. *)
   let rec evict t ~keep =
     if t.bytes > t.budget then begin
       let oldest =
-        Smap.fold
+        Hashtbl.fold
           (fun key e acc ->
             if String.equal key keep then acc
             else
@@ -106,45 +107,53 @@ module Cache = struct
       match oldest with
       | None -> ()
       | Some (key, e) ->
-          t.entries <- Smap.remove key t.entries;
+          Hashtbl.remove t.entries key;
+          e.resident <- false;
           t.bytes <- t.bytes - e.cost;
           t.evicted <- t.evicted + 1;
           evict t ~keep
     end
 
+  (* Insert [e] under [key], which the table does not hold, as the most
+     recently used entry. *)
+  let publish t key e =
+    touch t e;
+    e.resident <- true;
+    Hashtbl.replace t.entries key e;
+    t.bytes <- t.bytes + e.cost;
+    evict t ~keep:key
+
   let store t key value =
-    match Smap.find_opt key t.entries with
+    match Hashtbl.find_opt t.entries key with
     | Some e -> touch t e
-    | None ->
-        let e = { value; cost = entry_cost value; stamp = 0 } in
-        touch t e;
-        t.entries <- Smap.add key e t.entries;
-        t.bytes <- t.bytes + e.cost;
-        evict t ~keep:key
+    | None -> publish t key { value; cost = entry_cost value; stamp = 0; resident = false }
 
   let find t key =
-    match Smap.find_opt key t.entries with
+    match Hashtbl.find_opt t.entries key with
     | Some e ->
         touch t e;
         Some e.value
     | None -> None
 
   (* The join-point writes for one target, in target order: a hit
-     re-stamps (or, if an earlier publish of the same join evicted it,
-     re-publishes) its artifact; a miss publishes only a success --
+     re-stamps its entry (or, if an earlier publish of the same join
+     evicted it, re-publishes it); a miss publishes only a success --
      errors are cheap to reproduce and must stay attributable to
-     current sources. *)
-  let record_hit t key value =
+     current sources.  A miss's key was absent at the probe, and keys
+     of distinct targets differ, so it is published without a lookup. *)
+  let record_hit t key e =
     t.hits <- t.hits + 1;
-    store t key value
+    if e.resident then touch t e else publish t key e
 
   let record_miss t key result =
     t.misses <- t.misses + 1;
-    Result.iter (store t key) result
+    Result.iter
+      (fun value -> publish t key { value; cost = entry_cost value; stamp = 0; resident = false })
+      result
 
   let hits t = t.hits
   let misses t = t.misses
-  let size t = Smap.cardinal t.entries
+  let size t = Hashtbl.length t.entries
   let resident_bytes t = t.bytes
   let evictions t = t.evicted
 end
@@ -215,17 +224,14 @@ let validator_rules t modules =
     (Source_tree.paths_of_kind t.tree Source_tree.Cvalidator)
 
 (* Add to [modules] every import a config's source names, from the
-   outline its dependency-graph entry kept. *)
+   edge prefix of the outline its dependency-graph entry kept. *)
 let add_imports t modules path =
-  match Depgraph.outline t.dep path with
-  | Some (Depgraph.Parsed items) ->
-      List.iter
-        (function
-          | Depgraph.Import target -> Cm_lang.Eval.Modules.add modules target
-          | Depgraph.Import_thrift target -> Cm_lang.Eval.Modules.add_thrift modules target
-          | Depgraph.Bound _ -> ())
-        items
-  | Some Depgraph.Unparseable | None -> ()
+  List.iter
+    (function
+      | Depgraph.Import target -> Cm_lang.Eval.Modules.add modules target
+      | Depgraph.Import_thrift target -> Cm_lang.Eval.Modules.add_thrift modules target
+      | Depgraph.Bound _ -> ())
+    (Depgraph.imports t.dep path)
 
 let new_modules t = Cm_lang.Eval.Modules.create ~loader:(Source_tree.loader t.tree)
 
@@ -352,17 +358,32 @@ let compile t path =
   t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;
   result
 
+(* The union of two sorted, duplicate-free lists, still sorted and
+   duplicate-free. *)
+let rec union a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      let c = String.compare x y in
+      if c < 0 then x :: union a' b else if c > 0 then y :: union a b' else x :: union a' b'
+
+(* What one collect shares between its keys: the file digests, so a
+   module shared by many configs is hashed once, not once per importer,
+   and the bytes each key's input is assembled in. *)
+type keyer = { digests : (string, string) Hashtbl.t; mutable scratch : Bytes.t }
+
+let new_keyer () = { digests = Hashtbl.create 64; scratch = Bytes.create 1024 }
+
 (* The content key of a config: its own source, its transitive import
-   closure, and the validator closure ([view.closure]), each file
-   entering as its path and the digest of its bytes.  [digests] memoizes
-   the file digests for one collect, so a module shared by many configs
-   is hashed once, not once per importer.  Hashing the closure rather
-   than tracking timestamps makes the memo table shareable across source
-   trees: a development clone and the live tree that agree on the
-   closure bytes agree on the artifact. *)
-let closure_key t ~digests ~validators path =
+   closure, and the validator closure ([validators]), in sorted order,
+   each file entering as its path, ['\000'], the digest of its bytes
+   and ['\000']; the key is the raw digest of that input.  Hashing the
+   closure rather than tracking timestamps makes the memo table
+   shareable across source trees: a development clone and the live tree
+   that agree on the closure bytes agree on the artifact. *)
+let closure_key t keyer ~validators path =
   let digest p =
-    match Hashtbl.find_opt digests p with
+    match Hashtbl.find_opt keyer.digests p with
     | Some d -> d
     | None ->
         let d =
@@ -370,49 +391,57 @@ let closure_key t ~digests ~validators path =
           | Some content -> Digest.string content
           | None -> "\000<missing>"
         in
-        Hashtbl.add digests p d;
+        Hashtbl.add keyer.digests p d;
         d
   in
-  let closure =
-    List.sort_uniq String.compare ((path :: Depgraph.transitive_deps t.dep path) @ validators)
+  let closure = union (union [ path ] (Depgraph.transitive_deps t.dep path)) validators in
+  let size =
+    List.fold_left (fun n p -> n + String.length p + String.length (digest p) + 2) 0 closure
   in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf p;
-      Buffer.add_char buf '\000';
-      Buffer.add_string buf (digest p);
-      Buffer.add_char buf '\000')
-    closure;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  if Bytes.length keyer.scratch < size then
+    keyer.scratch <- Bytes.create (max size (2 * Bytes.length keyer.scratch));
+  let buf = keyer.scratch in
+  let put at s =
+    Bytes.blit_string s 0 buf at (String.length s);
+    Bytes.unsafe_set buf (at + String.length s) '\000';
+    at + String.length s + 1
+  in
+  ignore (List.fold_left (fun at p -> put (put at p) (digest p)) 0 closure);
+  Digest.subbytes buf 0 size
 
 let closure_hash t path =
-  closure_key t ~digests:(Hashtbl.create 16) ~validators:(validator_closure t) path
+  Digest.to_hex (closure_key t (new_keyer ()) ~validators:(validator_closure t) path)
+
+(* The index of [path] in the sorted, duplicate-free [a], which holds
+   it. *)
+let index_of a path =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    let c = String.compare path a.(mid) in
+    if c = 0 then mid else if c < 0 then go lo (mid - 1) else go (mid + 1) hi
+  in
+  go 0 (Array.length a - 1)
 
 (* Collect: one fan-out.  No compile reads another config's artifact,
    so the targets need no order.  The caller keys each unique target
    once, in sorted order (hashing each file of the collect once), and
-   looks the keys up in the cache as it stands before the fan-out; if
-   any misses, it builds the validator rules and adds the misses'
-   imports to the collect's one module table.  The pool then compiles
-   the misses, reading the tree, the view and the table only.  At the
-   join the caller counts, stamps and publishes in sorted target
-   order, so the cache ends up identical -- entries, recency,
-   evictions, hit/miss totals -- at any domain count.  The results
-   fold into ([oks], [errors]), both in [targets] order (a duplicate
-   target appears twice).  Without [pool], a 1-domain pool compiles
-   inline on the caller.  The module table and the digests are
-   dropped on return. *)
+   probes the cache once per key before the fan-out; if any misses, it
+   builds the validator rules and adds the misses' imports to the
+   collect's one module table.  The pool then compiles the misses,
+   reading the tree, the view and the table only.  At the join the
+   caller counts, stamps and publishes in sorted target order, so the
+   cache ends up identical -- entries, recency, evictions, hit/miss
+   totals -- at any domain count.  The results fold into ([oks],
+   [errors]), both in [targets] order (a duplicate target appears
+   twice).  Without [pool], a 1-domain pool compiles inline on the
+   caller.  The module table and the digests are dropped on return. *)
 let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let modules = new_modules t in
-  let digests = Hashtbl.create 64 in
+  let keyer = new_keyer () in
   let closure = validator_closure t in
   let unique = Array.of_list (List.sort_uniq String.compare targets) in
-  let keys = Array.map (closure_key t ~digests ~validators:closure) unique in
-  let snapshot = t.cache.Cache.entries in
-  let cached =
-    Array.map (fun key -> Option.map (fun e -> e.Cache.value) (Smap.find_opt key snapshot)) keys
-  in
+  let keys = Array.map (closure_key t keyer ~validators:closure) unique in
+  let cached = Array.map (Hashtbl.find_opt t.cache.Cache.entries) keys in
   let misses =
     Array.of_seq
       (Seq.filter (fun i -> Option.is_none cached.(i)) (Seq.init (Array.length keys) Fun.id))
@@ -430,9 +459,9 @@ let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let results =
     Array.init (Array.length keys) (fun i ->
         match cached.(i) with
-        | Some artifact ->
-            Cache.record_hit t.cache keys.(i) artifact;
-            Ok artifact
+        | Some e ->
+            Cache.record_hit t.cache keys.(i) e;
+            Ok e.Cache.value
         | None ->
             let result = compiled.(!next) in
             incr next;
@@ -440,10 +469,9 @@ let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
             result)
   in
   t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;
-  let by_path = Smap.of_seq (Seq.zip (Array.to_seq unique) (Array.to_seq results)) in
   List.fold_left
     (fun (oks, errors) path ->
-      match Smap.find path by_path with
+      match results.(index_of unique path) with
       | Ok compiled -> compiled :: oks, errors
       | Error e -> oks, e :: errors)
     ([], []) targets

@@ -55,15 +55,17 @@ val digest_of_text : string -> string
 (** The artifact digest function (hex); [compiled.digest =
     digest_of_text compiled.json_text]. *)
 
-(** Content-addressed artifact memo table.  Keys are closure hashes,
-    so a table can be shared between compilers over different trees:
+(** Content-addressed artifact memo table.  Keys are closure hashes
+    (the raw 16-byte digest that {!closure_hash} shows in hex), so a
+    table can be shared between compilers over different trees:
     identical closure bytes imply an identical artifact.
 
-    The table belongs to the domain that compiles through it.  A
-    pooled compile looks its keys up in an immutable snapshot before
-    the fan-out and makes every write -- counting, recency, publishing
-    -- itself at the join, so the table's contents, evictions and
-    counters are identical at any domain count.  With [byte_budget] set the
+    The table is a hash table that belongs to the domain that compiles
+    through it; pool workers never touch it.  A pooled compile probes
+    it once per target before the fan-out and makes every write --
+    counting, recency, publishing -- itself at the join, in sorted
+    target order, so the table's contents, evictions and counters are
+    identical at any domain count.  With [byte_budget] set the
     table is bounded by exact LRU eviction at publish time; without
     it, it grows without bound. *)
 module Cache : sig
@@ -87,13 +89,12 @@ module Cache : sig
   (** {2 Direct access (tests)} *)
 
   val find : t -> string -> compiled option
-  (** Lookup by closure hash; a hit marks the entry most recently
-      used. *)
+  (** Lookup by key; a hit marks the entry most recently used. *)
 
   val store : t -> string -> compiled -> unit
-  (** Publish an artifact under its closure hash as the most recently
-      used entry, evicting least-recently-used others to the byte
-      budget.  A key already present is only re-marked. *)
+  (** Publish an artifact under a key as the most recently used
+      entry, evicting least-recently-used others to the byte budget.
+      A key already present is only re-marked. *)
 end
 
 type t
@@ -136,7 +137,7 @@ val compile_all : ?pool:Cm_parallel.Pool.t -> t -> (compiled list * error list)
     reads another config's artifact, so the targets need no order.
     [pool] defaults to a 1-domain pool, which compiles inline on the
     caller.  Before the fan-out the caller keys each unique target once
-    and looks it up in a snapshot of the {!Cache}, and for the misses
+    and probes the {!Cache} once per key, and for the misses
     builds one immutable validator view (the validator closure and each
     type's evaluated source validator) and one module table holding
     every module they import, each evaluated once
@@ -172,7 +173,8 @@ val closure_hash : t -> string -> string
 (** Content hash of a config's transitive source closure (its own
     source, its import closure, and every validator source with the
     validators' own imports), each file as its path and the digest
-    of its content — the memo key.  The validator part comes
+    of its content, in hex; the memo table keys by the same digest,
+    raw.  The validator part comes
     from {!Source_tree}'s validator index, so a key costs its closure
     plus the validators, independent of tree size; a compile call
     computes the validator closure once, not once per key, and hashes

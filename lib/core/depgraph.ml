@@ -60,13 +60,12 @@ let pack tree (file : Cm_lang.Ast.file) =
   in
   "P" ^ string_of_int edges_end ^ ":" ^ Buffer.contents items
 
-(* A decimal length and the index after its ':'. *)
-let read_length packed i =
-  let rec go len j =
-    if packed.[j] = ':' then len, j + 1
-    else go ((10 * len) + Char.code packed.[j] - Char.code '0') (j + 1)
-  in
-  go 0 i
+(* The index of the first [':'] at or after [i]. *)
+let rec colon packed i = if packed.[i] = ':' then i else colon packed (i + 1)
+
+(* The decimal number in bytes [i, j). *)
+let rec decimal packed i j n =
+  if i = j then n else decimal packed (i + 1) j ((10 * n) + Char.code packed.[i] - Char.code '0')
 
 (* Fold [f] over the items of a packed outline, or over its first
    [edges_end] bytes of items with [~edges:true]: [f acc tag start len],
@@ -74,24 +73,32 @@ let read_length packed i =
 let fold_packed ~edges f acc packed =
   if String.length packed = 0 || packed.[0] <> 'P' then acc
   else
-    let edges_end, first = read_length packed 1 in
-    let stop = if edges then first + edges_end else String.length packed in
+    let header = colon packed 1 in
+    let first = header + 1 in
+    let stop = if edges then first + decimal packed 1 header 0 else String.length packed in
     let rec go acc i =
       if i >= stop then acc
       else
-        let len, start = read_length packed (i + 1) in
-        go (f acc packed.[i] start len) (start + len)
+        let c = colon packed (i + 1) in
+        let len = decimal packed (i + 1) c 0 in
+        go (f acc packed.[i] (c + 1) len) (c + 1 + len)
     in
     go acc first
+
+(* The edge of an import item: its target, less the leading ['/'] for
+   tags ['j'] and ['u']. *)
+let edge packed tag start len =
+  match tag with
+  | 'j' | 'u' -> String.sub packed (start + 1) (len - 1)
+  | _ -> String.sub packed start len
+
+let is_import_tag = function 'i' | 't' | 'j' | 'u' -> true | _ -> false
 
 let edges packed =
   List.rev
     (fold_packed ~edges:true
        (fun acc tag start len ->
-         match tag with
-         | 'i' | 't' -> String.sub packed start len :: acc
-         | 'j' | 'u' -> String.sub packed (start + 1) (len - 1) :: acc
-         | _ -> acc)
+         if is_import_tag tag then edge packed tag start len :: acc else acc)
        [] packed)
 
 let extract tree path =
@@ -163,6 +170,19 @@ let outline t path =
       in
       Some (Parsed (List.rev (fold_packed ~edges:false item [] packed)))
 
+let imports t path =
+  match Smap.find_opt path t.deps with
+  | None -> []
+  | Some packed ->
+      List.rev
+        (fold_packed ~edges:true
+           (fun acc tag start len ->
+             match tag with
+             | 'i' | 'j' -> Import (String.sub packed start len) :: acc
+             | 't' | 'u' -> Import_thrift (String.sub packed start len) :: acc
+             | _ -> acc)
+           [] packed)
+
 let dependents t path = Sset.elements (importers t path)
 
 let is_config path =
@@ -193,10 +213,19 @@ let affected_configs t changed =
          t.deps configs
      else configs)
 
+(* The walk reads each file's edges straight from its packed outline,
+   building no edge list. *)
 let transitive_deps t path =
   let rec walk visited current =
-    List.fold_left
-      (fun visited dep -> if Sset.mem dep visited then visited else walk (Sset.add dep visited) dep)
-      visited (direct_deps t current)
+    match Smap.find current t.deps with
+    | exception Not_found -> visited
+    | packed ->
+        fold_packed ~edges:true
+          (fun visited tag start len ->
+            if not (is_import_tag tag) then visited
+            else
+              let dep = edge packed tag start len in
+              if Sset.mem dep visited then visited else walk (Sset.add dep visited) dep)
+          visited packed
   in
   Sset.elements (walk Sset.empty path)

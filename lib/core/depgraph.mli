@@ -40,6 +40,12 @@ val outline : t -> string -> outline option
     imports and names need not parse it again; [None] for other
     kinds and for paths not in the index. *)
 
+val imports : t -> string -> item list
+(** The [Import] and [Import_thrift] items of a file's outline, in
+    statement order, read from the outline's edge prefix only, so the
+    names a module binds after its imports are never decoded; [[]] for
+    an unparseable file and for paths not in the index. *)
+
 val dependents : t -> string -> string list
 (** Files that directly import the given path, sorted. *)
 

@@ -248,7 +248,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
                  suggestions still go up on a review diff. *)
               let base = Cm_vcs.Repo.head t.prepo in
               let diff_id = Review.submit t.preview ~author ~title ~base source_changes in
-              List.iter (Review.post_verdict t.preview diff_id) report
+              Review.post_verdicts t.preview diff_id report
             end;
             ret [ ("passed", string_of_bool passed) ]
               (if passed then Ok report else Error report))
@@ -284,7 +284,7 @@ let propose t ~author ?(title = "config change") ?(skip_canary = false)
         let report = Sandcastle.run ~pool:t.ppool t.psandcastle compiled in
         let diff_id = Review.submit t.preview ~author ~title ~base repo_changes in
         Sandcastle.post_to_review t.preview diff_id report;
-        List.iter (Review.post_verdict t.preview diff_id) verify_report;
+        Review.post_verdicts t.preview diff_id verify_report;
         List.iter (post_schema_compat t.preview diff_id ~live:(tree t)) changes;
         (* §8 future work, implemented: flag high-risk updates on the
            diff from historical data.  Informational — reviewers decide. *)

@@ -28,10 +28,12 @@ let submit t ~author ~title ~base changes =
 
 let get t id = Hashtbl.find_opt t.diffs id
 
-let post_verdict t id verdict =
+let post_verdicts t id verdicts =
   match get t id with
-  | Some diff -> diff.test_results <- diff.test_results @ [ verdict ]
-  | None -> ()
+  | Some diff when verdicts <> [] -> diff.test_results <- diff.test_results @ verdicts
+  | Some _ | None -> ()
+
+let post_verdict t id verdict = post_verdicts t id [ verdict ]
 
 let post_test_result t id ~name ~passed ~detail =
   let verdict =

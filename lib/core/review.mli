@@ -43,6 +43,11 @@ val get : t -> diff_id -> diff option
 val post_verdict : t -> diff_id -> Defense.verdict -> unit
 (** Append a defense-stage verdict to the diff's test record. *)
 
+val post_verdicts : t -> diff_id -> Defense.verdict list -> unit
+(** Append verdicts, in order, to the diff's test record: one copy of
+    the record so far per batch, where posting them one by one copies
+    it once per verdict. *)
+
 val post_test_result : t -> diff_id -> name:string -> passed:bool -> detail:string -> unit
 (** Convenience shim over {!post_verdict}: wraps an ad-hoc result into
     a stage-["review"] verdict. *)

@@ -120,5 +120,4 @@ let run ?(pool = Cm_parallel.Pool.create ()) t artifacts =
 
 let revalidations_skipped t = t.nskipped
 
-let post_to_review review diff_id report =
-  List.iter (fun verdict -> Review.post_verdict review diff_id verdict) report
+let post_to_review review diff_id report = Review.post_verdicts review diff_id report

@@ -19,9 +19,12 @@ exception Lex_error of error
 val pp_error : Format.formatter -> error -> unit
 val pp_token : Format.formatter -> token -> unit
 
-val tokenize : string -> (token * int) array
-(** Whole-input tokenization; each token is paired with its 1-based
-    line.  The final element is always [(Eof, line)].
+val tokenize : string -> token array * int array
+(** Whole-input tokenization into two arrays of one length: the
+    tokens and, at the same index, each token's 1-based line.  The
+    tokens end in [Eof], and every slot after it also holds [Eof], at
+    the line where the input ends, so the arrays may be longer than the
+    token count and reading past the end of input is reading [Eof].
     Comments start with [#] or [//] and run to end of line.
     @raise Lex_error on an invalid character, an unterminated string or
     a malformed number (an integer beyond [max_int], an exponent with

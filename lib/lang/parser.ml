@@ -5,10 +5,11 @@ exception Parse_error of error
 let pp_error ppf { line; message } =
   Format.fprintf ppf "parse error at line %d: %s" line message
 
-type state = { tokens : (Lexer.token * int) array; mutable idx : int }
+(* The lexer's two arrays: token [i] and its line. *)
+type state = { tokens : Lexer.token array; lines : int array; mutable idx : int }
 
-let current ps = fst ps.tokens.(ps.idx)
-let current_line ps = snd ps.tokens.(ps.idx)
+let current ps = ps.tokens.(ps.idx)
+let current_line ps = ps.lines.(ps.idx)
 let advance ps = if ps.idx < Array.length ps.tokens - 1 then ps.idx <- ps.idx + 1
 let fail ps message = raise (Parse_error { line = current_line ps; message })
 let here ps = { Ast.line = current_line ps }
@@ -116,39 +117,39 @@ and parse_cmp ps =
       let right = parse_add ps in
       mk pos (Ast.Binop (op, left, right))
 
-and parse_add ps =
-  let rec loop left =
-    match current ps with
-    | Lexer.Op "+" ->
-        let pos = here ps in
-        advance ps;
-        loop (mk pos (Ast.Binop (Ast.Add, left, parse_mul ps)))
-    | Lexer.Op "-" ->
-        let pos = here ps in
-        advance ps;
-        loop (mk pos (Ast.Binop (Ast.Sub, left, parse_mul ps)))
-    | _ -> left
-  in
-  loop (parse_mul ps)
+(* The left-associative loops are functions of their own, not local
+   closures, so that parsing an operand allocates only its nodes. *)
+and parse_add ps = add_rest ps (parse_mul ps)
 
-and parse_mul ps =
-  let rec loop left =
-    match current ps with
-    | Lexer.Op "*" ->
-        let pos = here ps in
-        advance ps;
-        loop (mk pos (Ast.Binop (Ast.Mul, left, parse_unary ps)))
-    | Lexer.Op "/" ->
-        let pos = here ps in
-        advance ps;
-        loop (mk pos (Ast.Binop (Ast.Div, left, parse_unary ps)))
-    | Lexer.Op "%" ->
-        let pos = here ps in
-        advance ps;
-        loop (mk pos (Ast.Binop (Ast.Mod, left, parse_unary ps)))
-    | _ -> left
-  in
-  loop (parse_unary ps)
+and add_rest ps left =
+  match current ps with
+  | Lexer.Op "+" ->
+      let pos = here ps in
+      advance ps;
+      add_rest ps (mk pos (Ast.Binop (Ast.Add, left, parse_mul ps)))
+  | Lexer.Op "-" ->
+      let pos = here ps in
+      advance ps;
+      add_rest ps (mk pos (Ast.Binop (Ast.Sub, left, parse_mul ps)))
+  | _ -> left
+
+and parse_mul ps = mul_rest ps (parse_unary ps)
+
+and mul_rest ps left =
+  match current ps with
+  | Lexer.Op "*" ->
+      let pos = here ps in
+      advance ps;
+      mul_rest ps (mk pos (Ast.Binop (Ast.Mul, left, parse_unary ps)))
+  | Lexer.Op "/" ->
+      let pos = here ps in
+      advance ps;
+      mul_rest ps (mk pos (Ast.Binop (Ast.Div, left, parse_unary ps)))
+  | Lexer.Op "%" ->
+      let pos = here ps in
+      advance ps;
+      mul_rest ps (mk pos (Ast.Binop (Ast.Mod, left, parse_unary ps)))
+  | _ -> left
 
 and parse_unary ps =
   if is_op ps "-" then begin
@@ -158,28 +159,27 @@ and parse_unary ps =
   end
   else parse_postfix ps
 
-and parse_postfix ps =
-  let rec loop expr =
-    match current ps with
-    | Lexer.Op "." ->
-        let pos = here ps in
-        advance ps;
-        let name = expect_ident ps in
-        loop (mk pos (Ast.Field (expr, name)))
-    | Lexer.Op "[" ->
-        let pos = here ps in
-        advance ps;
-        let idx = parse_expr ps in
-        expect_op ps "]";
-        loop (mk pos (Ast.Index (expr, idx)))
-    | Lexer.Op "(" ->
-        let pos = here ps in
-        advance ps;
-        let args = parse_args ps in
-        loop (mk pos (Ast.Call (expr, args)))
-    | _ -> expr
-  in
-  loop (parse_primary ps)
+and parse_postfix ps = postfix_rest ps (parse_primary ps)
+
+and postfix_rest ps expr =
+  match current ps with
+  | Lexer.Op "." ->
+      let pos = here ps in
+      advance ps;
+      let name = expect_ident ps in
+      postfix_rest ps (mk pos (Ast.Field (expr, name)))
+  | Lexer.Op "[" ->
+      let pos = here ps in
+      advance ps;
+      let idx = parse_expr ps in
+      expect_op ps "]";
+      postfix_rest ps (mk pos (Ast.Index (expr, idx)))
+  | Lexer.Op "(" ->
+      let pos = here ps in
+      advance ps;
+      let args = parse_args ps in
+      postfix_rest ps (mk pos (Ast.Call (expr, args)))
+  | _ -> expr
 
 and parse_args ps =
   if is_op ps ")" then begin
@@ -321,6 +321,15 @@ let parse_params ps =
     loop []
   end
 
+(* Skip the rest of an [import ("x", ...)] through its [)]. *)
+let rec skip_to_close ps =
+  match current ps with
+  | Lexer.Op ")" -> advance ps
+  | Lexer.Eof -> expect_op ps ")"
+  | _ ->
+      advance ps;
+      skip_to_close ps
+
 let parse_stmt ps =
   let pos = here ps in
   match current ps with
@@ -330,10 +339,7 @@ let parse_stmt ps =
       if is_op ps "(" then begin
         advance ps;
         let path = expect_string ps in
-        while not (is_op ps ")") do
-          advance ps
-        done;
-        advance ps;
+        skip_to_close ps;
         Ast.Import path, pos
       end
       else Ast.Import (expect_string ps), pos
@@ -342,10 +348,7 @@ let parse_stmt ps =
       if is_op ps "(" then begin
         advance ps;
         let path = expect_string ps in
-        while not (is_op ps ")") do
-          advance ps
-        done;
-        advance ps;
+        skip_to_close ps;
         Ast.Import_thrift path, pos
       end
       else Ast.Import_thrift (expect_string ps), pos
@@ -368,7 +371,8 @@ let parse_stmt ps =
   | tok -> fail ps (Format.asprintf "expected a statement, found %a" Lexer.pp_token tok)
 
 let parse_exn input =
-  let ps = { tokens = Lexer.tokenize input; idx = 0 } in
+  let tokens, lines = Lexer.tokenize input in
+  let ps = { tokens; lines; idx = 0 } in
   let rec loop acc =
     match current ps with
     | Lexer.Eof -> { Ast.stmts = List.rev acc }
@@ -383,7 +387,8 @@ let parse input =
   | exception Lexer.Lex_error { line; message } -> Error { line; message }
 
 let parse_expr_exn input =
-  let ps = { tokens = Lexer.tokenize input; idx = 0 } in
+  let tokens, lines = Lexer.tokenize input in
+  let ps = { tokens; lines; idx = 0 } in
   let expr = parse_expr ps in
   match current ps with
   | Lexer.Eof -> expr

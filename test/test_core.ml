@@ -463,6 +463,32 @@ let review_tests =
         let _b = Review.submit review ~author:"a" ~title:"2" ~base:None [] in
         ignore (Review.reject review a ~reviewer:"r" ~reason:"nope");
         Alcotest.(check int) "one pending" 1 (List.length (Review.pending review)));
+    Alcotest.test_case "batched verdicts post in order in linear allocation" `Quick (fun () ->
+        (* A Sandcastle report and a verify report of [n] verdicts each,
+           posted as a change posts them: the minor words spent grow
+           with [n], not with its square. *)
+        let post n =
+          let verdicts from =
+            List.init n (fun i -> Defense.pass ~stage:"verify" ~rule:(string_of_int (from + i)) "ok")
+          in
+          let report = verdicts 0 and verify_report = verdicts n in
+          let review = Review.create () in
+          let id = Review.submit review ~author:"a" ~title:"t" ~base:None [] in
+          let before = Gc.minor_words () in
+          Sandcastle.post_to_review review id report;
+          Review.post_verdicts review id verify_report;
+          let words = Gc.minor_words () -. before in
+          let posted = (Option.get (Review.get review id)).Review.test_results in
+          Alcotest.(check (list string)) "in posting order"
+            (List.init (2 * n) string_of_int)
+            (List.map (fun v -> v.Defense.rule) posted);
+          words
+        in
+        let small = post 1_000 and large = post 10_000 in
+        Alcotest.(check bool)
+          (Printf.sprintf "10x the verdicts: %.0f -> %.0f minor words" small large)
+          true
+          (large <= 12.0 *. small));
   ]
 
 let compiled_of tree path =
@@ -1938,6 +1964,61 @@ let module_table_property =
       in
       collected configs = alone && collected (List.rev configs) = alone)
 
+(* Allocation gates.  At one domain the minor words a compile or a
+   parse allocates are a function of its input, not of the host, so
+   each is bounded at the count this tree measures plus 5%.  The cone
+   has cone_edit's shape: 2000 configs over 8 shared modules, config
+   [i] importing module [i mod 8], and an edit of module 0 recompiling
+   the 250 configs that import it. *)
+let cone_module k = Printf.sprintf "modules/m%02d.cinc" k
+
+let cone_tree () =
+  ST.of_alist
+    (List.init 8 (fun k -> cone_module k, Printf.sprintf "M%02d = %d" k k)
+    @ List.init 2000 (fun i ->
+          ( Printf.sprintf "svc/d%02d/cfg_%04d.cconf" (i mod 4) i,
+            Printf.sprintf
+              "import \"%s\"\nPORT = 7000 + %d\nW = M%02d * 3 + %d\nexport { id: %d, port: PORT, weight: W, rev: 0 }"
+              (cone_module (i mod 8)) i (i mod 8) i i )))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let result = f () in
+  result, Gc.minor_words () -. before
+
+let compile_words_per_config = 1220.0
+let parse_words_per_artifact = 70.0
+
+let alloc_gate_tests =
+  let within name measured bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f minor words, bound %.1f" name measured bound)
+      true (measured <= bound)
+  in
+  let cone () =
+    let tree = cone_tree () in
+    let compiler = Compiler.create tree in
+    ignore (Compiler.compile_all compiler);
+    ST.write tree (cone_module 0) "M00 = 1000";
+    minor_words (fun () -> Compiler.compile_affected compiler ~changed:[ cone_module 0 ])
+  in
+  [
+    Alcotest.test_case "a 250-config cone compile allocates within its bound" `Quick (fun () ->
+        let (oks, errors), words = cone () in
+        Alcotest.(check (pair int int)) "cone compiled" (250, 0) (List.length oks, List.length errors);
+        within "per config" (words /. 250.0) compile_words_per_config);
+    Alcotest.test_case "an artifact parse allocates within its bound" `Quick (fun () ->
+        let (oks, _), _ = cone () in
+        let text = (List.hd oks).Compiler.json_text in
+        let _, words =
+          minor_words (fun () ->
+              for _ = 1 to 100 do
+                ignore (Cm_json.Parser.parse text)
+              done)
+        in
+        within ("per parse of " ^ text) (words /. 100.0) parse_words_per_artifact);
+  ]
+
 let core_properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1965,5 +2046,6 @@ let () =
       "risk", risk_tests;
       "canary_spec", canary_spec_tests;
       "ui", ui_tests;
+      "allocation", alloc_gate_tests;
       "properties", core_properties;
     ]

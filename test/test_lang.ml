@@ -396,6 +396,13 @@ let error_tests =
         match Parser.parse "x = 1\ny = = 2" with
         | Error e -> Alcotest.(check int) "line 2" 2 e.Parser.line
         | Ok _ -> Alcotest.fail "expected error");
+    Alcotest.test_case "unclosed parenthesized import fails" `Quick (fun () ->
+        List.iter
+          (fun source ->
+            match Parser.parse source with
+            | Error e -> Alcotest.(check string) source "expected ), found <eof>" e.Parser.message
+            | Ok _ -> Alcotest.failf "expected parse error for %S" source)
+          [ "import (\"x.cinc\""; "x = 1\nimport_thrift (\"s.thrift\", \"*\"" ]);
     Alcotest.test_case "lex error" `Quick (fun () ->
         match Parser.parse "x = 1 ~ 2" with
         | Error _ -> ()
@@ -710,12 +717,42 @@ let lexer_input_gen =
        "nullx"; "\n"; " "; "\r"; "("; "]"; "{"; ":"; "," |]
   in
   let soup = map (String.concat "") (list_size (int_range 0 12) (oneofa fragments)) in
-  frequency [ 1, noise; 2, mutated; 1, oneofa valid_csl; 2, soup ]
+  (* More than 1 KB of sources and dense fragment runs, which outgrow
+     the lexer's first token arrays, ending in a keyword, an operator
+     or half of one that meets the end of input. *)
+  let endings =
+    [| "import"; "import_thrift"; "def"; "export"; "if"; "then"; "else"; "let"; "in"; "and";
+       "or"; "not"; "true"; "false"; "null"; "=="; "!="; "<="; ">="; "="; "!"; "<"; ">"; "/" |]
+  in
+  let long =
+    let* parts =
+      list_size (int_range 16 40)
+        (frequency [ 2, oneofa valid_csl; 1, map (String.concat "") (list_repeat 40 (oneofa fragments)) ])
+    in
+    let* ending = oneofa endings in
+    pure (String.concat "\n" parts ^ ending)
+  in
+  frequency [ 1, noise; 2, mutated; 1, oneofa valid_csl; 2, soup; 1, long ]
 
 let lexer_differential_property =
+  (* The tokens through the first [Eof], each with its line, once the
+     slots after it are checked to repeat it. *)
+  let tokenize input =
+    let tokens, lines = Lexer.tokenize input in
+    let n = Array.length tokens in
+    let stop = ref 0 in
+    while tokens.(!stop) <> Lexer.Eof do
+      incr stop
+    done;
+    for i = !stop to n - 1 do
+      if tokens.(i) <> Lexer.Eof || lines.(i) <> lines.(!stop) then failwith "padding"
+    done;
+    if Array.length lines <> n then failwith "lengths";
+    Array.combine (Array.sub tokens 0 (!stop + 1)) (Array.sub lines 0 (!stop + 1))
+  in
   QCheck2.Test.make ~name:"lexer tokens, lines and errors equal the reference lexer" ~count:2000
     ~print:(Printf.sprintf "%S") lexer_input_gen (fun input ->
-      compare (lex_outcome Lexer.tokenize input) (lex_outcome Reference_lexer.tokenize input) = 0)
+      compare (lex_outcome tokenize input) (lex_outcome Reference_lexer.tokenize input) = 0)
 
 (* [merge] and map-over-map [override] as they were before they looked
    keys up instead of scanning: the oracle of the property below. *)
