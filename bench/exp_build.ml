@@ -20,10 +20,9 @@
 
    Gates:
    - equivalence: the 4-domain run's artifact digests, error list,
-     cache counters, size, resident bytes and evictions (under the
-     bounded cell's byte budget), verify verdicts and sandcastle
-     report are bit-identical to the 1-domain run's (the QCheck
-     property from test_parallel, re-run at bench scale);
+     cache counters and size, verify verdicts and sandcastle report
+     are bit-identical to the 1-domain run's (the QCheck property from
+     test_parallel, re-run at bench scale);
    - chain overhead (4 domains vs 1) <= 1.50: a small fan-out must not
      pay for more domains than cores (the clamp).  It still pays a
      domain spawn per call, and on a 2-core host this reads 1.1-1.75,
@@ -37,8 +36,10 @@
      than 4 cores report the measured ratio with scaling_mode
      "under_4_cores_ungated" and the gate recorded as not applied.
 
-   The bounded cache rides along: one wide cell runs under a small
-   byte budget and must show LRU evictions while staying within it.
+   The memo's bound rides along: after the timed wide rounds, at every
+   domain count, the cache holds at most one slot per config
+   (cache_slots_over_configs <= 1.0).  A table keyed by closure hash
+   alone keeps every edited cone and reads 3.0 at --quick scale.
 
    Tree-size sweep: a fixed [sweep_cone]-config cone of typed configs
    (guarded by one source validator) in trees of 500, 2000 and 8000
@@ -80,7 +81,6 @@ let wide_rounds = if quick then 16 else 32
 let nchain = if quick then 24 else 48
 let chain_rounds = 8
 let reps = 2 (* best-of, to keep single-round noise out of the gates *)
-let cache_budget_bytes = 32 * 1024
 let domain_counts = [ 1; 2; 4 ]
 
 let time f =
@@ -156,15 +156,10 @@ let wide_round ~pool ~tree ~compiler ~reg ~sandcastle ~repo r =
 
 (* A full sweep cell: fresh tree/compiler/plane, warm bootstrap
    compile, then [wide_rounds] timed landing rounds. *)
-let wide_cell ?byte_budget ~domains () =
+let wide_cell ~domains () =
   let pool = Pool.create ~domains () in
   let tree = wide_tree () in
-  let cache =
-    match byte_budget with
-    | Some b -> Compiler.Cache.create ~byte_budget:b ()
-    | None -> Compiler.Cache.create ()
-  in
-  let compiler = Compiler.create ~cache tree in
+  let compiler = Compiler.create tree in
   let oks, errors = Compiler.compile_all ~pool compiler in
   if errors <> [] || List.length oks <> nwide then
     failwith "build: wide tree failed to bootstrap";
@@ -178,13 +173,13 @@ let wide_cell ?byte_budget ~domains () =
           compiled := !compiled + wide_round ~pool ~tree ~compiler ~reg ~sandcastle ~repo r
         done)
   in
-  seconds, !compiled, cache
+  seconds, !compiled, Compiler.Cache.size (Compiler.cache compiler)
 
-let best_wide ?byte_budget ~domains () =
-  let cells = List.init reps (fun _ -> wide_cell ?byte_budget ~domains ()) in
+let best_wide ~domains () =
+  let cells = List.init reps (fun _ -> wide_cell ~domains ()) in
   List.fold_left
-    (fun (bs, bc, bcache) (s, c, cache) ->
-      if s < bs then s, c, cache else bs, bc, bcache)
+    (fun (bs, bc, bslots) (s, c, slots) ->
+      if s < bs then s, c, slots else bs, bc, bslots)
     (List.hd cells) (List.tl cells)
 
 (* --- the deep chain ---------------------------------------------------- *)
@@ -364,13 +359,12 @@ let paired ~fast ~slow =
 (* --- equivalence at bench scale ---------------------------------------- *)
 
 (* Everything observable about one landing round, a 1-domain vs a
-   4-domain pool over identical fresh trees, with the cache under the
-   bounded cell's byte budget so its evictions are compared too. *)
+   4-domain pool over identical fresh trees. *)
 let equivalence_check () =
   let view pool =
     let tree = wide_tree () in
-    let cache = Compiler.Cache.create ~byte_budget:cache_budget_bytes () in
-    let compiler = Compiler.create ~cache tree in
+    let compiler = Compiler.create tree in
+    let cache = Compiler.cache compiler in
     let oks0, errors0 = Compiler.compile_all ~pool compiler in
     let k = 0 in
     let src = module_source k 424242 in
@@ -390,11 +384,7 @@ let equivalence_check () =
       List.map render_err errors0,
       List.map render_ok oks,
       List.map render_err errors,
-      ( Compiler.Cache.hits cache,
-        Compiler.Cache.misses cache,
-        Compiler.Cache.size cache,
-        Compiler.Cache.resident_bytes cache,
-        Compiler.Cache.evictions cache ),
+      (Compiler.Cache.hits cache, Compiler.Cache.misses cache, Compiler.Cache.size cache),
       List.map render_v verdicts,
       List.map render_v report )
   in
@@ -402,7 +392,7 @@ let equivalence_check () =
 
 (* --- the experiment ---------------------------------------------------- *)
 
-type row = { domains : int; seconds : float; configs_per_s : float }
+type row = { domains : int; seconds : float; configs_per_s : float; slots : int }
 
 let run () =
   Render.section "build"
@@ -412,8 +402,8 @@ let run () =
   let rows =
     List.map
       (fun d ->
-        let seconds, compiled, _ = best_wide ~domains:d () in
-        { domains = d; seconds; configs_per_s = float_of_int compiled /. seconds })
+        let seconds, compiled, slots = best_wide ~domains:d () in
+        { domains = d; seconds; configs_per_s = float_of_int compiled /. seconds; slots })
       domain_counts
   in
   let cps d = (List.find (fun r -> r.domains = d) rows).configs_per_s in
@@ -426,10 +416,8 @@ let run () =
   let chain_overhead = chain4 /. chain1 in
 
   let equivalent = equivalence_check () in
-
-  (* Bounded cache: the same landing loop under a byte budget must
-     evict instead of growing without bound. *)
-  let _, _, bounded = best_wide ~byte_budget:cache_budget_bytes ~domains:1 () in
+  let slots = List.fold_left (fun m r -> max m r.slots) 0 rows in
+  let slots_over_configs = float_of_int slots /. float_of_int nwide in
 
   let sweep = List.map sweep_row sweep_sizes in
   let sweep_ratio field =
@@ -467,11 +455,8 @@ let run () =
   Render.kv "deep chain, 1 vs 4 domains"
     (Printf.sprintf "%.3fs / %.3fs (overhead %.1f%%)" chain1 chain4
        (100.0 *. (chain_overhead -. 1.0)));
-  Render.kv "bounded cache"
-    (Printf.sprintf "%d evictions, %s resident (budget %s)"
-       (Compiler.Cache.evictions bounded)
-       (Render.bytes (Compiler.Cache.resident_bytes bounded))
-       (Render.bytes cache_budget_bytes));
+  Render.kv "cache slots after the wide rounds"
+    (Printf.sprintf "%d for %d configs" slots nwide);
   Render.note
     "each round = edit a shared module, recompile the cone, run verify + \
      sandcastle: the full commit-to-land check plane";
@@ -517,9 +502,7 @@ let run () =
          "chain_s_1dom", Json.Float chain1;
          "chain_s_4dom", Json.Float chain4;
          "chain_overhead_4dom_x100", Json.Int (int_of_float (100.0 *. chain_overhead));
-         "cache_byte_budget", Json.Int cache_budget_bytes;
-         "cache_evictions", Json.Int (Compiler.Cache.evictions bounded);
-         "cache_resident_bytes", Json.Int (Compiler.Cache.resident_bytes bounded);
+         "cache_slots", Json.Int slots;
          "sweep_cone", Json.Int sweep_cone;
          "sweep_reps", Json.Int sweep_reps;
          ( "sweep",
@@ -547,11 +530,7 @@ let run () =
         Render.holds "equivalence" equivalent;
         Render.gate "chain_overhead_4dom" chain_overhead Render.Le 1.50;
         Render.gate "scaling_4v1" ~applies:measured scaling Render.Ge 1.8;
-        Render.gate "cache_evictions"
-          (float_of_int (Compiler.Cache.evictions bounded)) Render.Gt 0.0;
-        Render.gate "cache_resident_bytes"
-          (float_of_int (Compiler.Cache.resident_bytes bounded)) Render.Le
-          (float_of_int cache_budget_bytes);
+        Render.gate "cache_slots_over_configs" slots_over_configs Render.Le 1.0;
         Render.gate "compile_per_config_8000_over_500" affected_ratio Render.Le 2.0;
         Render.gate "bootstrap_per_config_8000_over_500" bootstrap_ratio Render.Le 2.0;
         Render.gate "shared_module_per_config_over_module_free" shared_ratio Render.Le 2.0;

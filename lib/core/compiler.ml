@@ -32,130 +32,45 @@ let verdict_of_error { at; stage; message } =
   let layer = match stage with Validation -> "validator" | _ -> "compile" in
   Defense.fail ~stage:layer ~rule:(stage_name stage) ~path:at message
 
-(* Content-addressed artifact memo table, owned by one domain.
+(* The artifact memo table, owned by one domain: one slot per config
+   path, holding the closure key its artifact was compiled under.
 
-   Keys are closure hashes, in a hash table.  [collect] probes it once
-   per target before the fan-out and makes every write (hit/miss
-   counts, recency stamps, publishing) itself, on the caller's domain,
-   at the join.  Pool workers never touch the table.
-
-   An optional byte budget bounds the table by exact LRU: every use
-   stamps its entry from one clock, and a publish that overflows the
-   budget drops least-recently-used entries (never the one being
-   added) until the table fits.  A long-lived compiler thus holds a
-   working set, not an unbounded history of every closure hash it ever
-   compiled. *)
+   A probe hits only when the slot's key is the target's current key.
+   [collect] probes once per target before the fan-out and makes every
+   write (hit/miss counts, replacing a slot) itself, on the caller's
+   domain, at the join.  Pool workers never touch the table.  A key
+   covers the config's own path, so a slot per path loses only hits on
+   an earlier closure of the same path, and the table never holds more
+   than one artifact per config. *)
 module Smap = Map.Make (String)
 
 module Cache = struct
-  type entry = {
-    value : compiled;
-    cost : int;  (* bytes this entry accounts for *)
-    mutable stamp : int;  (* clock of its last use *)
-    mutable resident : bool;  (* false once evicted *)
-  }
+  type slot = { key : string; value : compiled }
 
   type t = {
-    budget : int;  (* byte_budget, or max_int *)
-    entries : (string, entry) Hashtbl.t;
-    mutable clock : int;
-    mutable bytes : int;
-    mutable evicted : int;
+    slots : (string, slot) Hashtbl.t;  (* config path -> its last artifact *)
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create ?(byte_budget = max_int) () =
-    {
-      budget = byte_budget;
-      entries = Hashtbl.create 256;
-      clock = 0;
-      bytes = 0;
-      evicted = 0;
-      hits = 0;
-      misses = 0;
-    }
+  let create () = { slots = Hashtbl.create 256; hits = 0; misses = 0 }
 
-  (* What an entry charges against the budget: the artifact bytes plus
-     the strings hanging off the record and a fixed allowance for the
-     record, schema pointer and table slot. *)
-  let entry_cost c =
-    String.length c.json_text + String.length c.config_path
-    + String.length c.artifact_path
-    + List.fold_left (fun acc d -> acc + String.length d) 0 c.deps
-    + 160
+  let probe t path key =
+    match Hashtbl.find_opt t.slots path with
+    | Some slot when String.equal slot.key key -> Some slot.value
+    | Some _ | None -> None
 
-  let touch t e =
-    e.stamp <- t.clock;
-    t.clock <- t.clock + 1
+  let record_hit t = t.hits <- t.hits + 1
 
-  (* Drop the least recently used entry, never [keep], until the table
-     fits its budget.  Stamps are distinct, so the victim does not
-     depend on the table's iteration order. *)
-  let rec evict t ~keep =
-    if t.bytes > t.budget then begin
-      let oldest =
-        Hashtbl.fold
-          (fun key e acc ->
-            if String.equal key keep then acc
-            else
-              match acc with
-              | Some (_, old) when old.stamp <= e.stamp -> acc
-              | _ -> Some (key, e))
-          t.entries None
-      in
-      match oldest with
-      | None -> ()
-      | Some (key, e) ->
-          Hashtbl.remove t.entries key;
-          e.resident <- false;
-          t.bytes <- t.bytes - e.cost;
-          t.evicted <- t.evicted + 1;
-          evict t ~keep
-    end
-
-  (* Insert [e] under [key], which the table does not hold, as the most
-     recently used entry. *)
-  let publish t key e =
-    touch t e;
-    e.resident <- true;
-    Hashtbl.replace t.entries key e;
-    t.bytes <- t.bytes + e.cost;
-    evict t ~keep:key
-
-  let store t key value =
-    match Hashtbl.find_opt t.entries key with
-    | Some e -> touch t e
-    | None -> publish t key { value; cost = entry_cost value; stamp = 0; resident = false }
-
-  let find t key =
-    match Hashtbl.find_opt t.entries key with
-    | Some e ->
-        touch t e;
-        Some e.value
-    | None -> None
-
-  (* The join-point writes for one target, in target order: a hit
-     re-stamps its entry (or, if an earlier publish of the same join
-     evicted it, re-publishes it); a miss publishes only a success --
-     errors are cheap to reproduce and must stay attributable to
-     current sources.  A miss's key was absent at the probe, and keys
-     of distinct targets differ, so it is published without a lookup. *)
-  let record_hit t key e =
-    t.hits <- t.hits + 1;
-    if e.resident then touch t e else publish t key e
-
-  let record_miss t key result =
+  (* A miss replaces the slot only with a success: errors are cheap to
+     reproduce and must stay attributable to current sources. *)
+  let record_miss t path key result =
     t.misses <- t.misses + 1;
-    Result.iter
-      (fun value -> publish t key { value; cost = entry_cost value; stamp = 0; resident = false })
-      result
+    Result.iter (fun value -> Hashtbl.replace t.slots path { key; value }) result
 
   let hits t = t.hits
   let misses t = t.misses
-  let size t = Hashtbl.length t.entries
-  let resident_bytes t = t.bytes
-  let evictions t = t.evicted
+  let size t = Hashtbl.length t.slots
 end
 
 type t = {
@@ -429,9 +344,9 @@ let index_of a path =
    builds the validator rules and adds the misses' imports to the
    collect's one module table.  The pool then compiles the misses,
    reading the tree, the view and the table only.  At the join the
-   caller counts, stamps and publishes in sorted target order, so the
-   cache ends up identical -- entries, recency, evictions, hit/miss
-   totals -- at any domain count.  The results fold into ([oks],
+   caller counts and replaces slots in sorted target order, so the
+   cache ends up identical -- slots and hit/miss totals -- at any
+   domain count.  The results fold into ([oks],
    [errors]), both in [targets] order (a duplicate target appears
    twice).  Without [pool], a 1-domain pool compiles inline on the
    caller.  The module table and the digests are dropped on return. *)
@@ -441,7 +356,7 @@ let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let closure = validator_closure t in
   let unique = Array.of_list (List.sort_uniq String.compare targets) in
   let keys = Array.map (closure_key t keyer ~validators:closure) unique in
-  let cached = Array.map (Hashtbl.find_opt t.cache.Cache.entries) keys in
+  let cached = Array.map2 (Cache.probe t.cache) unique keys in
   let misses =
     Array.of_seq
       (Seq.filter (fun i -> Option.is_none cached.(i)) (Seq.init (Array.length keys) Fun.id))
@@ -459,13 +374,13 @@ let collect ?(pool = Cm_parallel.Pool.create ()) t targets =
   let results =
     Array.init (Array.length keys) (fun i ->
         match cached.(i) with
-        | Some e ->
-            Cache.record_hit t.cache keys.(i) e;
-            Ok e.Cache.value
+        | Some value ->
+            Cache.record_hit t.cache;
+            Ok value
         | None ->
             let result = compiled.(!next) in
             incr next;
-            Cache.record_miss t.cache keys.(i) result;
+            Cache.record_miss t.cache unique.(i) keys.(i) result;
             result)
   in
   t.evaluations <- t.evaluations + Cm_lang.Eval.Modules.evaluations modules;

@@ -55,46 +55,31 @@ val digest_of_text : string -> string
 (** The artifact digest function (hex); [compiled.digest =
     digest_of_text compiled.json_text]. *)
 
-(** Content-addressed artifact memo table.  Keys are closure hashes
-    (the raw 16-byte digest that {!closure_hash} shows in hex), so a
+(** Artifact memo table: one slot per config path, holding the
+    artifact last compiled for that path and its closure key (the raw
+    16-byte digest that {!closure_hash} shows in hex).  A probe hits
+    only when the slot's key equals the target's current key, so a
     table can be shared between compilers over different trees:
-    identical closure bytes imply an identical artifact.
+    identical closure bytes imply an identical artifact.  A successful
+    miss replaces the slot; an error leaves it as it was.  The table
+    thus holds at most one artifact per config path ever compiled
+    through it -- bounded by the tree, with no eviction -- and a
+    change back to an earlier closure of a path compiles again.
 
-    The table is a hash table that belongs to the domain that compiles
-    through it; pool workers never touch it.  A pooled compile probes
-    it once per target before the fan-out and makes every write --
-    counting, recency, publishing -- itself at the join, in sorted
-    target order, so the table's contents, evictions and counters are
-    identical at any domain count.  With [byte_budget] set the
-    table is bounded by exact LRU eviction at publish time; without
-    it, it grows without bound. *)
+    The table belongs to the domain that compiles through it; pool
+    workers never touch it.  A pooled compile probes it once per
+    target before the fan-out and makes every write -- counting,
+    replacing slots -- itself at the join, in sorted target order, so
+    the table's slots and counters are identical at any domain
+    count. *)
 module Cache : sig
   type t
 
-  val create : ?byte_budget:int -> unit -> t
-  (** [byte_budget] bounds the resident artifact bytes.  Unset means
-      unbounded. *)
-
+  val create : unit -> t
   val hits : t -> int
   val misses : t -> int
   val size : t -> int
-  (** Number of distinct artifacts retained. *)
-
-  val resident_bytes : t -> int
-  (** Bytes currently charged against the budget. *)
-
-  val evictions : t -> int
-  (** Entries dropped by LRU eviction since creation. *)
-
-  (** {2 Direct access (tests)} *)
-
-  val find : t -> string -> compiled option
-  (** Lookup by key; a hit marks the entry most recently used. *)
-
-  val store : t -> string -> compiled -> unit
-  (** Publish an artifact under a key as the most recently used
-      entry, evicting least-recently-used others to the byte budget.
-      A key already present is only re-marked. *)
+  (** Number of slots, i.e. of config paths holding an artifact. *)
 end
 
 type t
@@ -173,8 +158,7 @@ val closure_hash : t -> string -> string
 (** Content hash of a config's transitive source closure (its own
     source, its import closure, and every validator source with the
     validators' own imports), each file as its path and the digest
-    of its content, in hex; the memo table keys by the same digest,
-    raw.  The validator part comes
+    of its content, in hex; a memo slot holds the same digest, raw.  The validator part comes
     from {!Source_tree}'s validator index, so a key costs its closure
     plus the validators, independent of tree size; a compile call
     computes the validator closure once, not once per key, and hashes

@@ -710,6 +710,16 @@ import "modules/create_job.cinc"
 export create_job("cache", 4096)
 |}
 
+(* The Figure 2 shared module, with [memory] as create_job's default. *)
+let create_job_module memory =
+  Printf.sprintf
+    {|
+import_thrift "schemas/job.thrift"
+def create_job(name, memory = %d) =
+  Job { name = name, memory_mb = memory, args = ["--service", name] }
+|}
+    memory
+
 let pipeline_tests =
   [
     Alcotest.test_case "good change lands and reaches clients" `Quick (fun () ->
@@ -1024,6 +1034,80 @@ let incremental_tests =
         let writes0 = Tailer.writes_issued tailer in
         Engine.run_for engine 30.0;
         Alcotest.(check int) "no Zeus churn" writes0 (Tailer.writes_issued tailer));
+    Alcotest.test_case "a long-lived pipeline keeps one memo slot per config" `Quick
+      (fun () ->
+        (* 100 landed edits of a shared module, each recompiling its
+           cone under fresh closure keys: the memo keeps the latest
+           artifact per config, not every cone it ever compiled. *)
+        let _, _, pipeline = pipeline_env () in
+        let tree = Pipeline.tree pipeline in
+        let configs =
+          List.length (ST.paths_of_kind tree ST.Cconf) + List.length (ST.paths_of_kind tree ST.Raw)
+        in
+        let cache = Compiler.cache (Pipeline.compiler pipeline) in
+        for k = 1 to 100 do
+          let outcome =
+            Pipeline.propose_sync pipeline ~author:"dana" ~skip_canary:true
+              [ "modules/create_job.cinc", create_job_module (1024 + k) ]
+          in
+          Alcotest.(check string) "landed" "landed" (Pipeline.outcome_stage outcome);
+          if Compiler.Cache.size cache > configs then
+            Alcotest.failf "edit %d: %d slots for %d configs" k (Compiler.Cache.size cache)
+              configs
+        done;
+        Alcotest.(check int) "every edit compiled its cone" (configs + 200)
+          (Compiler.Cache.misses cache));
+    Alcotest.test_case "a rejected proposal's slots never serve a stale artifact" `Quick
+      (fun () ->
+        let _, _, pipeline = pipeline_env () in
+        let live = Pipeline.compiler pipeline in
+        let cache = Compiler.cache live in
+        Sandcastle.add_check (Pipeline.sandcastle pipeline)
+          {
+            Sandcastle.check_name = "memory-below-9999";
+            run =
+              (fun compiled ->
+                Defense.finding
+                  ~ok:
+                    (List.for_all
+                       (fun c ->
+                         Cm_json.Value.member "memory_mb" c.Compiler.json
+                         <> Some (Cm_json.Value.Int 9999))
+                       compiled)
+                  "memory below 9999");
+          };
+        let bad = [ "modules/create_job.cinc", create_job_module 9999 ] in
+        let propose changes =
+          let misses0 = Compiler.Cache.misses cache in
+          let stage =
+            Pipeline.outcome_stage
+              (Pipeline.propose_sync pipeline ~author:"dana" ~skip_canary:true changes)
+          in
+          stage, Compiler.Cache.misses cache - misses0
+        in
+        (* The clone compiles the cone into the shared slots, then
+           sandcastle bounces it; the same bytes again are all hits. *)
+        Alcotest.(check (pair string int)) "bounced after compiling its cone"
+          ("sandcastle", 2) (propose bad);
+        Alcotest.(check (pair string int)) "the same bytes again hit" ("sandcastle", 0)
+          (propose bad);
+        let render (oks, errors) =
+          List.map (fun c -> c.Compiler.config_path, c.Compiler.digest) oks, List.length errors
+        in
+        let fresh = Compiler.create (ST.copy (Pipeline.tree pipeline)) in
+        let misses0 = Compiler.Cache.misses cache in
+        Alcotest.(check (pair (list (pair string string)) int))
+          "the live tree compiles as a fresh compiler does"
+          (render (Compiler.compile_all fresh))
+          (render (Compiler.compile_all live));
+        Alcotest.(check int) "by recompiling the two replaced slots" 2
+          (Compiler.Cache.misses cache - misses0);
+        let live_module =
+          Option.get (ST.read (Pipeline.tree pipeline) "modules/create_job.cinc")
+        in
+        Alcotest.(check (pair string int)) "re-proposing the live bytes hits" ("landed", 0)
+          (propose [ "modules/create_job.cinc", live_module ]);
+        Alcotest.(check int) "one slot per config" 3 (Compiler.Cache.size cache));
     Alcotest.test_case "read-set conflict bounces the diff" `Quick (fun () ->
         let engine = Engine.create () in
         let repo = Cm_vcs.Repo.create () in

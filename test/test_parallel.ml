@@ -14,12 +14,9 @@
      multi-domain pool (no compile reads another's artifact);
    - QCheck: compile_all / compile_affected on an N-domain pool equal
      the 1-domain run — artifact digests, error list and order, and
-     the cache's counters, size, resident bytes and evictions under a
-     small byte budget (workers only read; the caller writes the cache
-     at each join, so eviction order is deterministic);
-   - cache: store/find churn keeps the content-addressed invariant and
-     the byte budget; eviction is exact LRU; two compilers share one
-     cache one after the other;
+     the cache's counters and size (workers only read; the caller
+     writes the cache at each join);
+   - cache: two compilers share one cache one after the other;
    - verify + sandcastle fan-out: verdict lists identical on 1-domain
      vs N-domain pools; a jobs>1 pipeline lands the same changes, HEAD
      tree and cache totals as jobs=1;
@@ -196,29 +193,16 @@ let gen_tree n seed =
     (List.init nmods (fun k -> gen_module_path k, Printf.sprintf "M%02d = %d" k (k + seed))
     @ List.init n (fun i -> gen_config_path i, gen_config_source ~n i seed))
 
-(* A budget that holds about eight of the generated artifacts, so the
-   larger trees evict. *)
-let small_budget = 2048
-
-(* The cache state a run leaves behind: counters, entries, resident
-   bytes and evictions. *)
+(* The cache state a run leaves behind: counters and slots. *)
 let cache_view compiler =
   let cache = Compiler.cache compiler in
-  ( Compiler.Cache.hits cache,
-    Compiler.Cache.misses cache,
-    Compiler.Cache.size cache,
-    Compiler.Cache.resident_bytes cache,
-    Compiler.Cache.evictions cache )
-
-let budgeted_compiler tree =
-  Compiler.create ~cache:(Compiler.Cache.create ~byte_budget:small_budget ()) tree
+  Compiler.Cache.hits cache, Compiler.Cache.misses cache, Compiler.Cache.size cache
 
 (* Everything observable about a compile run: artifacts in output
    order with digests, the error list in output order, and the cache
-   state under a small byte budget.  Runs compile_all twice so the hit
-   path counts. *)
+   state.  Runs compile_all twice so the hit path counts. *)
 let compile_view ?pool tree =
-  let compiler = budgeted_compiler tree in
+  let compiler = Compiler.create tree in
   let oks, errors = Compiler.compile_all ?pool compiler in
   let oks2, errors2 = Compiler.compile_all ?pool compiler in
   let render_ok c = c.Compiler.config_path, c.Compiler.digest in
@@ -244,7 +228,7 @@ let affected_property =
     (fun (domains, n, seed) ->
       let view ?pool () =
         let tree = gen_tree n seed in
-        let compiler = budgeted_compiler tree in
+        let compiler = Compiler.create tree in
         ignore (Compiler.compile_all ?pool compiler);
         (* Edit a shared module: the cone is every config importing
            module 0, plus chain importers. *)
@@ -260,65 +244,8 @@ let affected_property =
 
 (* --- the cache ------------------------------------------------------------ *)
 
-(* Real artifacts as payloads: each synthetic key maps to one fixed
-   artifact, as closure hashes do. *)
-let sample_artifacts () =
-  let compiler = Compiler.create (gen_tree 16 1) in
-  let values, errors = Compiler.compile_all compiler in
-  Alcotest.(check int) "seed tree compiles" 0 (List.length errors);
-  Array.of_list values
-
 let cache_tests =
   [
-    Alcotest.test_case "racing publishers keep the content-addressed invariant" `Quick
-      (fun () ->
-        (* Kept under its old name: the cache has one writer now, so
-           the store/find churn runs on one domain. *)
-        let values = sample_artifacts () in
-        let nvals = Array.length values in
-        let nkeys = 64 in
-        let key j = Printf.sprintf "key-%03d" (j mod nkeys) in
-        let value_of j = values.((j mod nkeys) mod nvals) in
-        let cache = Compiler.Cache.create ~byte_budget:4096 () in
-        let bad =
-          Array.init 512 (fun j ->
-              Compiler.Cache.store cache (key j) (value_of j);
-              match Compiler.Cache.find cache (key j) with
-              | None -> 1 (* the entry just stored is never the one evicted *)
-              | Some found ->
-                  if String.equal found.Compiler.digest (value_of j).Compiler.digest
-                  then 0
-                  else 1)
-        in
-        Alcotest.(check int) "every read saw its own value" 0
-          (Array.fold_left ( + ) 0 bad);
-        Alcotest.(check bool) "budget forced evictions" true
-          (Compiler.Cache.evictions cache > 0);
-        Alcotest.(check bool) "resident bytes within budget" true
-          (Compiler.Cache.resident_bytes cache <= 4096);
-        (* Every surviving key still maps to its value. *)
-        for j = 0 to nkeys - 1 do
-          match Compiler.Cache.find cache (key j) with
-          | None -> ()
-          | Some found ->
-              Alcotest.(check string) "stable" (value_of j).Compiler.digest
-                found.Compiler.digest
-        done);
-    Alcotest.test_case "eviction drops the least recently used entry" `Quick
-      (fun () ->
-        let value = (sample_artifacts ()).(0) in
-        let probe = Compiler.Cache.create () in
-        Compiler.Cache.store probe "probe" value;
-        let cost = Compiler.Cache.resident_bytes probe in
-        let cache = Compiler.Cache.create ~byte_budget:(2 * cost) () in
-        Compiler.Cache.store cache "a" value;
-        Compiler.Cache.store cache "b" value;
-        ignore (Compiler.Cache.find cache "a");
-        Compiler.Cache.store cache "c" value;
-        let resident k = Option.is_some (Compiler.Cache.find cache k) in
-        Alcotest.(check (list bool)) "a and c stay, b is evicted" [ true; false; true ]
-          [ resident "a"; resident "b"; resident "c" ];
-        Alcotest.(check int) "one eviction" 1 (Compiler.Cache.evictions cache));
     Alcotest.test_case "two domains compiling through one shared cache" `Quick
       (fun () ->
         (* Kept under its old name: the cache has one writer now, so two
@@ -336,8 +263,8 @@ let cache_tests =
         Alcotest.(check string) "identical artifacts" first second;
         Alcotest.(check (pair int int)) "the second run is all hits" (12, 12)
           (Compiler.Cache.hits cache, Compiler.Cache.misses cache);
-        (* Content addressing shares the entries: one per config, not
-           per compiler. *)
+        (* The compilers share the slots: one per config, not per
+           compiler. *)
         Alcotest.(check int) "one entry per config" 12 (Compiler.Cache.size cache));
   ]
 
@@ -428,7 +355,7 @@ let stage_tests =
           let cache = Compiler.cache (Pipeline.compiler pipeline) in
           ( (Pipeline.outcome_stage outcome, Pipeline.landed_count pipeline),
             head_tree,
-            (Compiler.Cache.hits cache, Compiler.Cache.misses cache) )
+            (Compiler.Cache.hits cache, Compiler.Cache.misses cache, Compiler.Cache.size cache) )
         in
         let outcome1, tree1, counters1 = outcome_with 1 in
         let outcome3, tree3, counters3 = outcome_with 3 in
@@ -436,7 +363,8 @@ let stage_tests =
         Alcotest.(check (pair string int)) "landed" ("landed", 1) outcome3;
         Alcotest.(check (list (pair string (option string))))
           "same HEAD tree bytes" tree1 tree3;
-        Alcotest.(check (pair int int)) "same cache hit/miss totals" counters1 counters3);
+        Alcotest.(check (triple int int int)) "same cache hit/miss totals and size" counters1
+          counters3);
   ]
 
 (* --- pack recovery ----------------------------------------------------- *)
